@@ -11,7 +11,6 @@ has a closed form.
 from .cyclotomic import (
     CycloElem,
     ab_trace,
-    cyclo_trace,
     evaluate_at_theta,
     theta_minimal_polynomial,
     theta_of,
@@ -51,7 +50,6 @@ from .errors import (
     EngineError,
     GuardViolation,
     IndexBeyondTruncation,
-    IntegrateInResidueRing,
     NonIntegralAtP,
     NonUnitConstantTerm,
     NonzeroInnerConstant,
@@ -68,7 +66,6 @@ from .genus import (
     CATALOG_KINDS,
     GenusSpec,
     cpn_genus,
-    default_order,
     genus_name,
     make_genus,
     parse_genus_name,
@@ -83,8 +80,6 @@ from .rings import (
     GradedPolyModP,
     ModP,
     Rational,
-    graded_modp_ring,
-    modp_ring,
     poly_from_text,
     poly_reduce_mod_p,
     poly_to_text,

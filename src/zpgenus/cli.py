@@ -77,12 +77,10 @@ def _load_weight_set(args) -> WeightSet:
     raise BadParams("need --weights FILE or --residues LIST")
 
 
-def _genus_for(args, w: WeightSet, extra_order: int = 0):
+def _genus_for(args):
+    """The genus named by --genus, at the minimum order; routes grow it as needed."""
     kind, y = parse_genus_name(args.genus)
-    order = args.order if args.order is not None else w.n + w.p + 2
-    if order < 2:
-        order = 2
-    return make_genus(kind, order + 1 + extra_order, y), order
+    return make_genus(kind, 2, y)
 
 
 def _emit(args, payload: dict) -> None:
@@ -111,17 +109,16 @@ def _flatten(payload: dict, prefix: str = ""):
 
 def _run_compute(args) -> int:
     w = _load_weight_set(args)
-    g, order = _genus_for(args, w)
+    g = _genus_for(args)
     base = {
         "verb": "compute",
         "genus": args.genus,
         "p": w.p,
         "n": w.n,
         "q": w.q,
-        "order": order,
     }
     if args.route != "all":
-        value = genus_mod_p(g, w, route=args.route, order=order)
+        value = genus_mod_p(g, w, route=args.route)
         base["route"] = args.route
         base["result"] = str(value)
         _emit(args, base)
@@ -130,7 +127,7 @@ def _run_compute(args) -> int:
     values = []
     for route in ROUTES:
         try:
-            value = genus_mod_p(g, w, route=route, order=order)
+            value = genus_mod_p(g, w, route=route)
         except EngineError as exc:
             results[route] = f"unavailable ({type(exc).__name__})"
         else:
@@ -148,8 +145,7 @@ def _run_compute(args) -> int:
 
 def _run_cf_check(args) -> int:
     w = _load_weight_set(args)
-    g, order = _genus_for(args, w)
-    residuals = cf_residuals(g, w, order=order)
+    residuals = cf_residuals(_genus_for(args), w)
     slots = []
     all_zero = True
     for m, r in enumerate(residuals):
@@ -179,7 +175,7 @@ def _run_ab(args) -> int:
         raise BadParams("ab needs --p")
     if args.residues is None:
         raise BadParams("ab needs --residues with the weight tuple")
-    kind, y = parse_genus_name(args.genus)
+    g = _genus_for(args)
     weights = _parse_int_list(args.residues)
     payload = {
         "verb": "ab",
@@ -187,9 +183,8 @@ def _run_ab(args) -> int:
         "p": args.p,
         "weights": list(weights),
     }
-    g = make_genus(kind, max(len(weights), args.p) + 3, y)
     coeff = ab_coefficient(g, args.p, weights)
-    trace = ab_trace(kind, args.p, weights, y)
+    trace = ab_trace(g.kind, args.p, weights, g.y)
     payload["coefficient_route"] = {
         "exact": str(coeff),
         "mod_p": str(rational_reduce_mod_p(coeff, args.p)),
@@ -227,18 +222,18 @@ def _run_legendre(args) -> int:
     if args.p is None:
         raise BadParams("legendre needs --p")
     if args.residues is not None:
-        report = check_eq45(args.p, residues=_parse_int_list(args.residues), order=args.order)
+        report = check_eq45(args.p, residues=_parse_int_list(args.residues))
         ok = report.equal and report.cpn_matches
         _emit(args, {"verb": "legendre", "check": "projective", **report.to_json_dict()})
         return 0 if ok else 1
     if args.n is not None:
         if args.n % 2:
             raise BadParams("the projective check needs even n")
-        report = check_eq45(args.p, m=args.n // 2, order=args.order)
+        report = check_eq45(args.p, m=args.n // 2)
         ok = report.equal and report.cpn_matches
         _emit(args, {"verb": "legendre", "check": "projective", **report.to_json_dict()})
         return 0 if ok else 1
-    report46 = check_eq46(args.p, order=args.order)
+    report46 = check_eq46(args.p)
     ok = (
         report46.equal
         and report46.power_system_matches
@@ -251,10 +246,7 @@ def _run_legendre(args) -> int:
 
 def _run_thm71(args) -> int:
     w = _load_weight_set(args)
-    kind, y = parse_genus_name(args.genus)
-    order = args.order if args.order is not None else w.n + w.p + 2
-    g = make_genus(kind, order + 1, y)
-    report = thm71_check(g, w, force=args.force)
+    report = thm71_check(_genus_for(args), w, force=args.force)
     _emit(args, {"verb": "thm71", "genus": args.genus, **report.to_json_dict()})
     return 0 if report.equal else 1
 
@@ -267,11 +259,7 @@ def _run_submanifold(args) -> int:
             data = SubmanifoldData.from_json(fh.read())
     except OSError as exc:
         raise BadParams(f"cannot read weights file: {exc}") from exc
-    kind, y = parse_genus_name(args.genus)
-    dmax = max((len(c.normal_weights) for c in data.components), default=0)
-    order = args.order if args.order is not None else dmax + data.p + 2
-    g = make_genus(kind, max(order, 2) + 1, y)
-    value = submanifold_genus(g, data)
+    value = submanifold_genus(_genus_for(args), data)
     _emit(
         args,
         {
@@ -322,7 +310,7 @@ def _selftest_checks():
 def _routes_agree(name: str, p: int, n: int, expected: str) -> bool:
     w = cpn_weight_set(canonical_residues(p, n))
     kind, y = parse_genus_name(name)
-    g = make_genus(kind, n + p + 3, y)
+    g = make_genus(kind, 2, y)
     vals = [str(genus_mod_p(g, w, route=r)) for r in ROUTES]
     return all(v == expected for v in vals)
 
@@ -353,7 +341,6 @@ def _add_common(sub, genus=False, weights=False, route=False):
     sub.add_argument("--p", type=int, default=None, help="the odd prime p")
     sub.add_argument("--residues", type=str, default=None, help="comma-separated integers")
     sub.add_argument("--n", type=int, default=None, help="dimension parameter")
-    sub.add_argument("--order", type=int, default=None, help="series truncation override")
     sub.add_argument("--format", choices=("text", "json"), default="text")
     if genus:
         sub.add_argument(

@@ -27,7 +27,6 @@ from .genus import (
     KIND_ELLIPTIC,
     GenusSpec,
     cpn_genus,
-    ensure_order,
     make_genus,
     power_system,
 )
@@ -177,13 +176,13 @@ def check_eq45(
     p: int,
     residues: Optional[Sequence[int]] = None,
     m: Optional[int] = None,
-    order: Optional[int] = None,
 ) -> Eq45Report:
     """Compare the elliptic p-series value on CP^{2m} with homogenized P_m.
 
     Give either explicit residues (2m+1 of them) or m (canonical residues
     0..2m are used).  The genus value on CP^{2m} computed from the logarithm
-    is carried along as a cross-check.
+    is carried along as a cross-check.  Both read coefficient n = 2m, so the
+    genus is built to order n+1.
     """
     require_odd_prime(p)
     if residues is None:
@@ -199,8 +198,8 @@ def check_eq45(
         m = rt.n // 2
     n = 2 * m
     w = cpn_weight_set(rt)
-    g = make_genus(KIND_ELLIPTIC, order if order is not None else n + p + 2)
-    lhs = genus_mod_p(g, w, route="pseries", order=g.order - 1)
+    g = make_genus(KIND_ELLIPTIC, max(n + 1, 2))
+    lhs = genus_mod_p(g, w, route="pseries")
     rhs = poly_reduce_mod_p(homogenized_legendre(m), p)
     cpn_val = reduce_value(cpn_genus(g, n), p)
     return Eq45Report(
@@ -247,7 +246,7 @@ class Eq46Report:
         }
 
 
-def check_eq46(p: int, order: Optional[int] = None) -> Eq46Report:
+def check_eq46(p: int) -> Eq46Report:
     """Check p * <(p u/[u]_p) u^{p-1}/([u]_1...[u]_{p-1})>_{p-1} ≡ P-hom mod p.
 
     The single p-series coefficient X at the point with weights (1,...,p-1)
@@ -255,16 +254,16 @@ def check_eq46(p: int, order: Optional[int] = None) -> Eq46Report:
     Legendre polynomial P_{(p-1)/2}.  Equivalently the coefficient of u^p in
     [u]_p reduces to the same polynomial while the coefficients of
     u^1..u^{p-1} reduce to zero; both the fully homogenized comparison and
-    its eps = 1 specialization are reported.
+    its eps = 1 specialization are reported.  The highest coefficient read
+    is that of u^p in [u]_p, so the genus is built to order p+1.
     """
     require_odd_prime(p)
     m = (p - 1) // 2
-    g = make_genus(KIND_ELLIPTIC, order if order is not None else p + 2)
+    g = make_genus(KIND_ELLIPTIC, p + 1)
     x = p_series_term(g, p, tuple(range(1, p)), p - 1)
     scaled = poly_reduce_mod_p(x * p, p)
     rhs = poly_reduce_mod_p(homogenized_legendre(m), p)
 
-    g = ensure_order(g, p + 1)
     ps = power_system(g, p)
     u_p = poly_reduce_mod_p(ps[p], p)
     low_ok = all(poly_reduce_mod_p(ps[k], p).is_zero() for k in range(1, p))

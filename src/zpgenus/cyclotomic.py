@@ -256,10 +256,6 @@ def _poly_xgcd_against(a: list, b: list):
     return r0, s0
 
 
-def cyclo_trace(x: CycloElem) -> Fraction:
-    return x.trace()
-
-
 # ---------------------------------------------------------------------------
 # Theta elements and trace functionals for the genus catalog.
 # ---------------------------------------------------------------------------

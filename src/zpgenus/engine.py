@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 from .cyclotomic import ab_trace
 from .errors import (
@@ -41,7 +41,6 @@ from .genus import (
     TRACE_KINDS,
     GenusSpec,
     arcsinh_u_over_2,
-    default_order,
     ensure_order,
     make_genus,
     power_system,
@@ -70,10 +69,6 @@ def reduce_value(x, p: int) -> Residue:
     if isinstance(x, GradedPoly):
         return poly_reduce_mod_p(x, p)
     return rational_reduce_mod_p(x, p)
-
-
-def residue_to_text(r: Residue) -> str:
-    return str(r)
 
 
 def canonical_weight(x: int, p: int) -> int:
@@ -298,8 +293,9 @@ def b_series(
 def ab_coefficient(g: GenusSpec, p: int, weights: Sequence[int]) -> Fraction:
     """Per-point coefficient-route value -<A(u) B(u)>_d, d = len(weights).
 
-    Exact over Q; its residue mod p equals the trace-route value.  For euler
-    the value is the constant -(p-1) regardless of the weights.
+    Exact over Q; its residue mod p equals the trace-route value.  Only
+    coefficient d is read, so A and B are built to order d.  For euler the
+    value is the constant -(p-1) regardless of the weights.
     """
     require_odd_prime(p)
     if g.kind not in TRACE_KINDS:
@@ -308,9 +304,8 @@ def ab_coefficient(g: GenusSpec, p: int, weights: Sequence[int]) -> Fraction:
     if g.kind == KIND_EULER:
         return Fraction(-(p - 1))
     d = len(weights)
-    order = default_order(d, p)
-    a = a_series(g, weights, order)
-    b = b_series(g.kind, p, order, g.y)
+    a = a_series(g, weights, d)
+    b = b_series(g.kind, p, d, g.y)
     return -(a * b)[d]
 
 
@@ -329,20 +324,18 @@ def p_series_term(g: GenusSpec, p: int, weights: Sequence[int], m: int):
 # ---------------------------------------------------------------------------
 
 
-def _pseries_point_products(g: GenusSpec, w: WeightSet, order: int):
-    """The full per-point series (p u/[u]_p) A_j(u), one per fixed point."""
-    g = ensure_order(g, order + 1)
-    pf = p_power_factor(g, w.p, order)
-    return [pf * a_series(g, pt, order) for pt in w.points]
+def _pseries_point_products(g: GenusSpec, w: WeightSet):
+    """The per-point series (p u/[u]_p) A_j(u) to order n, one per fixed point.
+
+    The coefficient of u^k in a product depends only on the factors'
+    coefficients up to k, so order n holds every coefficient the callers read.
+    """
+    g = ensure_order(g, w.n + 1)
+    pf = p_power_factor(g, w.p, w.n)
+    return [pf * a_series(g, pt, w.n) for pt in w.points]
 
 
-def _ring_zero(g: GenusSpec):
-    return g.ring.zero
-
-
-def genus_mod_p(
-    g: GenusSpec, w: WeightSet, route: str = "pseries", order: Optional[int] = None
-) -> Residue:
+def genus_mod_p(g: GenusSpec, w: WeightSet, route: str = "pseries") -> Residue:
     """The genus of the ambient manifold mod p, by the chosen route.
 
     The exact per-point values are summed over Q (or Q[delta, eps]) and only
@@ -352,9 +345,8 @@ def genus_mod_p(
     if route not in ROUTES:
         raise BadParams(f"route must be one of {ROUTES}, got {route!r}")
     if route == "pseries":
-        work = order if order is not None else w.n + w.p + 2
-        total = _ring_zero(g)
-        for prod in _pseries_point_products(g, w, work):
+        total = g.ring.zero
+        for prod in _pseries_point_products(g, w):
             total = total + prod[w.n]
         return reduce_value(total, w.p)
     if route == "ab":
@@ -369,9 +361,7 @@ def genus_mod_p(
     return rational_reduce_mod_p(total, w.p)
 
 
-def cf_residuals(
-    g: GenusSpec, w: WeightSet, order: Optional[int] = None
-) -> list:
+def cf_residuals(g: GenusSpec, w: WeightSet) -> list:
     """Summed p-series coefficients at m = 0..n-1, reduced mod p per slot.
 
     For weight data coming from an actual Z/p action these all vanish.  A
@@ -381,11 +371,10 @@ def cf_residuals(
     """
     if w.n < 1:
         raise BadParams("cf_residuals needs n >= 1")
-    work = order if order is not None else w.n + w.p + 2
-    prods = _pseries_point_products(g, w, work)
+    prods = _pseries_point_products(g, w)
     out = []
     for m in range(w.n):
-        total = _ring_zero(g)
+        total = g.ring.zero
         for prod in prods:
             total = total + prod[m]
         try:
@@ -484,7 +473,7 @@ def thm71_check(g: GenusSpec, w: WeightSet, force: bool = False) -> Thm71Report:
     for pt in w.points:
         ab_sum += ab_coefficient(g, p, pt)
 
-    prods = _pseries_point_products(g, w, n + p + 2)
+    prods = _pseries_point_products(g, w)
     sums = []
     for m in range(n + 1):
         total = Fraction(0)

@@ -43,10 +43,6 @@ class NotReversible(EngineError):
     """Series reversion requires a(0) = 0 and a unit linear coefficient."""
 
 
-class IntegrateInResidueRing(EngineError):
-    """Termwise integration hit a coefficient u^k with p | k+1."""
-
-
 class IndexBeyondTruncation(EngineError):
     """A coefficient beyond the computed truncation order was requested."""
 

@@ -54,11 +54,6 @@ TRACE_KINDS = (KIND_TODD, KIND_EULER, KIND_L, KIND_CHI_Y, KIND_A_HAT)
 B_SERIES_KINDS = (KIND_TODD, KIND_L, KIND_CHI_Y, KIND_A_HAT)
 
 
-def default_order(n: int, p: int) -> int:
-    """Default series truncation order for dimension n at the prime p."""
-    return max(n, p) + 2
-
-
 class GenusSpec:
     """A genus, pinned by its normalized logarithm and f = revert(logarithm).
 

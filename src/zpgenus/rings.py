@@ -14,9 +14,9 @@ polynomial coefficient) with p dividing its denominator raises
 :class:`~zpgenus.errors.NonIntegralAtP`.  This is the single choke point for
 p-integrality diagnostics in the whole package.
 
-The module also exposes tiny ring descriptors (:data:`QQ`, :data:`DE`,
-:func:`modp_ring`, :func:`graded_modp_ring`) so the series layer can stay
-generic over the coefficient domain.
+The module also exposes two ring descriptors (:data:`QQ` and :data:`DE`) so
+the series layer can stay generic over the exact coefficient domain; the
+mod-p types only receive final reductions.
 """
 from __future__ import annotations
 
@@ -503,21 +503,15 @@ def poly_from_text(text: str) -> GradedPoly:
     return GradedPoly(terms)
 
 
-def poly_modp_from_text(text: str, p: int) -> GradedPolyModP:
-    q = poly_from_text(text)
-    return poly_reduce_mod_p(q, p)
-
-
 # ---------------------------------------------------------------------------
 # Ring descriptors.  A descriptor carries just enough for the series layer:
-# characteristic, distinguished elements, conversions, and unit tests.
+# distinguished elements, conversions, and unit tests.
 # ---------------------------------------------------------------------------
 
 
 class CoefficientRing:
-    """Descriptor protocol; concrete subclasses are singletons (per prime)."""
+    """Descriptor protocol; concrete subclasses are singletons."""
 
-    char: int = 0
     name: str = "?"
 
     @property
@@ -545,7 +539,6 @@ class CoefficientRing:
 
 
 class _RationalField(CoefficientRing):
-    char = 0
     name = "Q"
 
     @property
@@ -572,7 +565,6 @@ class _RationalField(CoefficientRing):
 
 
 class _GradedRing(CoefficientRing):
-    char = 0
     name = "Q[delta,eps]"
 
     @property
@@ -598,74 +590,5 @@ class _GradedRing(CoefficientRing):
         return GradedPoly.const(1 / x.constant_value())
 
 
-class _ModPField(CoefficientRing):
-    def __init__(self, p: int):
-        require_odd_prime(p)
-        self.p = p
-        self.char = p
-        self.name = f"F_{p}"
-
-    @property
-    def zero(self):
-        return ModP(0, self.p)
-
-    @property
-    def one(self):
-        return ModP(1, self.p)
-
-    def from_int(self, n: int):
-        return ModP(n, self.p)
-
-    def from_fraction(self, q: Rational):
-        return rational_reduce_mod_p(q, self.p)
-
-    def is_unit(self, x) -> bool:
-        return x.value != 0
-
-    def invert(self, x):
-        return x.inverse()
-
-
-class _GradedModPRing(CoefficientRing):
-    def __init__(self, p: int):
-        require_odd_prime(p)
-        self.p = p
-        self.char = p
-        self.name = f"F_{p}[delta,eps]"
-
-    @property
-    def zero(self):
-        return GradedPolyModP.zero(self.p)
-
-    @property
-    def one(self):
-        return GradedPolyModP({(0, 0): 1}, self.p)
-
-    def from_int(self, n: int):
-        return GradedPolyModP({(0, 0): n}, self.p)
-
-    def from_fraction(self, q: Rational):
-        r = rational_reduce_mod_p(q, self.p)
-        return GradedPolyModP({(0, 0): r.value}, self.p)
-
-    def is_unit(self, x) -> bool:
-        return set(x.terms) == {(0, 0)}
-
-    def invert(self, x):
-        if not self.is_unit(x):
-            raise ZeroDivision(f"{x!r} is not a unit in {self.name}")
-        return GradedPolyModP({(0, 0): pow(x.terms[(0, 0)], -1, self.p)}, self.p)
-
-
 QQ = _RationalField()
 DE = _GradedRing()
-
-
-@lru_cache(maxsize=None)
-def modp_ring(p: int) -> _ModPField:
-    return _ModPField(p)
-
-
-@lru_cache(maxsize=None)
-def graded_modp_ring(p: int) -> _GradedModPRing:
-    return _GradedModPRing(p)

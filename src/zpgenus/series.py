@@ -23,7 +23,6 @@ from typing import Sequence, Union
 from .errors import (
     BadParams,
     IndexBeyondTruncation,
-    IntegrateInResidueRing,
     NonUnitConstantTerm,
     NonzeroInnerConstant,
     NotReversible,
@@ -129,11 +128,8 @@ class Series:
 
     def scale(self, q) -> "Series":
         """Multiply every coefficient by a scalar (int/Fraction) or ring element."""
-        if isinstance(q, (int, Fraction)):
-            if self.ring.char:
-                q = self.ring.from_fraction(Fraction(q))
-            elif isinstance(q, int):
-                q = Fraction(q)
+        if isinstance(q, int):
+            q = Fraction(q)
         return Series(self.ring, [c * q for c in self.coeffs])
 
     # -- multiplicative arithmetic --------------------------------------------
@@ -279,22 +275,10 @@ class Series:
         )
 
     def integrate(self) -> "Series":
-        """Termwise integral with constant 0; the order grows by one.
-
-        Over a ring of characteristic p this fails with IntegrateInResidueRing
-        as soon as a needed division by k+1 hits p | k+1.
-        """
-        p = self.ring.char
+        """Termwise integral with constant 0; the order grows by one."""
         out = [self.ring.zero]
         for k, c in enumerate(self.coeffs):
-            if p:
-                if (k + 1) % p == 0:
-                    raise IntegrateInResidueRing(
-                        f"integration needs division by {k + 1}, impossible mod {p}"
-                    )
-                out.append(c * self.ring.from_int(pow(k + 1, -1, p)))
-            else:
-                out.append(c * Fraction(1, k + 1))
+            out.append(c * Fraction(1, k + 1))
         return Series(self.ring, out)
 
     # -- comparison and text --------------------------------------------------

@@ -4,12 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from zpgenus.cpn import canonical_residues, cpn_weight_set
 from zpgenus.cyclotomic import ab_trace, trace_theta_power
 from zpgenus.engine import (
     SubmanifoldComponent,
     SubmanifoldData,
     Thm71Report,
     WeightSet,
+    _pseries_point_products,
     a_series,
     ab_coefficient,
     b_series,
@@ -29,7 +31,7 @@ from zpgenus.errors import (
     UnsupportedKind,
     ZeroWeight,
 )
-from zpgenus.genus import arcsinh_u_over_2, cosh_series, default_order, make_genus
+from zpgenus.genus import arcsinh_u_over_2, cosh_series, make_genus
 from zpgenus.rings import QQ, GradedPoly, ModP, poly_reduce_mod_p, rational_reduce_mod_p
 from zpgenus.series import Series
 
@@ -151,7 +153,7 @@ def test_ab_coefficient_matches_trace():
         for kind, y in cases:
             if kind == "chi_y" and p == 3:
                 continue
-            g = make_genus(kind, default_order(4, p) + 1, y)
+            g = make_genus(kind, max(4, p) + 3, y)
             for _ in range(12):
                 weights = tuple(rng.randint(1, p - 1) for _ in range(rng.randint(1, 4)))
                 # each route's exact rational may have p in its denominator;
@@ -165,7 +167,7 @@ def test_ab_literal_representatives():
     # rational but not its residue, pinned against the trace oracle
     for p in (3, 5):
         for x in range(1, p):
-            order = default_order(1, p)
+            order = p + 2
             g = make_genus("todd", order + p + 3)
             val = -(a_series(g, (x + p,), order) * b_series("todd", p, order))[1]
             diff = val - ab_trace("todd", p, (x,))
@@ -219,9 +221,48 @@ def test_cf_residuals_capture_non_integral_slots():
     log = Series.from_fractions(QQ, [0, 1, F(1, 5)] + [0] * 10, 12)
     g = make_genus("custom", 12, logarithm=log)
     w = WeightSet(p=5, n=2, points=((1, 1),))
-    res = cf_residuals(g, w, order=9)
+    res = cf_residuals(g, w)
     assert isinstance(res[0], ModP) and res[0].value == 1
     assert isinstance(res[1], NonIntegralAtP)
+
+
+def test_routes_read_exact_values_of_wide_truncations():
+    # Each route truncates at the coefficient it reads; its exact per-point
+    # values must equal those read off series built to the wide orders
+    # n+p+2 (pseries) and max(d, p)+2 (ab).
+    rng = random.Random(26)
+    kinds = [("todd", None), ("euler", None), ("l_genus", None), ("chi_y", F(2)),
+             ("chi_y", F(-1, 2)), ("a_hat", None), ("elliptic", None)]
+    for p in (3, 5, 7, 11):
+        sets = [cpn_weight_set(canonical_residues(p, n)) for n in (1, 2, 3) if n < p]
+        sets += [_random_weight_set(rng, p, n, 2) for n in (0, 1, 2, 3)]
+        for kind, y in kinds:
+            if kind == "elliptic" and p == 11:
+                continue  # the wide elliptic genus at order 17 is too slow
+            lean = make_genus(kind, 2, y)
+            wide = make_genus(kind, p + 6, y)
+            has_b = kind not in ("euler", "elliptic") and (kind, y, p) != ("chi_y", F(2), 3)
+            for w in sets:
+                order = w.n + p + 2
+                pf = p_power_factor(wide, p, order)
+                for prod, pt in zip(_pseries_point_products(lean, w), w.points):
+                    ref = pf * a_series(wide, pt, order)
+                    assert prod.coeffs == ref.coeffs[: w.n + 1], (kind, y, p, pt)
+                    if has_b:
+                        order_ab = max(w.n, p) + 2
+                        a = a_series(wide, pt, order_ab)
+                        ref_ab = -(a * b_series(kind, p, order_ab, y))[w.n]
+                        assert ab_coefficient(lean, p, pt) == ref_ab, (kind, y, p, pt)
+
+
+def test_custom_logarithm_needs_only_order_n_plus_1():
+    log = Series.from_fractions(QQ, [0, 1, F(1, 2), F(2, 3), F(-1, 4), F(3, 7)], 12)
+    for p, n in ((5, 2), (7, 3)):
+        w = cpn_weight_set(canonical_residues(p, n))
+        full = make_genus("custom", 2, logarithm=log)
+        lean = make_genus("custom", 2, logarithm=log.truncate(n + 1))
+        assert genus_mod_p(lean, w, "pseries") == genus_mod_p(full, w, "pseries")
+        assert cf_residuals(lean, w) == cf_residuals(full, w)
 
 
 def test_h_series_closed_forms():
@@ -277,7 +318,7 @@ def test_thm71_random_weight_sets():
             p = rng.choice((5, 7))
             n = rng.randint(1, p - 2)
             w = _random_weight_set(rng, p, n, rng.randint(1, 4))
-            g = make_genus(kind, default_order(n, p), y)
+            g = make_genus(kind, p + 2, y)
             assert thm71_check(g, w).equal, (kind, w)
 
 
@@ -298,7 +339,7 @@ def test_submanifold_isolated_points_match_ab_route():
     rng = random.Random(25)
     for kind, y in [("todd", None), ("l_genus", None), ("chi_y", F(2))]:
         for p in (5, 7):
-            g = make_genus(kind, default_order(3, p), y)
+            g = make_genus(kind, p + 2, y)
             w = _random_weight_set(rng, p, 3, 3)
             data = SubmanifoldData(
                 p=p,

@@ -7,14 +7,13 @@ import pytest
 from zpgenus.errors import (
     BadParams,
     IndexBeyondTruncation,
-    IntegrateInResidueRing,
     NonUnitConstantTerm,
     NonzeroInnerConstant,
     NotReversible,
     RingMismatch,
     ZeroDivision,
 )
-from zpgenus.rings import DE, QQ, GradedPoly, modp_ring
+from zpgenus.rings import DE, QQ, GradedPoly
 from zpgenus.series import Series, binomial_power, geometric
 
 
@@ -137,16 +136,6 @@ def test_differentiate_integrate():
     assert back == a and back.order == a.order
     # integrate of 1/(1-u) gives sum u^k/k
     assert geometric(QQ, 5).integrate() == S(0, 1, F(1, 2), F(1, 3), F(1, 4), F(1, 5), F(1, 6))
-
-
-def test_integrate_in_residue_ring():
-    R = modp_ring(3)
-    a = Series(R, [R.one, R.one])  # needs /1 and /2: fine
-    out = a.integrate()
-    assert out[1] == R.one and out[2] == R.from_int(2)
-    b = Series(R, [R.one, R.one, R.one])  # wants /3
-    with pytest.raises(IntegrateInResidueRing):
-        b.integrate()
 
 
 def test_binomial_power():
