@@ -15,7 +15,8 @@ On top of the field sit the theta elements attached to the genus catalog:
 * euler    theta = 1 (degenerate; the trace machinery bypasses it)
 
 and the trace functionals Tr(theta^k) and the fixed-point contribution
-ab_trace = -Tr(prod_k factor(x_k)).
+ab_trace = -Tr(prod_k factor(x_k)), which multiplies integer preimages in
+the group ring Z[t]/(t^p - 1) instead of inverting in the field.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ from .genus import (
     KIND_EULER,
     KIND_L,
     KIND_TODD,
+    TRACE_KINDS,
     arcsinh_u_over_2,
     sinh_series,
 )
@@ -260,9 +262,6 @@ def _poly_xgcd_against(a: list, b: list):
 # Theta elements and trace functionals for the genus catalog.
 # ---------------------------------------------------------------------------
 
-THETA_KINDS = (KIND_TODD, KIND_EULER, KIND_L, KIND_CHI_Y, KIND_A_HAT)
-
-
 def _require_chi_param(p: int, y: Union[Rational, int, None]) -> Fraction:
     if y is None:
         raise BadParams("chi_y needs the parameter y")
@@ -302,6 +301,30 @@ def trace_theta_power(
     return theta_of(kind, p, y).__pow__(k).trace()
 
 
+def _todd_preimage(p: int, x: int) -> list:
+    """p times a preimage in Z[t]/(t^p - 1) of 1/(1 - zeta^x), x a unit mod p.
+
+    (1 - t^x) * sum_k k t^{kx} = sum_k t^{kx} - p, and sum_k zeta^{kx} = 0,
+    so 1/(1 - zeta^x) is the image of -(1/p) sum_{k<p} k t^{kx}.
+    """
+    x_inv = pow(x, -1, p)  # t^j = t^{kx} with k = j/x mod p
+    return [-(j * x_inv % p) for j in range(p)]
+
+
+def _rotate(vec: list, s: int) -> list:
+    """vec * t^s in Z[t]/(t^p - 1), for 0 <= s < p."""
+    return vec[-s:] + vec[:-s]
+
+
+def _cyclic_mul(a: list, b: list) -> list:
+    """The product of two elements of Z[t]/(t^p - 1), as coefficient lists."""
+    out = [0] * len(a)
+    for i, c in enumerate(a):
+        if c:
+            out = [o + c * r for o, r in zip(out, _rotate(b, i))]
+    return out
+
+
 def ab_trace(
     kind: str,
     p: int,
@@ -313,32 +336,34 @@ def ab_trace(
     The factor for a weight x is the theta-machinery analogue of u/[u]_x:
     todd 1/(1-zeta^x), l_genus (1+zeta^x)/(1-zeta^x), chi_y
     (1+y zeta^x)/(1-zeta^x), a_hat zeta^{x(p+1)/2}/(1-zeta^x), euler 1.
+
+    The product is taken in Q[t]/(t^p - 1), which maps onto Q(zeta_p) by
+    t -> zeta, as integers over one common denominator; 1/(1-zeta^x) has the
+    preimage of :func:`_todd_preimage`, and Tr(sum_j b_j t^j) = p b_0 - sum b_j.
     """
     require_odd_prime(p)
-    if kind not in THETA_KINDS:
+    if kind not in TRACE_KINDS:
         raise UnsupportedKind(f"no trace route for genus kind {kind!r}")
+    a = b = 1  # l_genus and chi_y multiply the todd factor by 1 + (a/b) t^x
     if kind == KIND_CHI_Y:
         y = _require_chi_param(p, y)
-    one = CycloElem.one(p)
-    prod = one
+        a, b = y.numerator, y.denominator
+    prod = [1] + [0] * (p - 1)
+    denom = 1
     for x in weights:
         x = x % p
         if x == 0:
             raise ZeroWeight(f"weight divisible by p = {p}")
         if kind == KIND_EULER:
             continue
-        zx = CycloElem.zeta(p, x)
-        denom_inv = (one - zx).invert()
-        if kind == KIND_TODD:
-            factor = denom_inv
-        elif kind == KIND_L:
-            factor = (one + zx) * denom_inv
-        elif kind == KIND_CHI_Y:
-            factor = (one + zx * y) * denom_inv
-        else:  # a_hat
-            factor = CycloElem.zeta(p, x * (p + 1) // 2) * denom_inv
-        prod = prod * factor
-    return -prod.trace()
+        factor = _todd_preimage(p, x)
+        if kind == KIND_A_HAT:
+            factor = _rotate(factor, x * (p + 1) // 2 % p)
+        elif kind in (KIND_L, KIND_CHI_Y):
+            factor = [b * f + a * g for f, g in zip(factor, _rotate(factor, x))]
+        prod = _cyclic_mul(prod, factor)
+        denom *= p * b
+    return Fraction(sum(prod) - p * prod[0], denom)
 
 
 def theta_minimal_polynomial(

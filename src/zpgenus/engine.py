@@ -3,7 +3,8 @@
 A weight set records, for each fixed point of a Z/p action on a stably
 complex 2n-manifold, the n rotation weights of the action on the tangent
 space (nonzero residues mod p).  The genus of the ambient manifold mod p is
-computed by any of three routes, which must agree:
+computed by any of three routes, which must agree (each computes a
+repeated fixed point once, times its multiplicity):
 
 * ``pseries``: sum over fixed points of <(p u/[u]_p) * prod_k u/[u]_{x_k}>_n,
   exact over Q (or Q[delta, eps]), reduced mod p at the end.
@@ -19,11 +20,12 @@ congruence of :func:`thm71_check` ties all of it together.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple, Union
 
-from .cyclotomic import ab_trace
+from .cyclotomic import _require_chi_param, ab_trace
 from .errors import (
     BadParams,
     GuardViolation,
@@ -256,13 +258,7 @@ def b_series(
     if kind not in B_SERIES_KINDS:
         raise UnsupportedKind(f"no B-series for genus kind {kind!r}")
     if kind == KIND_CHI_Y:
-        if y is None:
-            raise BadParams("chi_y needs the parameter y")
-        y = Fraction(y)
-        if y.denominator % p == 0:
-            raise BadParams(f"chi_y parameter {y} is not p-integral at p = {p}")
-        if (1 + y).numerator % p == 0:
-            raise BadParams(f"chi_y parameter {y} has 1 + y ≡ 0 mod {p}")
+        y = _require_chi_param(p, y)
     elif y is not None:
         raise BadParams(f"kind {kind!r} does not take a parameter y")
 
@@ -324,41 +320,49 @@ def p_series_term(g: GenusSpec, p: int, weights: Sequence[int], m: int):
 # ---------------------------------------------------------------------------
 
 
+def _distinct_points(w: WeightSet) -> Counter:
+    """Multiplicity per distinct fixed point; route values ignore weight order."""
+    return Counter(tuple(sorted(pt)) for pt in w.points)
+
+
 def _pseries_point_products(g: GenusSpec, w: WeightSet):
-    """The per-point series (p u/[u]_p) A_j(u) to order n, one per fixed point.
+    """(multiplicity, (p u/[u]_p) A_j(u) to order n) per :func:`_distinct_points`.
 
     The coefficient of u^k in a product depends only on the factors'
     coefficients up to k, so order n holds every coefficient the callers read.
     """
     g = ensure_order(g, w.n + 1)
     pf = p_power_factor(g, w.p, w.n)
-    return [pf * a_series(g, pt, w.n) for pt in w.points]
+    return [(k, pf * a_series(g, pt, w.n)) for pt, k in _distinct_points(w).items()]
+
+
+def _route_total(g: GenusSpec, w: WeightSet, route: str):
+    """The exact sum over fixed points of the chosen route's per-point value."""
+    if route == "pseries":
+        total = g.ring.zero
+        for k, prod in _pseries_point_products(g, w):
+            total = total + prod[w.n] * k
+        return total
+    total = Fraction(0)
+    for pt, k in _distinct_points(w).items():
+        if route == "ab":
+            total += ab_coefficient(g, w.p, pt) * k
+        else:
+            total += ab_trace(g.kind, w.p, pt, g.y) * k
+    return total
 
 
 def genus_mod_p(g: GenusSpec, w: WeightSet, route: str = "pseries") -> Residue:
     """The genus of the ambient manifold mod p, by the chosen route.
 
-    The exact per-point values are summed over Q (or Q[delta, eps]) and only
-    the total is reduced; a non-p-integral total raises NonIntegralAtP, which
-    for the pseries route flags non-realizable input data.
+    The exact per-point values are summed over Q (or Q[delta, eps]), each
+    distinct point once times its multiplicity, and only the total is reduced;
+    a non-p-integral total raises NonIntegralAtP, which for the pseries route
+    flags non-realizable input data.
     """
     if route not in ROUTES:
         raise BadParams(f"route must be one of {ROUTES}, got {route!r}")
-    if route == "pseries":
-        total = g.ring.zero
-        for prod in _pseries_point_products(g, w):
-            total = total + prod[w.n]
-        return reduce_value(total, w.p)
-    if route == "ab":
-        total = Fraction(0)
-        for pt in w.points:
-            total += ab_coefficient(g, w.p, pt)
-        return rational_reduce_mod_p(total, w.p)
-    # trace route
-    total = Fraction(0)
-    for pt in w.points:
-        total += ab_trace(g.kind, w.p, pt, g.y)
-    return rational_reduce_mod_p(total, w.p)
+    return reduce_value(_route_total(g, w, route), w.p)
 
 
 def cf_residuals(g: GenusSpec, w: WeightSet) -> list:
@@ -375,8 +379,8 @@ def cf_residuals(g: GenusSpec, w: WeightSet) -> list:
     out = []
     for m in range(w.n):
         total = g.ring.zero
-        for prod in prods:
-            total = total + prod[m]
+        for k, prod in prods:
+            total = total + prod[m] * k
         try:
             out.append(reduce_value(total, w.p))
         except NonIntegralAtP as exc:
@@ -469,17 +473,9 @@ def thm71_check(g: GenusSpec, w: WeightSet, force: bool = False) -> Thm71Report:
             f"n = {n} exceeds p-2 = {p - 2}; pass force=True to check anyway"
         )
 
-    ab_sum = Fraction(0)
-    for pt in w.points:
-        ab_sum += ab_coefficient(g, p, pt)
-
+    ab_sum = _route_total(g, w, "ab")
     prods = _pseries_point_products(g, w)
-    sums = []
-    for m in range(n + 1):
-        total = Fraction(0)
-        for prod in prods:
-            total += prod[m]
-        sums.append(total)
+    sums = [sum((prod[m] * k for k, prod in prods), Fraction(0)) for m in range(n + 1)]
 
     h_inv = h_series(g.kind, p, n, g.y).invert()
     rhs_exact = sums[n]

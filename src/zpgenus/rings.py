@@ -35,15 +35,34 @@ from .errors import (
 Rational = Fraction
 
 
+# Miller-Rabin on the prime bases 2..41 is exact below the least strong pseudoprime
+# to all of them (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases").
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 @lru_cache(maxsize=None)
 def is_odd_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; BadParams at or above the exact bound."""
     if not isinstance(p, int) or p < 3 or p % 2 == 0:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p <= _MR_BASES[-1]:
+        return p in _MR_BASES
+    if p >= _MR_BOUND:
+        raise BadParams(f"primality of {p} is decided exactly only below {_MR_BOUND}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -362,46 +381,6 @@ class GradedPolyModP:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def _check(self, other: "GradedPolyModP"):
-        if self.p != other.p:
-            raise PrimeMismatch(f"mixed moduli {self.p} and {other.p}")
-
-    def __add__(self, other):
-        if not isinstance(other, GradedPolyModP):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return GradedPolyModP(out, self.p)
-
-    def __sub__(self, other):
-        if not isinstance(other, GradedPolyModP):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return GradedPolyModP(out, self.p)
-
-    def __neg__(self):
-        return GradedPolyModP({m: -c for m, c in self.terms.items()}, self.p)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GradedPolyModP({m: c * other for m, c in self.terms.items()}, self.p)
-        if not isinstance(other, GradedPolyModP):
-            return NotImplemented
-        self._check(other)
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                m = (a1 + a2, b1 + b2)
-                out[m] = out.get(m, 0) + c1 * c2
-        return GradedPolyModP(out, self.p)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return (

@@ -2,11 +2,13 @@
 import cmath
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
 from zpgenus.cyclotomic import (
     CycloElem,
+    _todd_preimage,
     ab_trace,
     evaluate_at_theta,
     theta_minimal_polynomial,
@@ -178,6 +180,64 @@ def test_ab_trace_examples():
     assert ab_trace("euler", 7, ()) == -6
     # weights only matter mod p
     assert ab_trace("l_genus", 5, (2, 3)) == ab_trace("l_genus", 5, (7, -2))
+
+
+@lru_cache(maxsize=None)  # the field inversion is the slow part of the reference
+def _inverse_of_one_minus_zeta(p, x):
+    return (CycloElem.one(p) - CycloElem.zeta(p, x)).invert()
+
+
+def _reference_ab_trace(kind, p, weights, y=None):
+    """-Tr(prod_k factor(zeta^{x_k})) by field arithmetic in Q(zeta_p)."""
+    one = CycloElem.one(p)
+    prod = one
+    for x in weights:
+        x = x % p
+        if kind == "euler":
+            continue
+        zx = CycloElem.zeta(p, x)
+        denom_inv = _inverse_of_one_minus_zeta(p, x)
+        if kind == "todd":
+            factor = denom_inv
+        elif kind == "l_genus":
+            factor = (one + zx) * denom_inv
+        elif kind == "chi_y":
+            factor = (one + zx * y) * denom_inv
+        else:  # a_hat
+            factor = CycloElem.zeta(p, x * (p + 1) // 2) * denom_inv
+        prod = prod * factor
+    return -prod.trace()
+
+
+def _group_ring_image(vec, denom):
+    """The image in Q(zeta_p) of sum_j vec[j] t^j / denom (t -> zeta)."""
+    p = len(vec)
+    return CycloElem(p, [F(c - vec[-1], denom) for c in vec[:-1]])
+
+
+def test_ab_trace_matches_field_arithmetic():
+    rng = random.Random(15)
+    kinds = [("todd", None), ("euler", None), ("l_genus", None), ("a_hat", None)]
+    kinds += [("chi_y", y) for y in (F(2), F(-1, 2), F(1, 3), F(-3))]
+    for p in (3, 5, 7, 11, 13, 23, 31, 47):
+        units = [x for x in range(-2 * p, 3 * p) if x % p]
+        for kind, y in kinds:
+            if y is not None and ((1 + y).numerator % p == 0 or y.denominator % p == 0):
+                continue
+            for n in range(6):
+                weights = [rng.choice(units) for _ in range(n)]
+                if n >= 2:
+                    weights[1] = weights[0]
+                got = ab_trace(kind, p, weights, y)
+                assert got == _reference_ab_trace(kind, p, weights, y), (kind, y, p, weights)
+
+
+def test_todd_preimage_inverts_one_minus_zeta():
+    # -(1/p) sum_k k t^{kx} maps to 1/(1 - zeta^x)
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for x in range(1, p):
+            image = _group_ring_image(_todd_preimage(p, x), p)
+            assert image == (CycloElem.one(p) - CycloElem.zeta(p, x)).invert(), (p, x)
 
 
 def test_ab_trace_errors():

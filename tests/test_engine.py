@@ -4,14 +4,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from zpgenus.cpn import canonical_residues, cpn_weight_set
+from zpgenus.cpn import ResidueTuple, canonical_residues, cpn_weight_set
 from zpgenus.cyclotomic import ab_trace, trace_theta_power
 from zpgenus.engine import (
     SubmanifoldComponent,
     SubmanifoldData,
     Thm71Report,
     WeightSet,
+    _distinct_points,
     _pseries_point_products,
+    _route_total,
     a_series,
     ab_coefficient,
     b_series,
@@ -31,7 +33,7 @@ from zpgenus.errors import (
     UnsupportedKind,
     ZeroWeight,
 )
-from zpgenus.genus import arcsinh_u_over_2, cosh_series, make_genus
+from zpgenus.genus import arcsinh_u_over_2, cosh_series, cpn_genus, make_genus
 from zpgenus.rings import QQ, GradedPoly, ModP, poly_reduce_mod_p, rational_reduce_mod_p
 from zpgenus.series import Series
 
@@ -245,7 +247,7 @@ def test_routes_read_exact_values_of_wide_truncations():
             for w in sets:
                 order = w.n + p + 2
                 pf = p_power_factor(wide, p, order)
-                for prod, pt in zip(_pseries_point_products(lean, w), w.points):
+                for (_, prod), pt in zip(_pseries_point_products(lean, w), _distinct_points(w)):
                     ref = pf * a_series(wide, pt, order)
                     assert prod.coeffs == ref.coeffs[: w.n + 1], (kind, y, p, pt)
                     if has_b:
@@ -253,6 +255,48 @@ def test_routes_read_exact_values_of_wide_truncations():
                         a = a_series(wide, pt, order_ab)
                         ref_ab = -(a * b_series(kind, p, order_ab, y))[w.n]
                         assert ab_coefficient(lean, p, pt) == ref_ab, (kind, y, p, pt)
+
+
+def _union_of_products(rng, p, comps):
+    """Points of a disjoint union of products CP^a x CP^b, each taken k times.
+
+    A point of CP^a x CP^b is a pair of points; its weights are theirs,
+    concatenated.
+    """
+    points = []
+    for a, b, k in comps:
+        left, right = (
+            cpn_weight_set(ResidueTuple(p, tuple(rng.sample(range(p), m + 1)))).points
+            for m in (a, b)
+        )
+        points += [pa + pb for pa in left for pb in right] * k
+    return WeightSet(p=p, n=comps[0][0] + comps[0][1], points=tuple(points))
+
+
+def test_repeated_points_and_multiplicativity():
+    # Each route counts a repeated point once, times its multiplicity; the
+    # exact total must equal the plain sum over all points, and its residue
+    # phi(sum_k k M_a x M_b) = sum_k k phi(CP^a) phi(CP^b) mod p.
+    rng = random.Random(27)
+    kinds = [("todd", None), ("chi_y", F(2)), ("l_genus", None), ("a_hat", None)]
+    for p in (7, 11, 13):
+        for kind, y in kinds:
+            g = make_genus(kind, 6, y)
+            for n in (2, 3, 4):
+                a1, a2 = rng.sample(range(n + 1), 2)
+                comps = [(a1, n - a1, rng.randint(2, 3)), (a2, n - a2, rng.randint(1, 3))]
+                w = _union_of_products(rng, p, comps)
+                assert len(_distinct_points(w)) < w.q
+                pf = p_power_factor(g, p, n)
+                plain = {
+                    "pseries": sum((pf * a_series(g, pt, n))[n] for pt in w.points),
+                    "ab": sum(ab_coefficient(g, p, pt) for pt in w.points),
+                    "trace": sum(ab_trace(kind, p, pt, y) for pt in w.points),
+                }
+                want = sum(k * cpn_genus(g, a) * cpn_genus(g, b) for a, b, k in comps)
+                for route, total in plain.items():
+                    assert _route_total(g, w, route) == total, (kind, p, comps, route)
+                    assert genus_mod_p(g, w, route) == rational_reduce_mod_p(want, p)
 
 
 def test_custom_logarithm_needs_only_order_n_plus_1():

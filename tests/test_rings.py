@@ -1,5 +1,6 @@
 """Exact scalar, residue and graded-polynomial arithmetic."""
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -38,6 +39,29 @@ def test_odd_prime_gate():
         require_odd_prime(2)
     with pytest.raises(BadParams):
         require_odd_prime(9)
+
+
+def test_odd_prime_gate_is_fast_and_exact():
+    start = time.perf_counter()
+    assert is_odd_prime(2**61 - 1)
+    assert time.perf_counter() - start < 0.5
+    # Carmichael numbers, then strong pseudoprimes to base 2 and to bases 2, 3, 5, 7
+    for bad in (561, 1105, 41041, 2047, 3215031751):
+        assert not is_odd_prime(bad)
+    with pytest.raises(BadParams, match="3317044064679887385961981"):
+        is_odd_prime(2**89 - 1)
+
+
+def test_odd_prime_gate_matches_sieve():
+    limit = 2 * 10**5
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for d in range(2, int(limit**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytearray(len(range(d * d, limit, d)))
+    gate = is_odd_prime.__wrapped__  # bypass the cache, which would keep every n
+    for n in range(limit):
+        assert gate(n) == (bool(sieve[n]) and n != 2), n
 
 
 def test_rational_reduce_examples():
@@ -130,17 +154,6 @@ def test_poly_reduce_mod_p():
     assert poly_reduce_mod_p(GradedPoly.zero(), 5).is_zero()
     with pytest.raises(NonIntegralAtP):
         poly_reduce_mod_p(E * F(1, 3), 3)
-
-
-def test_graded_modp_arithmetic():
-    p = 5
-    a = GradedPolyModP({(1, 0): 3}, p)
-    b = GradedPolyModP({(1, 0): 2, (0, 1): 1}, p)
-    assert a + b == GradedPolyModP({(0, 1): 1}, p)
-    assert a * b == GradedPolyModP({(2, 0): 1, (1, 1): 3}, p)
-    assert (a - a).is_zero()
-    with pytest.raises(PrimeMismatch):
-        a + GradedPolyModP({(1, 0): 1}, 7)
 
 
 def test_poly_text_round_trip_fixed():
