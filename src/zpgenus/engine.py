@@ -45,6 +45,7 @@ from .genus import (
     arcsinh_u_over_2,
     ensure_order,
     make_genus,
+    power_factor,
     power_system,
     sinh_series,
     sqrt_one_plus_quarter_u2,
@@ -218,17 +219,17 @@ class SubmanifoldData:
 def a_series(g: GenusSpec, weights: Sequence[int], order: int) -> Series:
     """A(u) = prod_k u/[u]_{x_k} at the given order; empty product is 1.
 
-    Weights are used literally as power-system indices (positive integers);
-    congruent representatives give mod-p congruent final answers, which the
-    tests pin against the trace route.
+    Each factor comes from the genus's cache (:func:`power_factor`), so a
+    weight costs one product.  Weights are used literally as power-system
+    indices (positive integers); congruent representatives give mod-p
+    congruent final answers, which the tests pin against the trace route.
     """
     g = ensure_order(g, order + 1)
     acc = Series.one(g.ring, order)
     for x in weights:
         if not isinstance(x, int) or x < 1:
             raise BadParams(f"a_series weights must be ints >= 1, got {x!r}")
-        ps = power_system(g, x).truncate(order + 1)
-        acc = acc * ps.shift_down(1).invert()
+        acc = acc * power_factor(g, x, order)
     return acc
 
 
@@ -236,8 +237,7 @@ def p_power_factor(g: GenusSpec, p: int, order: int) -> Series:
     """p*u/[u]_p at the given order; its constant term is 1."""
     require_odd_prime(p)
     g = ensure_order(g, order + 1)
-    ps = power_system(g, p).truncate(order + 1)
-    return ps.shift_down(1).invert().scale(p)
+    return power_factor(g, p, order).scale(p)
 
 
 _B_CACHE: dict = {}
@@ -414,7 +414,7 @@ def h_series(
 
     work = order + 1
     g = make_genus(kind, work + 1, yk)
-    ps_p = power_system(g, p).truncate(work)
+    ps_p = power_system(g, p, work)
     u = Series.identity(QQ, work)
     num = (ps_p - u).scale(p)
     den = b_series(kind, p, work, yk).truncate(work) * ps_p

@@ -57,10 +57,10 @@ B_SERIES_KINDS = (KIND_TODD, KIND_L, KIND_CHI_Y, KIND_A_HAT)
 class GenusSpec:
     """A genus, pinned by its normalized logarithm and f = revert(logarithm).
 
-    Immutable apart from an internal power-system cache.
+    Immutable apart from the cache of the factors u/[u]_m (see power_factor).
     """
 
-    __slots__ = ("kind", "y", "ring", "logarithm", "f_series", "_powers")
+    __slots__ = ("kind", "y", "ring", "logarithm", "f_series", "_factors")
 
     def __init__(self, kind: str, y: Optional[Rational], logarithm: Series):
         object.__setattr__(self, "kind", kind)
@@ -68,7 +68,7 @@ class GenusSpec:
         object.__setattr__(self, "ring", logarithm.ring)
         object.__setattr__(self, "logarithm", logarithm)
         object.__setattr__(self, "f_series", logarithm.revert())
-        object.__setattr__(self, "_powers", {})
+        object.__setattr__(self, "_factors", {})
 
     def __setattr__(self, name, val):
         raise AttributeError("GenusSpec is immutable")
@@ -168,18 +168,28 @@ def ensure_order(g: GenusSpec, order: int) -> GenusSpec:
     return make_genus(g.kind, order, g.y)
 
 
-def power_system(g: GenusSpec, m: int) -> Series:
-    """The m-th power system [u]_m = f(m·g(u)), at the genus's own order."""
+def power_system(g: GenusSpec, m: int, order: Optional[int] = None) -> Series:
+    """The m-th power system [u]_m = f(m·g(u)), composed only through u^order.
+
+    The order defaults to the genus's own.  Not cached (see power_factor).
+    """
     if not isinstance(m, int) or m < 1:
         raise BadParams(f"power system index must be an int >= 1, got {m!r}")
-    cached = g._powers.get(m)
-    if cached is None:
-        if m == 1:
-            cached = Series.identity(g.ring, g.order)
-        else:
-            cached = g.f_series.compose(g.logarithm.scale(m))
-        g._powers[m] = cached
-    return cached
+    order = g.order if order is None else order
+    if m == 1:
+        return Series.identity(g.ring, order)
+    return g.f_series.compose(g.logarithm.truncate(order).scale(m))
+
+
+def power_factor(g: GenusSpec, m: int, order: int) -> Series:
+    """u/[u]_m through u^order (the genus needs order + 1), built once per m.
+
+    Cached on the genus at the highest order asked for and truncated on read.
+    """
+    cached = g._factors.get(m)
+    if cached is None or cached.order < order:
+        cached = g._factors[m] = power_system(g, m, order + 1).shift_down(1).invert()
+    return cached.truncate(order)
 
 
 def power_system_closed(

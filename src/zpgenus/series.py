@@ -18,6 +18,8 @@ Conventions used throughout:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence, Union
 
 from .errors import (
@@ -29,7 +31,7 @@ from .errors import (
     RingMismatch,
     ZeroDivision,
 )
-from .rings import CoefficientRing
+from .rings import QQ, CoefficientRing
 
 Scalar = Union[int, Fraction]
 
@@ -134,12 +136,23 @@ class Series:
 
     # -- multiplicative arithmetic --------------------------------------------
     def __mul__(self, other):
+        """Scalar multiple, or the product of two series through the smaller order.
+
+        Over QQ the convolution runs on integer numerators over the lcm of each
+        operand's denominators; other rings use the coefficient loop.
+        """
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, Series):
             return NotImplemented
         self._check_ring(other)
         n = min(self.order, other.order)
+        if self.ring is QQ:
+            a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
+            da, db = lcm(*(c.denominator for c in a)), lcm(*(c.denominator for c in b))
+            a = [c.numerator * (da // c.denominator) for c in a]
+            b = [c.numerator * (db // c.denominator) for c in b]
+            return Series(QQ, [Fraction(sum(map(mul, a, b[k::-1])), da * db) for k in range(n + 1)])
         zero = self.ring.zero
         out = [zero] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):

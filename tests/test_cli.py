@@ -140,6 +140,12 @@ def test_bad_input_exits_2(capsys):
     assert main(["compute", "--genus", "nope", "--p", "5", "--residues", "0,1"]) == 2
     capsys.readouterr()
 
+    for p in (2053, 2**61 - 1):  # above the trace route's TRACE_MAX_P
+        rc = main(["compute", "--genus", "td", "--p", str(p), "--residues", "0,1,2",
+                   "--route", "trace"])
+        assert rc == 2
+        assert "TRACE_MAX_P" in capsys.readouterr().err
+
     rc = main(["compute", "--genus", "td", "--p", "7", "--residues", "0,1",
                "--format", "json", "--route", "pseries", "--weights", "/no/file"])
     assert rc == 2

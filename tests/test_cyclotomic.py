@@ -1,12 +1,14 @@
 """Exact cyclotomic arithmetic and the theta trace oracle."""
 import cmath
 import random
+import time
 from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
 
 from zpgenus.cyclotomic import (
+    TRACE_MAX_P,
     CycloElem,
     _todd_preimage,
     ab_trace,
@@ -16,7 +18,7 @@ from zpgenus.cyclotomic import (
     trace_theta_power,
 )
 from zpgenus.errors import BadParams, PrimeMismatch, UnsupportedKind, ZeroDivision, ZeroWeight
-from zpgenus.rings import rational_reduce_mod_p
+from zpgenus.rings import is_odd_prime, rational_reduce_mod_p
 
 
 def _random_elem(rng, p):
@@ -247,6 +249,20 @@ def test_ab_trace_errors():
         ab_trace("elliptic", 5, (1,))
     with pytest.raises(BadParams):
         ab_trace("chi_y", 3, (1,), 2)
+
+
+def test_trace_route_refuses_p_above_bound():
+    # ab_trace allocates lists of length p; above TRACE_MAX_P it must refuse
+    # before any of that work starts.
+    above = next(q for q in range(TRACE_MAX_P + 1, 2 * TRACE_MAX_P) if is_odd_prime(q))
+    for p in (above, 2**61 - 1):
+        for kind, y in (("todd", None), ("euler", None), ("chi_y", 2)):
+            start = time.perf_counter()
+            with pytest.raises(BadParams, match="TRACE_MAX_P"):
+                ab_trace(kind, p, (1, 2, 3), y)
+            assert time.perf_counter() - start < 0.1
+    below = next(q for q in range(TRACE_MAX_P, 2, -1) if is_odd_prime(q))
+    assert ab_trace("euler", below, (1, 2, 3)) == -(below - 1)
 
 
 def test_prime_mismatch_and_validation():

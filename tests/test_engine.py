@@ -4,9 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from zpgenus import genus as genus_module
 from zpgenus.cpn import ResidueTuple, canonical_residues, cpn_weight_set
 from zpgenus.cyclotomic import ab_trace, trace_theta_power
 from zpgenus.engine import (
+    ROUTES,
     SubmanifoldComponent,
     SubmanifoldData,
     Thm71Report,
@@ -33,7 +35,14 @@ from zpgenus.errors import (
     UnsupportedKind,
     ZeroWeight,
 )
-from zpgenus.genus import arcsinh_u_over_2, cosh_series, cpn_genus, make_genus
+from zpgenus.genus import (
+    TRACE_KINDS,
+    arcsinh_u_over_2,
+    cosh_series,
+    cpn_genus,
+    make_genus,
+    power_system,
+)
 from zpgenus.rings import QQ, GradedPoly, ModP, poly_reduce_mod_p, rational_reduce_mod_p
 from zpgenus.series import Series
 
@@ -297,6 +306,58 @@ def test_repeated_points_and_multiplicativity():
                 for route, total in plain.items():
                     assert _route_total(g, w, route) == total, (kind, p, comps, route)
                     assert genus_mod_p(g, w, route) == rational_reduce_mod_p(want, p)
+
+
+def test_factor_cache_is_independent_of_fill_order(monkeypatch):
+    # u/[u]_m is cached per genus at the highest order asked and truncated on
+    # read: the exact route totals must not depend on which query filled it.
+    def fresh(kind, order, y):
+        monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
+        return make_genus(kind, order, y)
+
+    rng = random.Random(28)
+    kinds = [("todd", None), ("euler", None), ("l_genus", None), ("chi_y", F(2)),
+             ("chi_y", F(-1, 2)), ("a_hat", None), ("elliptic", None)]
+    for p in (3, 5, 7, 11):
+        for kind, y in kinds:
+            if kind == "elliptic" and p > 7:
+                continue  # the elliptic genus at order p + 8 grows slow beyond p = 7
+            routes = ROUTES
+            if kind not in TRACE_KINDS or (kind, y, p) == ("chi_y", F(2), 3):
+                routes = ("pseries",)  # no theta, or 1 + y ≡ 0 mod p
+            sets = {n: _random_weight_set(rng, p, n, 3) for n in (2, 5)}
+            want = {
+                (n, r): _route_total(fresh(kind, n + 1, y), w, r)
+                for n, w in sets.items()
+                for r in routes
+            }
+            for first, then in ((5, 2), (2, 5)):
+                g = fresh(kind, 5 + p + 3, y)
+                for n in (first, then):
+                    for r in routes:
+                        assert _route_total(g, sets[n], r) == want[n, r], (kind, y, p, first, n, r)
+
+    g = make_genus("chi_y", 9, F(-1, 2))
+    for m in (1, 2, 3, 7):
+        for k in (1, 4, 9):
+            assert power_system(g, m, k).coeffs == power_system(g, m).truncate(k).coeffs
+
+    # a warm genus answers every route without inverting a series
+    w = cpn_weight_set(canonical_residues(7, 4))
+    g = make_genus("l_genus", 6)
+    for r in ROUTES:
+        genus_mod_p(g, w, r)
+    calls = []
+    invert = Series.invert
+
+    def counted(series):
+        calls.append(series.order)
+        return invert(series)
+
+    monkeypatch.setattr(Series, "invert", counted)
+    for r in ROUTES:
+        genus_mod_p(g, w, r)
+    assert calls == []
 
 
 def test_custom_logarithm_needs_only_order_n_plus_1():

@@ -173,6 +173,45 @@ def test_divide_and_shifts():
     assert S(5, 7).shift_up(1).order == 1
 
 
+def _loop_mul(a, b):
+    """The coefficient loop Series.__mul__ runs for rings other than QQ."""
+    n = min(a.order, b.order)
+    out = [QQ.zero] * (n + 1)
+    for i, x in enumerate(a.coeffs[: n + 1]):
+        if not x:
+            continue
+        for j in range(n + 1 - i):
+            y = b.coeffs[j]
+            if y:
+                out[i + j] = out[i + j] + x * y
+    return tuple(out)
+
+
+def test_qq_kernel_matches_coefficient_loop():
+    # Over QQ the product runs on integer numerators over a common
+    # denominator; it must give the loop's exact coefficients, all Fractions.
+    rng = random.Random(31)
+
+    def coeff(bits):
+        shape = rng.randrange(4)
+        if shape == 0:
+            return 0
+        top = rng.randint(-(2**bits), 2**bits)
+        return top if shape == 1 else F(top, rng.randint(1, 2**bits))
+
+    for trial in range(400):
+        bits = (3, 100)[trial % 2]
+        orders = (0 if trial % 5 == 0 else rng.randint(0, 12), rng.randint(0, 12))
+        a, b = (Series(QQ, [coeff(bits) for _ in range(k + 1)]) for k in orders)
+        got = a * b
+        assert got.coeffs == _loop_mul(a, b), (a, b)
+        assert all(type(c) is F for c in got.coeffs)
+        assert (b * a).coeffs == got.coeffs
+    ints = Series(QQ, [2, 0, -3])
+    assert (ints * ints).coeffs == (F(4), F(0), F(-12))
+    assert all(type(c) is F for c in (ints * ints).coeffs)
+
+
 def test_ring_mismatch_and_powers():
     a = Series.one(QQ, 3)
     b = Series(DE, [GradedPoly.one()], 3)
