@@ -25,10 +25,9 @@ from .engine import WeightSet, genus_mod_p, p_series_term, reduce_value
 from .errors import BadParams, DuplicateResidues
 from .genus import (
     KIND_ELLIPTIC,
-    GenusSpec,
     cpn_genus,
     make_genus,
-    power_system,
+    power_factor,
 )
 from .rings import (
     DE,
@@ -254,21 +253,22 @@ def check_eq46(p: int) -> Eq46Report:
     Legendre polynomial P_{(p-1)/2}.  Equivalently the coefficient of u^p in
     [u]_p reduces to the same polynomial while the coefficients of
     u^1..u^{p-1} reduce to zero; both the fully homogenized comparison and
-    its eps = 1 specialization are reported.  The highest coefficient read
-    is that of u^p in [u]_p, so the genus is built to order p+1.
+    its eps = 1 specialization are reported.  [u]_p/u through u^{p-1} is the
+    inverse of the factor u/[u]_p that X has already cached, so the genus is
+    built to order p and [u]_p is composed once.
     """
     require_odd_prime(p)
     m = (p - 1) // 2
-    g = make_genus(KIND_ELLIPTIC, p + 1)
+    g = make_genus(KIND_ELLIPTIC, p)
     x = p_series_term(g, p, tuple(range(1, p)), p - 1)
     scaled = poly_reduce_mod_p(x * p, p)
     rhs = poly_reduce_mod_p(homogenized_legendre(m), p)
 
-    ps = power_system(g, p)
-    u_p = poly_reduce_mod_p(ps[p], p)
-    low_ok = all(poly_reduce_mod_p(ps[k], p).is_zero() for k in range(1, p))
+    ps_over_u = power_factor(g, p, p - 1).invert()  # coefficient k is that of u^{k+1} in [u]_p
+    u_p = poly_reduce_mod_p(ps_over_u[p - 1], p)
+    low_ok = all(poly_reduce_mod_p(ps_over_u[k], p).is_zero() for k in range(p - 1))
 
-    eps_lhs = poly_reduce_mod_p(ps[p].substitute_eps(1), p)
+    eps_lhs = poly_reduce_mod_p(ps_over_u[p - 1].substitute_eps(1), p)
     eps_rhs = poly_reduce_mod_p(homogenized_legendre(m).substitute_eps(1), p)
     return Eq46Report(
         p=p,

@@ -3,8 +3,10 @@
 Elements are stored on the power basis 1, zeta, ..., zeta^{p-2}; the relation
 zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2}) folds everything back after
 multiplication.  Inversion runs the extended Euclidean algorithm against the
-p-th cyclotomic polynomial over Q, so this module is an oracle that shares no
-machinery with the series-based routes it validates.
+p-th cyclotomic polynomial over Q, and nothing here uses series arithmetic, so
+the trace route is an oracle that shares no machinery with the series-based
+routes it validates.  The closed-form minimal polynomials of theta are the one
+thing the ab route takes from this module: its B-series is built from them.
 
 On top of the field sit the theta elements attached to the genus catalog:
 
@@ -21,7 +23,8 @@ the group ring Z[t]/(t^p - 1) instead of inverting in the field.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from math import comb
+from typing import Iterable, Sequence, Tuple, Union
 
 from .errors import (
     BadParams,
@@ -37,11 +40,8 @@ from .genus import (
     KIND_L,
     KIND_TODD,
     TRACE_KINDS,
-    arcsinh_u_over_2,
-    sinh_series,
 )
-from .rings import QQ, Rational, require_odd_prime
-from .series import Series
+from .rings import Rational, require_odd_prime
 
 
 class CycloElem:
@@ -373,40 +373,44 @@ def ab_trace(
     return Fraction(sum(prod) - p * prod[0], denom)
 
 
+def _theta_polynomial(
+    kind: str, p: int, y: Union[Rational, int, None], top: int
+) -> list:
+    """The coefficients of u^0..u^min(top, p-1) of the minimal polynomial of theta.
+
+    For the chi_y family (todd y=0, l_genus y=1) it is
+    ((1+y u)^p - (1-u)^p)/((1+y) u).  For a_hat it is 2 sinh(pt)/u with
+    u = 2 sinh t, whose coefficient of u^{p-1-2j} is p/(p-j) C(p-j, j).
+    Only the coefficients through u^top are built, since the ab route reads a
+    few of them at any p.
+    """
+    top = min(top, p - 1)
+    if kind == KIND_A_HAT:
+        out = []
+        for i in range(top + 1):
+            j = (p - 1 - i) // 2
+            out.append(Fraction(0) if i % 2 else Fraction(p * comb(p - j, j), p - j))
+        return out
+    if kind == KIND_TODD:
+        y = Fraction(0)
+    elif kind == KIND_L:
+        y = Fraction(1)
+    elif kind == KIND_CHI_Y:
+        y = _require_chi_param(p, y)
+    else:
+        raise UnsupportedKind(f"no minimal polynomial for genus kind {kind!r}")
+    return [comb(p, k) * (y**k - (-1) ** k) / (1 + y) for k in range(1, top + 2)]
+
+
 def theta_minimal_polynomial(
     kind: str, p: int, y: Union[Rational, int, None] = None
 ) -> Tuple[Fraction, ...]:
-    """Coefficients (low to high) of a degree p-1 polynomial annihilating theta.
+    """Coefficients (low to high) of the degree p-1 polynomial annihilating theta.
 
-    For the chi_y family (todd y=0, l_genus y=1) this is
-    ((1+y u)^p - (1-u)^p)/((1+y) u); for a_hat it is
-    2 sinh(p arcsinh(u/2))/u, which is a polynomial since p is odd.
+    The closed forms are those of :func:`_theta_polynomial`, built to full degree.
     """
     require_odd_prime(p)
-    from math import comb
-
-    if kind in (KIND_TODD, KIND_L, KIND_CHI_Y):
-        if kind == KIND_TODD:
-            y = Fraction(0)
-        elif kind == KIND_L:
-            y = Fraction(1)
-        else:
-            y = _require_chi_param(p, y)
-        scale = 1 / (1 + y)
-        coeffs = []
-        for k in range(1, p + 1):
-            num = comb(p, k) * (y**k - Fraction(-1) ** k)
-            coeffs.append(num * scale)
-        return tuple(coeffs)
-    if kind == KIND_A_HAT:
-        order = p + 4
-        t = arcsinh_u_over_2(order)
-        poly = sinh_series(QQ, order).compose(t.scale(p)).scale(2).shift_down(1)
-        for k in range(p, poly.order + 1):
-            if poly[k]:
-                raise BadParams("a_hat minimal polynomial extraction failed")
-        return tuple(poly[k] for k in range(p))
-    raise UnsupportedKind(f"no minimal polynomial for genus kind {kind!r}")
+    return tuple(_theta_polynomial(kind, p, y, p - 1))
 
 
 def evaluate_at_theta(coeffs: Sequence[Union[Rational, int]], theta: CycloElem) -> CycloElem:

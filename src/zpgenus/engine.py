@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple, Union
 
-from .cyclotomic import _require_chi_param, ab_trace
+from .cyclotomic import _require_chi_param, _theta_polynomial, ab_trace
 from .errors import (
     BadParams,
     GuardViolation,
@@ -35,20 +35,13 @@ from .errors import (
 )
 from .genus import (
     B_SERIES_KINDS,
-    KIND_A_HAT,
     KIND_CHI_Y,
     KIND_EULER,
-    KIND_L,
-    KIND_TODD,
     TRACE_KINDS,
     GenusSpec,
-    arcsinh_u_over_2,
     ensure_order,
     make_genus,
     power_factor,
-    power_system,
-    sinh_series,
-    sqrt_one_plus_quarter_u2,
 )
 from .rings import (
     QQ,
@@ -76,7 +69,7 @@ def reduce_value(x, p: int) -> Residue:
 
 def canonical_weight(x: int, p: int) -> int:
     """Reduce a weight into [1, p-1]; weights divisible by p are rejected."""
-    if not isinstance(x, int):
+    if not isinstance(x, int) or isinstance(x, bool):
         raise BadParams(f"weights must be ints, got {x!r}")
     x %= p
     if x == 0:
@@ -103,7 +96,7 @@ class WeightSet:
 
     def __post_init__(self):
         require_odd_prime(self.p)
-        if not isinstance(self.n, int) or self.n < 0:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
             raise BadParams(f"n must be an int >= 0, got {self.n!r}")
         pts = []
         for pt in self.points:
@@ -190,12 +183,14 @@ class SubmanifoldData:
                 raise BadParams(
                     f"each component needs normal_weights and genus_value: {exc}"
                 ) from exc
+            if not isinstance(nw, list):
+                raise BadParams(f"normal_weights must be a list of ints, got {nw!r}")
             if isinstance(gv, str):
                 try:
                     gv = Fraction(gv)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise BadParams(f"bad genus_value {gv!r}") from exc
-            elif isinstance(gv, int):
+            elif isinstance(gv, int) and not isinstance(gv, bool):
                 gv = Fraction(gv)
             else:
                 raise BadParams(f"genus_value must be an int or a rational string, got {gv!r}")
@@ -248,9 +243,9 @@ def b_series(
 ) -> Series:
     """The trace generating series B(u) = sum_s Tr(theta^{-s}) u^s, over Q.
 
-    Closed forms: for the chi_y family (todd y = 0, l_genus y = 1)
-    B = p((1+yu)^{p-1} - (1-u)^{p-1}) / ((1+yu)^p - (1-u)^p); for a_hat
-    B = p sinh((p-1)t) / (sqrt(1+u^2/4) sinh(pt)) with t = arcsinh(u/2).
+    B is the sum over the conjugates theta_i of 1/(1 - u/theta_i), which is
+    ((p-1)P - uP')/P for the minimal polynomial P of theta; the coefficient
+    of u^k in the numerator is (p-1-k) P_k, so P is read only through u^order.
     Euler has no B-series (its trace contribution is the constant -(p-1)),
     and elliptic/custom have no theta in Q(zeta_p) at all.
     """
@@ -264,26 +259,11 @@ def b_series(
 
     key = (kind, y, p, order)
     cached = _B_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    work = order + 1
-    if kind == KIND_A_HAT:
-        t = arcsinh_u_over_2(work)
-        sh = sinh_series(QQ, work)
-        num = sh.compose(t.scale(p - 1)).scale(p)
-        den = sqrt_one_plus_quarter_u2(work) * sh.compose(t.scale(p))
-    else:
-        y_eff = Fraction(0) if kind == KIND_TODD else Fraction(1) if kind == KIND_L else y
-        one = Series.one(QQ, work)
-        u = Series.identity(QQ, work)
-        plus = one + u.scale(y_eff)
-        minus = one - u
-        num = (plus ** (p - 1) - minus ** (p - 1)).scale(p)
-        den = plus**p - minus**p
-    out = num.divide(den)
-    _B_CACHE[key] = out
-    return out
+    if cached is None:
+        poly = Series(QQ, _theta_polynomial(kind, p, y, order), order)
+        num = Series(QQ, [(p - 1 - k) * c for k, c in enumerate(poly.coeffs)])
+        cached = _B_CACHE[key] = num.divide(poly)
+    return cached
 
 
 def ab_coefficient(g: GenusSpec, p: int, weights: Sequence[int]) -> Fraction:
@@ -392,35 +372,23 @@ def cf_residuals(g: GenusSpec, w: WeightSet) -> list:
 # The h-series and the combined congruence check.
 # ---------------------------------------------------------------------------
 
-_H_CACHE: dict = {}
-
-
 def h_series(
     kind: str, p: int, order: int, y: Union[Rational, int, None] = None
 ) -> Series:
-    """h(u) = p([u]_p - u)/(B(u)[u]_p); h(0) = 1 and h is p-integral.
+    """h(u) = p([u]_p - u)/(B(u)[u]_p) = p(1 - u/[u]_p)/B(u); h(0) = 1 and h is p-integral.
 
-    Known closed forms: 1-u (todd), 1-u^2 (l_genus), (1-u)(1+yu) (chi_y),
-    and for a_hat cosh(((p+1)/2)t) cosh(t)/cosh(((p-1)/2)t), t = arcsinh(u/2).
+    u/[u]_p is the genus's cached :func:`power_factor`, so h costs one
+    division by B.  Known closed forms: 1-u (todd), 1-u^2 (l_genus),
+    (1-u)(1+yu) (chi_y), and for a_hat cosh(((p+1)/2)t) cosh(t)/cosh(((p-1)/2)t),
+    t = arcsinh(u/2).
     """
     require_odd_prime(p)
     if kind not in B_SERIES_KINDS:
         raise UnsupportedKind(f"no h-series for genus kind {kind!r}")
     yk = Fraction(y) if y is not None else None
-    key = (kind, yk, p, order)
-    cached = _H_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    work = order + 1
-    g = make_genus(kind, work + 1, yk)
-    ps_p = power_system(g, p, work)
-    u = Series.identity(QQ, work)
-    num = (ps_p - u).scale(p)
-    den = b_series(kind, p, work, yk).truncate(work) * ps_p
-    out = num.divide(den)
-    _H_CACHE[key] = out
-    return out
+    g = make_genus(kind, max(order + 1, 2), yk)
+    num = (Series.one(QQ, order) - power_factor(g, p, order)).scale(p)
+    return num.divide(b_series(kind, p, order, yk))
 
 
 @dataclass(frozen=True)

@@ -244,7 +244,7 @@ def cpn_genus(g: GenusSpec, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Hyperbolic helper series (used by the a_hat closed forms and the engine).
+# Hyperbolic helper series, the references for the a_hat closed forms.
 # ---------------------------------------------------------------------------
 
 
@@ -272,12 +272,6 @@ def arcsinh_u_over_2(order: int) -> Series:
     """t(u) = arcsinh(u/2) over Q; the a_hat logarithm is 2t."""
     w = Series.from_fractions(QQ, [0, 0, Fraction(1, 4)], order - 1)
     return binomial_power(w, Fraction(-1, 2)).integrate().scale(Fraction(1, 2))
-
-
-def sqrt_one_plus_quarter_u2(order: int) -> Series:
-    """(1 + u^2/4)^{1/2} = cosh(arcsinh(u/2)) over Q."""
-    w = Series.from_fractions(QQ, [0, 0, Fraction(1, 4)], order)
-    return binomial_power(w, Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Four coefficient domains, all exact:
 
 * ``Rational`` -- stdlib :class:`fractions.Fraction` (already canonical:
   gcd-reduced, positive denominator).
-* :class:`ModP` -- the field of p elements, p an odd prime.
+* :class:`ModP` -- a residue mod p, p an odd prime.
 * :class:`GradedPoly` -- Q[delta, eps] with the weighted grading
   deg(delta) = 2, deg(eps) = 4.
 * :class:`GradedPolyModP` -- F_p[delta, eps], the image of GradedPoly mod p.
@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import (
     BadParams,
     NonIntegralAtP,
-    PrimeMismatch,
     ZeroDivision,
     ZeroPolynomial,
 )
@@ -73,7 +72,7 @@ def require_odd_prime(p: int) -> int:
 
 
 class ModP:
-    """An element of the field of p elements, stored as a residue in [0, p-1]."""
+    """A residue mod p, stored in [0, p-1]; reductions build it, callers compare and print it."""
 
     __slots__ = ("value", "p")
 
@@ -84,58 +83,6 @@ class ModP:
 
     def __setattr__(self, name, val):  # immutable
         raise AttributeError("ModP is immutable")
-
-    def _coerce(self, other) -> "ModP":
-        if isinstance(other, ModP):
-            if other.p != self.p:
-                raise PrimeMismatch(f"mixed moduli {self.p} and {other.p}")
-            return other
-        if isinstance(other, int):
-            return ModP(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ModP(self.value + o.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ModP(self.value - o.value, self.p)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ModP(o.value - self.value, self.p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ModP(self.value * o.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ModP(-self.value, self.p)
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        return ModP(pow(self.value, k, self.p), self.p)
-
-    def inverse(self) -> "ModP":
-        if self.value == 0:
-            raise ZeroDivision(f"0 is not invertible mod {self.p}")
-        return ModP(pow(self.value, -1, self.p), self.p)
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -501,9 +448,6 @@ class CoefficientRing:
     def one(self):
         raise NotImplementedError
 
-    def from_int(self, n: int):
-        raise NotImplementedError
-
     def from_fraction(self, q: Rational):
         raise NotImplementedError
 
@@ -528,9 +472,6 @@ class _RationalField(CoefficientRing):
     def one(self):
         return Fraction(1)
 
-    def from_int(self, n: int):
-        return Fraction(n)
-
     def from_fraction(self, q: Rational):
         return Fraction(q)
 
@@ -553,9 +494,6 @@ class _GradedRing(CoefficientRing):
     @property
     def one(self):
         return GradedPoly.one()
-
-    def from_int(self, n: int):
-        return GradedPoly.const(n)
 
     def from_fraction(self, q: Rational):
         return GradedPoly.const(q)

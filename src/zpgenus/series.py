@@ -14,6 +14,9 @@ Conventions used throughout:
 * ``shift_down(k)`` divides by u^k and fails if any dropped coefficient is
   nonzero; combined with :meth:`Series.invert` it gives exact division of
   series with positive valuation.
+* :meth:`Series.revert` uses Lagrange inversion, one product per degree;
+  :meth:`Series.compose` is Horner's rule, which the package needs only for
+  power systems.
 """
 from __future__ import annotations
 
@@ -260,23 +263,20 @@ class Series:
     def revert(self) -> "Series":
         """Compositional inverse b with self(b(u)) = u.
 
-        Degree-by-degree back-substitution: once b is known through degree
-        k-1, the coefficient of u^k in self∘b is a1*b_k + (known), so b_k
-        follows.  Each step composes at order k only.
+        Lagrange inversion: b_k = (1/k) <(u/self)^k>_{k-1}, so each degree
+        costs one product.  The rings contain Q, so 1/k exists.
         """
         if self.coeffs[0]:
             raise NotReversible("a(0) must be 0 to revert")
         if self.order < 1 or not self.ring.is_unit(self.coeffs[1]):
             raise NotReversible("the linear coefficient must be a unit to revert")
-        n = self.order
-        inv_a1 = self.ring.invert(self.coeffs[1])
-        zero = self.ring.zero
-        b = [zero, inv_a1]
-        for k in range(2, n + 1):
-            partial = Series(self.ring, b, k)
-            c = self.truncate(k).compose(partial).coeffs[k]
-            b.append(-(c * inv_a1) if c else zero)
-        return Series(self.ring, b, n)
+        phi = self.shift_down(1).invert()
+        power = Series.one(self.ring, phi.order)
+        b = [self.ring.zero]
+        for k in range(1, self.order + 1):
+            power = power * phi
+            b.append(power.coeffs[k - 1] * Fraction(1, k))
+        return Series(self.ring, b)
 
     # -- calculus ----------------------------------------------------------------
     def differentiate(self) -> "Series":

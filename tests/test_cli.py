@@ -127,7 +127,7 @@ def test_cf_check_exit_codes(tmp_path, capsys):
     assert "all_zero: False" in capsys.readouterr().out
 
 
-def test_bad_input_exits_2(capsys):
+def test_bad_input_exits_2(tmp_path, capsys):
     assert main(["compute", "--genus", "td", "--weights", "/no/such/file.json"]) == 2
     assert "error: BadParams" in capsys.readouterr().err
 
@@ -151,6 +151,27 @@ def test_bad_input_exits_2(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert json.loads(err)["error"] == "BadParams"
+
+    # malformed JSON data, including booleans, which json gives as ints
+    bad_docs = {
+        "compute": [
+            '{"p": 5, "n": true, "fixed_points": [[1]]}',
+            '{"p": 5, "n": 1, "fixed_points": [[true]]}',
+        ],
+        "submanifold": [
+            '{"p": 5, "components": [{"normal_weights": 5, "genus_value": 1}]}',
+            '{"p": 5, "components": [{"normal_weights": null, "genus_value": 1}]}',
+            '{"p": 5, "components": [{"normal_weights": [true], "genus_value": 1}]}',
+            '{"p": 5, "components": [{"normal_weights": [1], "genus_value": true}]}',
+        ],
+    }
+    for verb, docs in bad_docs.items():
+        for i, doc in enumerate(docs):
+            path = tmp_path / f"{verb}{i}.json"
+            path.write_text(doc)
+            rc = main([verb, "--genus", "td", "--weights", str(path), "--format", "json"])
+            assert rc == 2, doc
+            assert json.loads(capsys.readouterr().err)["error"] == "BadParams", doc
 
 
 def test_selftest(capsys):
