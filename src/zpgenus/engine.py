@@ -11,7 +11,10 @@ repeated fixed point once, times its multiplicity):
 * ``ab``: sum over fixed points of ab_coefficient = -<A(u) B(u)>_n with
   A = prod_k u/[u]_{x_k} and B the trace generating series of the kind.
 * ``trace``: sum over fixed points of -Tr prod_k factor(zeta^{x_k}) in
-  Q(zeta_p), an independent cyclotomic oracle.
+  Q(zeta_p), an independent cyclotomic oracle (packed group-ring products).
+
+Over Q the pseries and ab products run on integer numerators, one Fraction
+per distinct point and coefficient read (:func:`_point_sums`).
 
 Realizable weight sets also satisfy the vanishing of the lower p-series
 coefficients (m = 0..n-1), exposed by :func:`cf_residuals`, and the exact
@@ -23,9 +26,10 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Tuple, Union
 
-from .cyclotomic import _require_chi_param, _theta_polynomial, ab_trace
+from .cyclotomic import _kind_param, _theta_polynomial, ab_trace
 from .errors import (
     BadParams,
     GuardViolation,
@@ -35,10 +39,10 @@ from .errors import (
 )
 from .genus import (
     B_SERIES_KINDS,
-    KIND_CHI_Y,
     KIND_EULER,
     TRACE_KINDS,
     GenusSpec,
+    _factor_entry,
     ensure_order,
     make_genus,
     power_factor,
@@ -53,7 +57,7 @@ from .rings import (
     rational_reduce_mod_p,
     require_odd_prime,
 )
-from .series import Series
+from .series import Series, integer_numerators
 
 Residue = Union[ModP, GradedPolyModP]
 
@@ -252,11 +256,7 @@ def b_series(
     require_odd_prime(p)
     if kind not in B_SERIES_KINDS:
         raise UnsupportedKind(f"no B-series for genus kind {kind!r}")
-    if kind == KIND_CHI_Y:
-        y = _require_chi_param(p, y)
-    elif y is not None:
-        raise BadParams(f"kind {kind!r} does not take a parameter y")
-
+    y = _kind_param(kind, p, y)
     key = (kind, y, p, order)
     cached = _B_CACHE.get(key)
     if cached is None:
@@ -305,31 +305,46 @@ def _distinct_points(w: WeightSet) -> Counter:
     return Counter(tuple(sorted(pt)) for pt in w.points)
 
 
-def _pseries_point_products(g: GenusSpec, w: WeightSet):
-    """(multiplicity, (p u/[u]_p) A_j(u) to order n) per :func:`_distinct_points`.
-
-    The coefficient of u^k in a product depends only on the factors'
-    coefficients up to k, so order n holds every coefficient the callers read.
+def _point_sums(g: GenusSpec, w: WeightSet, route: str, ms: Iterable[int]) -> list:
+    """sum_j k_j <F A_j>_m for m in ms; j runs over :func:`_distinct_points`, k_j
+    is its multiplicity, A_j = prod u/[u]_x over its weights, and F is
+    p u/[u]_p (pseries) or -B (ab).  Order n holds every coefficient read.
+    Over QQ, A_j is convolved on the cached factors' integer numerators
+    (:func:`_factor_entry`); other rings multiply series.
     """
-    g = ensure_order(g, w.n + 1)
-    pf = p_power_factor(g, w.p, w.n)
-    return [(k, pf * a_series(g, pt, w.n)) for pt, k in _distinct_points(w).items()]
+    n = w.n
+    g = ensure_order(g, n + 1)
+    points = _distinct_points(w).items()
+    if g.ring is not QQ:  # pseries only: no B-series kind lives here
+        pf = p_power_factor(g, w.p, n)
+        prods = [(k, pf * a_series(g, pt, n)) for pt, k in points]
+        return [sum((prod[m] * k for k, prod in prods), g.ring.zero) for m in ms]
+    if route == "pseries":
+        _, first, den = _factor_entry(g, w.p, n)
+        first = [c * w.p for c in first[: n + 1]]
+    else:
+        first, den = integer_numerators(b_series(g.kind, w.p, n, g.y).coeffs)
+        first = [-c for c in first]
+    sums = [Fraction(0) for _ in ms]
+    for pt, k in points:
+        acc, d = first, den
+        for x in pt:
+            _, f, dx = _factor_entry(g, x, n)
+            acc = [sum(map(mul, acc[: i + 1], f[i::-1])) for i in range(n + 1)]
+            d *= dx
+        sums = [s + Fraction(k * acc[m], d) for s, m in zip(sums, ms)]
+    return sums
 
 
 def _route_total(g: GenusSpec, w: WeightSet, route: str):
     """The exact sum over fixed points of the chosen route's per-point value."""
-    if route == "pseries":
-        total = g.ring.zero
-        for k, prod in _pseries_point_products(g, w):
-            total = total + prod[w.n] * k
-        return total
-    total = Fraction(0)
-    for pt, k in _distinct_points(w).items():
-        if route == "ab":
-            total += ab_coefficient(g, w.p, pt) * k
-        else:
-            total += ab_trace(g.kind, w.p, pt, g.y) * k
-    return total
+    if route == "pseries" or (route == "ab" and g.kind in B_SERIES_KINDS):
+        return _point_sums(g, w, route, [w.n])[0]
+    points = _distinct_points(w).items()
+    if route == "trace":
+        return sum((ab_trace(g.kind, w.p, pt, g.y) * k for pt, k in points), Fraction(0))
+    # euler's constant -(p-1) per point, or UnsupportedKind for a kind without theta
+    return sum((ab_coefficient(g, w.p, pt) * k for pt, k in points), Fraction(0))
 
 
 def genus_mod_p(g: GenusSpec, w: WeightSet, route: str = "pseries") -> Residue:
@@ -355,12 +370,8 @@ def cf_residuals(g: GenusSpec, w: WeightSet) -> list:
     """
     if w.n < 1:
         raise BadParams("cf_residuals needs n >= 1")
-    prods = _pseries_point_products(g, w)
     out = []
-    for m in range(w.n):
-        total = g.ring.zero
-        for k, prod in prods:
-            total = total + prod[m] * k
+    for total in _point_sums(g, w, "pseries", range(w.n)):
         try:
             out.append(reduce_value(total, w.p))
         except NonIntegralAtP as exc:
@@ -442,8 +453,7 @@ def thm71_check(g: GenusSpec, w: WeightSet, force: bool = False) -> Thm71Report:
         )
 
     ab_sum = _route_total(g, w, "ab")
-    prods = _pseries_point_products(g, w)
-    sums = [sum((prod[m] * k for k, prod in prods), Fraction(0)) for m in range(n + 1)]
+    sums = _point_sums(g, w, "pseries", range(n + 1))
 
     h_inv = h_series(g.kind, p, n, g.y).invert()
     rhs_exact = sums[n]

@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedKind,
 )
 from .rings import DE, QQ, CoefficientRing, GradedPoly, Rational
-from .series import Series, binomial_power, geometric
+from .series import Series, binomial_power, geometric, integer_numerators
 
 KIND_TODD = "todd"
 KIND_EULER = "euler"
@@ -186,10 +186,18 @@ def power_factor(g: GenusSpec, m: int, order: int) -> Series:
 
     Cached on the genus at the highest order asked for and truncated on read.
     """
+    return _factor_entry(g, m, order)[0].truncate(order)
+
+
+def _factor_entry(g: GenusSpec, m: int, order: int):
+    """power_factor's cache entry (u/[u]_m, numerators, d), at least through u^order;
+    over QQ it also holds u/[u]_m as integer numerators over d, else two Nones."""
     cached = g._factors.get(m)
-    if cached is None or cached.order < order:
-        cached = g._factors[m] = power_system(g, m, order + 1).shift_down(1).invert()
-    return cached.truncate(order)
+    if cached is None or cached[0].order < order:
+        f = power_system(g, m, order + 1).shift_down(1).invert()
+        ints = integer_numerators(f.coeffs) if g.ring is QQ else (None, None)
+        cached = g._factors[m] = (f, *ints)
+    return cached
 
 
 def power_system_closed(

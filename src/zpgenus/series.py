@@ -151,10 +151,8 @@ class Series:
         self._check_ring(other)
         n = min(self.order, other.order)
         if self.ring is QQ:
-            a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
-            da, db = lcm(*(c.denominator for c in a)), lcm(*(c.denominator for c in b))
-            a = [c.numerator * (da // c.denominator) for c in a]
-            b = [c.numerator * (db // c.denominator) for c in b]
+            a, da = integer_numerators(self.coeffs[: n + 1])
+            b, db = integer_numerators(other.coeffs[: n + 1])
             return Series(QQ, [Fraction(sum(map(mul, a, b[k::-1])), da * db) for k in range(n + 1)])
         zero = self.ring.zero
         out = [zero] * (n + 1)
@@ -322,6 +320,12 @@ class Series:
 
     def __repr__(self):
         return f"Series[{self.ring!r}; order {self.order}]({self.to_text()})"
+
+
+def integer_numerators(coeffs: Sequence[Fraction]):
+    """(numerators, d): the Fractions as integers over d, the lcm of their denominators."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 def binomial_power(w: Series, alpha: Scalar) -> "Series":

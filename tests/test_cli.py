@@ -81,6 +81,9 @@ def test_legendre_projective_and_power_system(capsys):
     err = capsys.readouterr().err
     assert "error: BadParams" in err
 
+    assert main(["legendre", "--p", "10007"]) == 2  # above EQ46_MAX_P
+    assert "EQ46_MAX_P" in capsys.readouterr().err
+
 
 def test_thm71_verb_and_guard(tmp_path, capsys):
     path = tmp_path / "w.json"

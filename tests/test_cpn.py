@@ -1,10 +1,12 @@
 """Linear actions on projective space and the Legendre congruences."""
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from zpgenus.cpn import (
+    EQ46_MAX_P,
     Eq45Report,
     Eq46Report,
     ResidueTuple,
@@ -19,7 +21,7 @@ from zpgenus.cpn import (
 from zpgenus.engine import WeightSet, genus_mod_p, reduce_value
 from zpgenus.errors import BadParams, DuplicateResidues
 from zpgenus.genus import cpn_genus, make_genus
-from zpgenus.rings import GradedPoly, poly_reduce_mod_p, weighted_degree
+from zpgenus.rings import GradedPoly, is_odd_prime, poly_reduce_mod_p, weighted_degree
 
 D = GradedPoly.delta()
 E = GradedPoly.eps()
@@ -120,6 +122,18 @@ def test_eq46():
     assert rep3.scaled_term == poly_reduce_mod_p(D, 3)
     d = rep3.to_json_dict()
     assert d["equal"] is True and d["low_coeffs_vanish"] is True
+
+
+def test_eq46_refuses_p_above_bound():
+    # the check's cost grows about as p^4; above EQ46_MAX_P it must refuse
+    # before building any series
+    assert EQ46_MAX_P >= 11  # the primes the tests and the benchmark use
+    above = next(q for q in range(EQ46_MAX_P + 1, 2 * EQ46_MAX_P) if is_odd_prime(q))
+    for p in (above, 10007, 2**61 - 1):
+        start = time.perf_counter()
+        with pytest.raises(BadParams, match="EQ46_MAX_P"):
+            check_eq46(p)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_pseries_matches_cpn_genus_all_kinds():

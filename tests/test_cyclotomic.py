@@ -6,6 +6,8 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zpgenus.cyclotomic import (
     TRACE_MAX_P,
@@ -211,6 +213,38 @@ def _reference_ab_trace(kind, p, weights, y=None):
     return -prod.trace()
 
 
+def _rotate(vec, s):
+    """vec * t^s in Z[t]/(t^p - 1), for 0 <= s < p."""
+    return vec[-s:] + vec[:-s]
+
+
+def _loop_cyclic_mul(a, b):
+    """The product of two elements of Z[t]/(t^p - 1), one rotated row per term."""
+    out = [0] * len(a)
+    for i, c in enumerate(a):
+        if c:
+            out = [o + c * r for o, r in zip(out, _rotate(b, i))]
+    return out
+
+
+def _loop_ab_trace(kind, p, weights, y=None):
+    """-Tr(prod_k factor(x_k)) on unpacked group-ring vectors, an O(p^2) loop per weight."""
+    a, b = (1, 1) if y is None else (F(y).numerator, F(y).denominator)
+    prod, denom = [1] + [0] * (p - 1), 1
+    for x in weights:
+        x %= p
+        if kind == "euler":
+            continue
+        factor = _todd_preimage(p, x)
+        if kind == "a_hat":
+            factor = _rotate(factor, x * (p + 1) // 2 % p)
+        elif kind in ("l_genus", "chi_y"):
+            factor = [b * f + a * g for f, g in zip(factor, _rotate(factor, x))]
+        prod = _loop_cyclic_mul(prod, factor)
+        denom *= p * b
+    return F(sum(prod) - p * prod[0], denom)
+
+
 def _group_ring_image(vec, denom):
     """The image in Q(zeta_p) of sum_j vec[j] t^j / denom (t -> zeta)."""
     p = len(vec)
@@ -232,6 +266,30 @@ def test_ab_trace_matches_field_arithmetic():
                     weights[1] = weights[0]
                 got = ab_trace(kind, p, weights, y)
                 assert got == _reference_ab_trace(kind, p, weights, y), (kind, y, p, weights)
+                assert got == _loop_ab_trace(kind, p, weights, y), (kind, y, p, weights)
+
+
+_ODD_PRIMES_TO_47 = [q for q in range(3, 48) if is_odd_prime(q)]
+
+
+@st.composite
+def _trace_inputs(draw):
+    kind = draw(st.sampled_from(["todd", "euler", "l_genus", "a_hat", "chi_y"]))
+    p = draw(st.sampled_from(_ODD_PRIMES_TO_47))
+    y = None
+    if kind == "chi_y":
+        y = draw(st.fractions(min_value=-50, max_value=50, max_denominator=60).filter(
+            lambda v: v.denominator % p and (1 + v).numerator % p))
+    unit = st.integers(-3 * p, 3 * p).filter(lambda x: x % p)
+    return kind, p, draw(st.lists(unit, max_size=6)), y
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_trace_inputs())
+def test_packed_trace_product_matches_loop(case):
+    # The packed single-int product must give the loop's exact Fraction.
+    kind, p, weights, y = case
+    assert ab_trace(kind, p, weights, y) == _loop_ab_trace(kind, p, weights, y)
 
 
 def test_todd_preimage_inverts_one_minus_zeta():
@@ -249,6 +307,19 @@ def test_ab_trace_errors():
         ab_trace("elliptic", 5, (1,))
     with pytest.raises(BadParams):
         ab_trace("chi_y", 3, (1,), 2)
+
+
+def test_theta_functions_refuse_a_stray_y():
+    # only chi_y takes a parameter; any other kind given one is refused
+    for kind in ("todd", "l_genus", "a_hat", "euler"):
+        with pytest.raises(BadParams, match="does not take a parameter y"):
+            theta_of(kind, 5, 7)
+        with pytest.raises(BadParams, match="does not take a parameter y"):
+            ab_trace(kind, 5, [1, 2], 7)
+    for kind in ("todd", "l_genus", "a_hat"):
+        with pytest.raises(BadParams, match="does not take a parameter y"):
+            theta_minimal_polynomial(kind, 5, 7)
+    assert ab_trace("todd", 5, [1, 2]) == _loop_ab_trace("todd", 5, [1, 2])
 
 
 def test_trace_route_refuses_p_above_bound():

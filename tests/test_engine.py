@@ -1,4 +1,5 @@
 """The fixed-point engine: weight data, the three routes, and the congruences."""
+import json
 import random
 from fractions import Fraction as F
 
@@ -14,7 +15,7 @@ from zpgenus.engine import (
     Thm71Report,
     WeightSet,
     _distinct_points,
-    _pseries_point_products,
+    _point_sums,
     _route_total,
     a_series,
     ab_coefficient,
@@ -256,14 +257,83 @@ def test_routes_read_exact_values_of_wide_truncations():
             for w in sets:
                 order = w.n + p + 2
                 pf = p_power_factor(wide, p, order)
-                for (_, prod), pt in zip(_pseries_point_products(lean, w), _distinct_points(w)):
+                for pt in _distinct_points(w):
+                    prod = _point_sums(lean, WeightSet(p, w.n, (pt,)), "pseries", range(w.n + 1))
                     ref = pf * a_series(wide, pt, order)
-                    assert prod.coeffs == ref.coeffs[: w.n + 1], (kind, y, p, pt)
+                    assert prod == list(ref.coeffs[: w.n + 1]), (kind, y, p, pt)
                     if has_b:
                         order_ab = max(w.n, p) + 2
                         a = a_series(wide, pt, order_ab)
                         ref_ab = -(a * b_series(kind, p, order_ab, y))[w.n]
                         assert ab_coefficient(lean, p, pt) == ref_ab, (kind, y, p, pt)
+
+
+def _series_thm71_and_cf(g, w):
+    """thm71_check's JSON report and cf_residuals' reprs from series products per point,
+    as computed before the integer numerators."""
+    n, p = w.n, w.p
+    pf = p_power_factor(g, p, n)
+    points = _distinct_points(w).items()
+    prods = [(k, pf * a_series(g, pt, n)) for pt, k in points]
+    sums = [sum((prod[m] * k for k, prod in prods), F(0)) for m in range(n + 1)]
+    cf = []
+    for total in sums[:n]:
+        try:
+            cf.append(repr(rational_reduce_mod_p(total, p)))
+        except NonIntegralAtP as exc:
+            cf.append(repr(exc))
+    ab_sum = sum((-(a_series(g, pt, n) * b_series(g.kind, p, n, g.y))[n] * k
+                  for pt, k in points), F(0))
+    h_inv = h_series(g.kind, p, n, g.y).invert()
+    rhs = sums[n] + sum((h_inv[n - m] * sums[m] for m in range(n)), F(0))
+    try:
+        lhs, rhs = rational_reduce_mod_p(ab_sum, p), rational_reduce_mod_p(rhs, p)
+    except NonIntegralAtP:
+        return None, cf
+    report = Thm71Report(p, n, w.q, ab_sum, sums[n], tuple(sums[:n]),
+                         tuple(h_inv[k] for k in range(n + 1)), lhs, rhs)
+    return json.dumps(report.to_json_dict()), cf
+
+
+def test_integer_routes_equal_series_products():
+    # Over QQ the pseries and ab routes convolve integer numerators; every exact
+    # per-point value and total must equal the series expressions
+    # (p_power_factor * a_series)[n] and -(a_series * b_series)[d], and the
+    # cf_residuals and thm71_check reports must equal those built from them.
+    rng = random.Random(29)
+    kinds = [("todd", None), ("euler", None), ("l_genus", None), ("chi_y", F(2)),
+             ("chi_y", F(-1, 2)), ("a_hat", None), ("elliptic", None)]
+    for p in (3, 5, 7, 11, 13):
+        sets = [cpn_weight_set(canonical_residues(p, n)) for n in (1, 2, 3, 4) if n < p]
+        sets += [_random_weight_set(rng, p, n, 4) for n in (0, 1, 2, 3, 4)]
+        for kind, y in kinds:
+            if kind == "elliptic" and p > 7:
+                continue  # the elliptic genus keeps the series path; p <= 7 shows it
+            g = make_genus(kind, 2, y)
+            has_b = kind not in ("euler", "elliptic") and (kind, y, p) != ("chi_y", F(2), 3)
+            for w in sets:
+                n = w.n
+                pf = p_power_factor(g, p, n)
+                totals = {"pseries": g.ring.zero, "ab": F(0)}
+                for pt, k in _distinct_points(w).items():
+                    one = WeightSet(p, n, (pt,))
+                    want = {"pseries": (pf * a_series(g, pt, n))[n]}
+                    if has_b:
+                        want["ab"] = -(a_series(g, pt, n) * b_series(kind, p, n, y))[n]
+                    for route, value in want.items():
+                        assert _route_total(g, one, route) == value, (kind, y, p, pt, route)
+                        totals[route] = totals[route] + value * k
+                for route in ("pseries", "ab") if has_b else ("pseries",):
+                    assert _route_total(g, w, route) == totals[route], (kind, y, p, route)
+                if has_b and n >= 1:
+                    report, cf = _series_thm71_and_cf(g, w)
+                    assert [repr(r) for r in cf_residuals(g, w)] == cf, (kind, y, p, w)
+                    if report is None:
+                        with pytest.raises(NonIntegralAtP):
+                            thm71_check(g, w, force=True)
+                    else:
+                        got = json.dumps(thm71_check(g, w, force=True).to_json_dict())
+                        assert got == report, (kind, y, p, w)
 
 
 def _union_of_products(rng, p, comps):
