@@ -14,13 +14,13 @@ On top of the field sit the theta elements attached to the genus catalog:
 * l_genus  theta = (1 - zeta)/(1 + zeta)
 * chi_y    theta = (1 - zeta)/(1 + y zeta)   (needs 1 + y a unit mod p)
 * a_hat    theta = zeta^{(p+1)/2} - zeta^{(p-1)/2}
-* euler    theta = 1 (degenerate; the trace machinery bypasses it)
+* euler    theta = 1 (degenerate; its trace-route factor is 1)
 
 and the trace functionals Tr(theta^k) and the fixed-point contribution
 ab_trace = -Tr(prod_k factor(x_k)), which multiplies integer preimages in
 the group ring Z[t]/(t^p - 1) instead of inverting in the field: each
 factor is packed into one Python int, a weight costs one bigint product,
-and a point builds one Fraction.
+and a route's sum over points builds one Fraction.
 """
 from __future__ import annotations
 
@@ -334,15 +334,24 @@ def ab_trace(
     The factor for a weight x is the theta-machinery analogue of u/[u]_x:
     todd 1/(1-zeta^x), l_genus (1+zeta^x)/(1-zeta^x), chi_y
     (1+y zeta^x)/(1-zeta^x), a_hat zeta^{x(p+1)/2}/(1-zeta^x), euler 1.
+    A one-point call of :func:`_trace_total`.
+    """
+    weights = tuple(weights)
+    table = _trace_table(kind, p, y, len(weights))
+    weights = [x % p for x in weights]
+    if not all(weights):
+        raise ZeroWeight(f"weight divisible by p = {p}")
+    return _trace_total(p, table, [(weights, 1)])
 
-    The product is taken in Q[t]/(t^p - 1), which maps onto Q(zeta_p) by
-    t -> zeta, as integers over one common denominator; 1/(1-zeta^x) has the
-    preimage of :func:`_todd_preimage`, and Tr(sum_j b_j t^j) = p b_0 - sum b_j.
-    The factor of x is that of 1 under t -> t^x, made nonnegative by adding a
-    multiple of sum_k t^k (which maps to 0) and packed into one int, a
-    byte-aligned slot per coefficient (Kronecker substitution); a weight costs
-    one bigint product and a fold of t^{p+i} onto t^i.  No coefficient exceeds
-    sum_j b_j, the product of the factor sums, so no slot overflows.
+
+def _trace_table(kind: str, p: int, y: Union[Rational, int, None], n: int):
+    """(den, slots, total, width) for points of n weights, after checking kind, p, y.
+
+    Products are taken in Q[t]/(t^p - 1), onto Q(zeta_p) by t -> zeta, over
+    den = (p b)^n, y = a/b, with 1/(1-zeta^x) from :func:`_todd_preimage`, and
+    Tr(sum_j b_j t^j) = p b_0 - sum b_j.  ``slots`` holds the factor of 1 plus a
+    multiple of sum_k t^k (0 in the field) that makes it nonnegative, ``width``
+    bytes per coefficient; no product coefficient exceeds ``total``.
     """
     require_odd_prime(p)
     if p > TRACE_MAX_P:
@@ -350,32 +359,40 @@ def ab_trace(
     if kind not in TRACE_KINDS:
         raise UnsupportedKind(f"no trace route for genus kind {kind!r}")
     y = _kind_param(kind, p, y)
-    # l_genus and chi_y multiply the todd factor by 1 + (a/b) t^x
+    # l_genus and chi_y multiply the todd factor by 1 + (a/b) t^x; euler's is 1
     a, b = (1, 1) if y is None else (y.numerator, y.denominator)
-    weights = [x % p for x in weights]
-    if not all(weights):
-        raise ZeroWeight(f"weight divisible by p = {p}")
-    if kind == KIND_EULER or not weights:
-        return Fraction(1 - p)  # -Tr(1)
-    base = _todd_preimage(p, 1)  # the factor of 1; base[-s:] + base[:-s] is t^s base
+    base = [p] + [0] * (p - 1) if kind == KIND_EULER else _todd_preimage(p, 1)
     if kind == KIND_A_HAT:
-        s = (p + 1) // 2
+        s = (p + 1) // 2  # base[-s:] + base[:-s] is t^s base
         base = base[-s:] + base[:-s]
     elif kind in (KIND_L, KIND_CHI_Y):
         base = [b * f + a * g for f, g in zip(base, base[-1:] + base[:-1])]
-    low = min(base)  # base - low * sum_k t^k is nonnegative and has the same image
-    total = (sum(base) - p * low) ** len(weights)  # sum_j b_j, as t -> 1 is a ring map
-    width = (total.bit_length() + 8) // 8  # bytes per slot: total plus one bit
-    slots = [(c - low).to_bytes(width, "little") for c in base]
+    low = min(base)
+    one = sum(base) - p * low  # sum_j b_j, as t -> 1 is a ring map
+    width = (max(one, one**n).bit_length() + 8) // 8  # a factor's or product's sum, plus a bit
+    return (p * b) ** n, [(c - low).to_bytes(width, "little") for c in base], one**n, width
+
+
+def _trace_total(p: int, table, points) -> Fraction:
+    """sum k (-Tr prod_{x in pt} factor(x)) over (pt, k) in points, over the table's den.
+
+    The factor of x, that of 1 under t -> t^x, is packed once per call; a weight
+    costs one bigint product and a fold of t^{p+i} onto t^i.
+    """
+    den, slots, total, width = table
     shift = 8 * width * p
     mask = (1 << shift) - 1
-    prod = 1
-    for x in weights:
-        x_inv = pow(x, -1, p)
-        prod *= int.from_bytes(b"".join([slots[j * x_inv % p] for j in range(p)]), "little")
-        prod = (prod & mask) + (prod >> shift)
-    b0 = prod & ((1 << 8 * width) - 1)
-    return Fraction(total - p * b0, (p * b) ** len(weights))
+    num, packed = 0, {}
+    for pt, k in points:
+        prod = 1
+        for x in pt:
+            if x not in packed:
+                v = pow(x, -1, p)
+                packed[x] = int.from_bytes(b"".join([slots[j * v % p] for j in range(p)]), "little")
+            prod *= packed[x]
+            prod = (prod & mask) + (prod >> shift)
+        num += k * (total - p * (prod & (1 << 8 * width) - 1))
+    return Fraction(num, den)
 
 
 def _theta_polynomial(

@@ -13,8 +13,8 @@ repeated fixed point once, times its multiplicity):
 * ``trace``: sum over fixed points of -Tr prod_k factor(zeta^{x_k}) in
   Q(zeta_p), an independent cyclotomic oracle (packed group-ring products).
 
-Over Q the pseries and ab products run on integer numerators, one Fraction
-per distinct point and coefficient read (:func:`_point_sums`).
+Over Q each route sums packed per-point integer products over one common
+denominator, one Fraction per total and coefficient read (:func:`_point_sums`).
 
 Realizable weight sets also satisfy the vanishing of the lower p-series
 coefficients (m = 0..n-1), exposed by :func:`cf_residuals`, and the exact
@@ -26,10 +26,10 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from math import lcm, prod
 from typing import Iterable, Sequence, Tuple, Union
 
-from .cyclotomic import _kind_param, _theta_polynomial, ab_trace
+from .cyclotomic import _kind_param, _theta_polynomial, _trace_table, _trace_total
 from .errors import (
     BadParams,
     GuardViolation,
@@ -42,7 +42,6 @@ from .genus import (
     KIND_EULER,
     TRACE_KINDS,
     GenusSpec,
-    _factor_entry,
     ensure_order,
     make_genus,
     power_factor,
@@ -269,9 +268,9 @@ def b_series(
 def ab_coefficient(g: GenusSpec, p: int, weights: Sequence[int]) -> Fraction:
     """Per-point coefficient-route value -<A(u) B(u)>_d, d = len(weights).
 
-    Exact over Q; its residue mod p equals the trace-route value.  Only
-    coefficient d is read, so A and B are built to order d.  For euler the
-    value is the constant -(p-1) regardless of the weights.
+    Exact over Q; its residue mod p equals the trace-route value.  Read from
+    :func:`_point_sums` on a one-point weight set, so A and B go to order d.
+    For euler the value is the constant -(p-1) regardless of the weights.
     """
     require_odd_prime(p)
     if g.kind not in TRACE_KINDS:
@@ -279,10 +278,7 @@ def ab_coefficient(g: GenusSpec, p: int, weights: Sequence[int]) -> Fraction:
     weights = canonical_weights(weights, p)
     if g.kind == KIND_EULER:
         return Fraction(-(p - 1))
-    d = len(weights)
-    a = a_series(g, weights, d)
-    b = b_series(g.kind, p, d, g.y)
-    return -(a * b)[d]
+    return _point_sums(g, WeightSet(p, len(weights), (weights,)), "ab", [len(weights)])[0]
 
 
 def p_series_term(g: GenusSpec, p: int, weights: Sequence[int], m: int):
@@ -305,12 +301,39 @@ def _distinct_points(w: WeightSet) -> Counter:
     return Counter(tuple(sorted(pt)) for pt in w.points)
 
 
+def _pack(coeffs: list, width: int) -> int:
+    """The ring map u -> 2^width of Z[u]/(u^len(coeffs)) onto Z/2^{width len(coeffs)}."""
+    return sum(c << width * i for i, c in enumerate(coeffs)) & (1 << width * len(coeffs)) - 1
+
+
+def _packed_table(g: GenusSpec, p: int, n: int, route: str, weights: set):
+    """(F, den, W, top, packed), cached on g: F = p u/[u]_p (pseries) or -B (ab) over
+    den and packed[x] = (u/[u]_x over d_x, d_x) for the weights so far, through u^n,
+    each by :func:`_pack` at width W.  A product coefficient is at most L1(F) top^n,
+    top the largest factor L1; W holds that and a sign, and a larger L1 repacks all.
+    """
+    table = g._tables.get((p, n, route))
+    known = table[4] if table else {}
+    if table is not None and weights <= known.keys():
+        return table
+    nums = {x: integer_numerators(power_factor(g, x, n).coeffs) for x in weights - known.keys()}
+    top = max((sum(map(abs, f)) for f, _ in nums.values()), default=1)
+    if table is None or top > table[3]:
+        nums.update((x, integer_numerators(power_factor(g, x, n).coeffs)) for x in known)
+        lead = b_series(g.kind, p, n, g.y).scale(-1) if route == "ab" else p_power_factor(g, p, n)
+        first, den = integer_numerators(lead.coeffs)
+        width = (sum(map(abs, first)) * top**n).bit_length() + 1
+        table = g._tables[p, n, route] = (_pack(first, width), den, width, top, {})
+    table[4].update((x, (_pack(f, table[2]), d)) for x, (f, d) in nums.items())
+    return table
+
+
 def _point_sums(g: GenusSpec, w: WeightSet, route: str, ms: Iterable[int]) -> list:
     """sum_j k_j <F A_j>_m for m in ms; j runs over :func:`_distinct_points`, k_j
     is its multiplicity, A_j = prod u/[u]_x over its weights, and F is
     p u/[u]_p (pseries) or -B (ab).  Order n holds every coefficient read.
-    Over QQ, A_j is convolved on the cached factors' integer numerators
-    (:func:`_factor_entry`); other rings multiply series.
+    Over QQ a point is a product of packed ints (:func:`_packed_table`) and a sum
+    is one integer over den L^n, L = lcm d_x over w; other rings multiply series.
     """
     n = w.n
     g = ensure_order(g, n + 1)
@@ -318,22 +341,23 @@ def _point_sums(g: GenusSpec, w: WeightSet, route: str, ms: Iterable[int]) -> li
     if g.ring is not QQ:  # pseries only: no B-series kind lives here
         pf = p_power_factor(g, w.p, n)
         prods = [(k, pf * a_series(g, pt, n)) for pt, k in points]
-        return [sum((prod[m] * k for k, prod in prods), g.ring.zero) for m in ms]
-    if route == "pseries":
-        _, first, den = _factor_entry(g, w.p, n)
-        first = [c * w.p for c in first[: n + 1]]
-    else:
-        first, den = integer_numerators(b_series(g.kind, w.p, n, g.y).coeffs)
-        first = [-c for c in first]
-    sums = [Fraction(0) for _ in ms]
+        return [sum((a[m] * k for k, a in prods), g.ring.zero) for m in ms]
+    weights = {x for pt, _ in points for x in pt}
+    first, den, width, _, packed = _packed_table(g, w.p, n, route, weights)
+    slot, half = (1 << width) - 1, 1 << width - 1
+    mask = (1 << width * (n + 1)) - 1
+    off = half * (mask // slot)  # half in every slot, so each slot reads nonnegative
+    big = lcm(*[packed[x][1] for x in weights]) ** n  # each point's d_x product divides it
+    sums = [0 for _ in ms]
     for pt, k in points:
-        acc, d = first, den
+        acc = first
         for x in pt:
-            _, f, dx = _factor_entry(g, x, n)
-            acc = [sum(map(mul, acc[: i + 1], f[i::-1])) for i in range(n + 1)]
-            d *= dx
-        sums = [s + Fraction(k * acc[m], d) for s, m in zip(sums, ms)]
-    return sums
+            acc = acc * packed[x][0] & mask
+        acc += off
+        k *= big // prod(packed[x][1] for x in pt)
+        for i, m in enumerate(ms):
+            sums[i] += k * ((acc >> width * m & slot) - half)
+    return [Fraction(s, den * big) for s in sums]
 
 
 def _route_total(g: GenusSpec, w: WeightSet, route: str):
@@ -341,9 +365,12 @@ def _route_total(g: GenusSpec, w: WeightSet, route: str):
     if route == "pseries" or (route == "ab" and g.kind in B_SERIES_KINDS):
         return _point_sums(g, w, route, [w.n])[0]
     points = _distinct_points(w).items()
-    if route == "trace":
-        return sum((ab_trace(g.kind, w.p, pt, g.y) * k for pt, k in points), Fraction(0))
-    # euler's constant -(p-1) per point, or UnsupportedKind for a kind without theta
+    if route == "trace" and points:
+        if (w.p, w.n, route) not in g._tables:
+            g._tables[w.p, w.n, route] = _trace_table(g.kind, w.p, g.y, w.n)
+        return _trace_total(w.p, g._tables[w.p, w.n, route], points)
+    # 0 for no points on any route and kind; else euler's constant -(p-1) per
+    # point, or UnsupportedKind for a kind without theta
     return sum((ab_coefficient(g, w.p, pt) * k for pt, k in points), Fraction(0))
 
 

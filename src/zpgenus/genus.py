@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedKind,
 )
 from .rings import DE, QQ, CoefficientRing, GradedPoly, Rational
-from .series import Series, binomial_power, geometric, integer_numerators
+from .series import Series, binomial_power, geometric
 
 KIND_TODD = "todd"
 KIND_EULER = "euler"
@@ -57,10 +57,10 @@ B_SERIES_KINDS = (KIND_TODD, KIND_L, KIND_CHI_Y, KIND_A_HAT)
 class GenusSpec:
     """A genus, pinned by its normalized logarithm and f = revert(logarithm).
 
-    Immutable apart from the cache of the factors u/[u]_m (see power_factor).
+    Immutable apart from its caches of the factors u/[u]_m and the route tables.
     """
 
-    __slots__ = ("kind", "y", "ring", "logarithm", "f_series", "_factors")
+    __slots__ = ("kind", "y", "ring", "logarithm", "f_series", "_factors", "_tables")
 
     def __init__(self, kind: str, y: Optional[Rational], logarithm: Series):
         object.__setattr__(self, "kind", kind)
@@ -69,6 +69,7 @@ class GenusSpec:
         object.__setattr__(self, "logarithm", logarithm)
         object.__setattr__(self, "f_series", logarithm.revert())
         object.__setattr__(self, "_factors", {})
+        object.__setattr__(self, "_tables", {})
 
     def __setattr__(self, name, val):
         raise AttributeError("GenusSpec is immutable")
@@ -186,18 +187,10 @@ def power_factor(g: GenusSpec, m: int, order: int) -> Series:
 
     Cached on the genus at the highest order asked for and truncated on read.
     """
-    return _factor_entry(g, m, order)[0].truncate(order)
-
-
-def _factor_entry(g: GenusSpec, m: int, order: int):
-    """power_factor's cache entry (u/[u]_m, numerators, d), at least through u^order;
-    over QQ it also holds u/[u]_m as integer numerators over d, else two Nones."""
     cached = g._factors.get(m)
-    if cached is None or cached[0].order < order:
-        f = power_system(g, m, order + 1).shift_down(1).invert()
-        ints = integer_numerators(f.coeffs) if g.ring is QQ else (None, None)
-        cached = g._factors[m] = (f, *ints)
-    return cached
+    if cached is None or cached.order < order:
+        cached = g._factors[m] = power_system(g, m, order + 1).shift_down(1).invert()
+    return cached.truncate(order)
 
 
 def power_system_closed(

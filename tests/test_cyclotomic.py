@@ -19,7 +19,16 @@ from zpgenus.cyclotomic import (
     theta_of,
     trace_theta_power,
 )
+from zpgenus.engine import (
+    WeightSet,
+    _point_sums,
+    _route_total,
+    a_series,
+    b_series,
+    p_power_factor,
+)
 from zpgenus.errors import BadParams, PrimeMismatch, UnsupportedKind, ZeroDivision, ZeroWeight
+from zpgenus.genus import make_genus
 from zpgenus.rings import is_odd_prime, rational_reduce_mod_p
 
 
@@ -290,6 +299,47 @@ def test_packed_trace_product_matches_loop(case):
     # The packed single-int product must give the loop's exact Fraction.
     kind, p, weights, y = case
     assert ab_trace(kind, p, weights, y) == _loop_ab_trace(kind, p, weights, y)
+
+
+@st.composite
+def _route_inputs(draw):
+    """A kind, p <= 47, a weight set with repeated points and literal weights, and y."""
+    kind = draw(st.sampled_from(["todd", "euler", "l_genus", "a_hat", "chi_y"]))
+    p = draw(st.sampled_from(_ODD_PRIMES_TO_47))
+    y = None
+    if kind == "chi_y":  # high height, so that the slot width is pinned
+        part = st.integers(-10**12, 10**12)
+        y = draw(st.builds(F, part, part.filter(bool)).filter(
+            lambda v: v.denominator % p and (1 + v).numerator % p))
+    n = draw(st.integers(0, 6))
+    unit = st.integers(-3 * p, 3 * p).filter(lambda x: x % p)
+    points = draw(st.lists(st.tuples(*[unit] * n), max_size=4))
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=3))
+    return kind, p, y, WeightSet(p, n, tuple(points))
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(_route_inputs())
+def test_packed_route_totals_equal_per_point_references(case):
+    # Each route sums packed per-point products over one denominator; the
+    # totals (and every pseries coefficient read) must equal the per-point
+    # series and group-ring references summed over all points.
+    kind, p, y, w = case
+    n = w.n
+    g = make_genus(kind, max(n + 1, 2), y)
+    pf = p_power_factor(g, p, n)
+    prods = [pf * a_series(g, pt, n) for pt in w.points]
+    want = [sum((prod[m] for prod in prods), F(0)) for m in range(n + 1)]
+    assert _point_sums(g, w, "pseries", range(n + 1)) == want, case
+    if kind == "euler":
+        ab = F(-(p - 1) * w.q)
+    else:
+        b = b_series(kind, p, n, y)
+        ab = sum((-(a_series(g, pt, n) * b)[n] for pt in w.points), F(0))
+    assert _route_total(g, w, "ab") == ab, case
+    trace = sum((_loop_ab_trace(kind, p, pt, y) for pt in w.points), F(0))
+    assert _route_total(g, w, "trace") == trace, case
 
 
 def test_todd_preimage_inverts_one_minus_zeta():

@@ -1,10 +1,12 @@
 """The fixed-point engine: weight data, the three routes, and the congruences."""
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
+from zpgenus import cli
 from zpgenus import genus as genus_module
 from zpgenus.cpn import ResidueTuple, canonical_residues, cpn_weight_set
 from zpgenus.cyclotomic import ab_trace, trace_theta_power
@@ -154,6 +156,8 @@ def test_ab_coefficient_frozen():
     ge = make_genus("euler", 8)
     assert ab_coefficient(ge, 5, (1, 2, 3)) == -4
     assert ab_coefficient(ge, 5, ()) == -4
+    # no weights: -<B>_0 = -Tr(1) = -(p-1) for every kind
+    assert ab_coefficient(g, 5, ()) == -4
     with pytest.raises(UnsupportedKind):
         ab_coefficient(make_genus("elliptic", 8), 5, (1,))
 
@@ -428,6 +432,72 @@ def test_factor_cache_is_independent_of_fill_order(monkeypatch):
     for r in ROUTES:
         genus_mod_p(g, w, r)
     assert calls == []
+
+
+def test_packed_tables_grow_with_new_weights(monkeypatch):
+    # A route's packed table covers the weights queried so far; a genus warmed
+    # with set A and then asked for set B (new weights, same p and n) must give
+    # the exact totals of a fresh genus on every route.
+    def fresh(kind, y):
+        monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
+        return make_genus(kind, 2, y)
+
+    kinds = [("todd", None), ("euler", None), ("l_genus", None), ("chi_y", F(-1, 2)),
+             ("a_hat", None), ("elliptic", None)]
+    for p, n in ((7, 2), (11, 3)):
+        low = WeightSet(p, n, ((1, 2, 3)[:n], (2, 1, 2)[:n], (1, 1, 3)[:n]))
+        high = WeightSet(p, n, ((p - 1, 2, 5)[:n], (p - 2, 1, p - 1)[:n], (1, 2, 3)[:n]))
+        for kind, y in kinds:
+            routes = ("pseries",) if kind == "elliptic" else ROUTES
+            want = {r: _route_total(fresh(kind, y), high, r) for r in routes}
+            want_cf = [repr(r) for r in cf_residuals(fresh(kind, y), high)]
+            g = fresh(kind, y)
+            for r in routes:
+                _route_total(g, low, r)
+            cf_residuals(g, low)
+            for r in routes:
+                assert _route_total(g, high, r) == want[r], (kind, p, n, r)
+            assert [repr(r) for r in cf_residuals(g, high)] == want_cf, (kind, p, n)
+            if kind != "elliptic":
+                lean = make_genus(kind, n + 1, y)
+                used = {x for w in (low, high) for pt in w.points for x in pt}
+                assert set(lean._tables[p, n, "pseries"][4]) == used
+
+
+def test_packed_width_is_bounded_by_the_largest_factor():
+    # Each factor is packed over its own denominator, so the slot width follows
+    # the largest factor, not the number of weights seen: a stream of weight
+    # sets at large p keeps the width of its first query.
+    rng = random.Random(31)
+    p, n = 100003, 3
+    g = make_genus("todd", n + 1)
+    widths = []
+    for _ in range(40):
+        w = _random_weight_set(rng, p, n, 4)
+        for route in ("pseries", "ab"):
+            genus_mod_p(g, w, route)
+        widths.append(g._tables[p, n, "pseries"][2])
+    assert len(g._tables[p, n, "pseries"][4]) > 400
+    assert max(widths) <= 2 * widths[0]
+
+
+def test_large_p_ab_query_builds_factors_for_its_weights_only(monkeypatch, capsys):
+    # At p = 100003 the ab route must touch only the query's weights: no
+    # factor u/[u]_m for the other p - 5 residues, and no p u/[u]_p either.
+    monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
+    argv = ["compute", "--genus", "chi_y:2", "--p", "100003", "--residues", "0,1,2",
+            "--route", "ab", "--format", "json"]
+    start = time.perf_counter()
+    assert cli.main(argv) == 0
+    assert time.perf_counter() - start < 0.5
+    assert json.loads(capsys.readouterr().out)["result"] == "3"  # chi_y(CP^2) = 1 - y + y^2
+    weights = {1, 2, 100001, 100002}
+    built = set()
+    for g in genus_module._GENUS_CACHE.values():
+        built |= set(g._factors)
+        for table in g._tables.values():
+            assert set(table[4]) <= weights
+    assert built == weights
 
 
 def test_custom_logarithm_needs_only_order_n_plus_1():
