@@ -8,14 +8,7 @@ style vanishing that realizable weight data must satisfy, and carries a
 laboratory of linear actions on complex projective spaces where every value
 has a closed form.
 """
-from .cyclotomic import (
-    CycloElem,
-    ab_trace,
-    evaluate_at_theta,
-    theta_minimal_polynomial,
-    theta_of,
-    trace_theta_power,
-)
+from .cyclotomic import ab_trace, theta_minimal_polynomial, trace_theta_power
 from .engine import (
     SubmanifoldComponent,
     SubmanifoldData,
@@ -54,7 +47,6 @@ from .errors import (
     NonUnitConstantTerm,
     NonzeroInnerConstant,
     NotReversible,
-    PrimeMismatch,
     RingMismatch,
     UnsupportedClosedForm,
     UnsupportedKind,

@@ -29,13 +29,7 @@ from .cpn import (
     check_eq46,
     cpn_weight_set,
 )
-from .cyclotomic import (
-    ab_trace,
-    evaluate_at_theta,
-    theta_minimal_polynomial,
-    theta_of,
-    trace_theta_power,
-)
+from .cyclotomic import ab_trace, theta_minimal_polynomial, trace_theta_power
 from .engine import (
     ROUTES,
     SubmanifoldData,
@@ -286,9 +280,7 @@ def _selftest_checks():
         b_series("a_hat", 5, 6)[s] == trace_theta_power("a_hat", 5, -s)
         for s in range(5)
     )
-    yield "ahat_minimal_polynomial_p5", lambda: evaluate_at_theta(
-        theta_minimal_polynomial("a_hat", 5), theta_of("a_hat", 5)
-    ).is_zero()
+    yield "ahat_minimal_polynomial_p5", _ahat_p5_minimal_polynomial_vanishes
     yield "h_todd_p5_is_1_minus_u", lambda: h_series("todd", 5, 6).to_text() == "1 + (-1)*u"
     yield "elliptic_cp2_p5_delta", lambda: str(
         genus_mod_p(
@@ -305,6 +297,16 @@ def _selftest_checks():
     )
     yield "eq45_p5_m1", lambda: check_eq45(5, m=1).equal
     yield "eq46_p5", lambda: check_eq46(5).equal
+
+
+def _ahat_p5_minimal_polynomial_vanishes() -> bool:
+    # theta generates Q(zeta_5) and the trace form is nondegenerate, so P(theta) = 0
+    # iff Tr(P(theta) theta^j) = 0 for j < 4
+    P = theta_minimal_polynomial("a_hat", 5)
+    return all(
+        sum(c * trace_theta_power("a_hat", 5, i + j) for i, c in enumerate(P)) == 0
+        for j in range(4)
+    )
 
 
 def _routes_agree(name: str, p: int, n: int, expected: str) -> bool:

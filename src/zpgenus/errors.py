@@ -19,10 +19,6 @@ class NonIntegralAtP(EngineError):
     """A rational that must be p-integral has p dividing its denominator."""
 
 
-class PrimeMismatch(EngineError):
-    """Two exact values living over different primes were combined."""
-
-
 class ZeroPolynomial(EngineError):
     """The zero polynomial was passed where a degree is required."""
 

@@ -11,15 +11,10 @@ from fractions import Fraction as F
 
 import pytest
 from conftest import record_acceptance
+from reference_cyclotomic import evaluate_at_theta, reference_trace_theta_power, theta_of
 
 from zpgenus.cpn import canonical_residues, check_eq45, check_eq46, cpn_weight_set
-from zpgenus.cyclotomic import (
-    ab_trace,
-    evaluate_at_theta,
-    theta_minimal_polynomial,
-    theta_of,
-    trace_theta_power,
-)
+from zpgenus.cyclotomic import ab_trace, theta_minimal_polynomial, trace_theta_power
 from zpgenus.engine import (
     SubmanifoldComponent,
     SubmanifoldData,
@@ -169,9 +164,11 @@ def test_acceptance_06_trace_lemmas():
             for k in range(1, 13):
                 t = trace_theta_power(kind, p, k, y)
                 assert rational_reduce_mod_p(t, p).value == 0, (kind, p, k)
+                assert t == reference_trace_theta_power(kind, p, k, y), (kind, p, k)
             b = b_series(kind, p, 8, y)
             for s in range(9):
                 assert b[s] == trace_theta_power(kind, p, -s, y), (kind, p, s)
+                assert b[s] == reference_trace_theta_power(kind, p, -s, y), (kind, p, s)
 
 
 @criterion(7, "minimal polynomials annihilate theta; frozen a_hat polynomials for p=3,5")

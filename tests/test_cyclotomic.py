@@ -1,4 +1,5 @@
-"""Exact cyclotomic arithmetic and the theta trace oracle."""
+"""The group-ring theta traces, checked against the field arithmetic of
+``reference_cyclotomic``, and the laws of that reference itself."""
 import cmath
 import random
 import time
@@ -9,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_cyclotomic import CycloElem, evaluate_at_theta, theta_of
 from zpgenus.cyclotomic import (
     TRACE_MAX_P,
-    CycloElem,
     _todd_preimage,
+    _trace_table,
+    _trace_total,
     ab_trace,
-    evaluate_at_theta,
     theta_minimal_polynomial,
-    theta_of,
     trace_theta_power,
 )
 from zpgenus.engine import (
@@ -27,7 +28,7 @@ from zpgenus.engine import (
     b_series,
     p_power_factor,
 )
-from zpgenus.errors import BadParams, PrimeMismatch, UnsupportedKind, ZeroDivision, ZeroWeight
+from zpgenus.errors import BadParams, UnsupportedKind, ZeroDivision, ZeroWeight
 from zpgenus.genus import make_genus
 from zpgenus.rings import is_odd_prime, rational_reduce_mod_p
 
@@ -146,16 +147,17 @@ def test_trace_negative_powers():
 
 
 def test_chi_y_degeneration_guard():
-    with pytest.raises(BadParams):
-        theta_of("chi_y", 3, 2)
-    with pytest.raises(BadParams):
-        theta_of("chi_y", 5, F(1, 5))
-    with pytest.raises(BadParams):
-        theta_of("chi_y", 5)
-    # the same parameter is fine one prime up
-    theta_of("chi_y", 5, 2)
-    with pytest.raises(UnsupportedKind):
-        theta_of("elliptic", 5)
+    for k in (-1, 0, 1):
+        with pytest.raises(BadParams):
+            trace_theta_power("chi_y", 3, k, 2)
+        with pytest.raises(BadParams):
+            trace_theta_power("chi_y", 5, k, F(1, 5))
+        with pytest.raises(BadParams):
+            trace_theta_power("chi_y", 5, k)
+        # the same parameter is fine one prime up
+        trace_theta_power("chi_y", 5, k, 2)
+        with pytest.raises(UnsupportedKind):
+            trace_theta_power("elliptic", 5, k)
 
 
 def test_minimal_polynomials_frozen():
@@ -363,7 +365,7 @@ def test_theta_functions_refuse_a_stray_y():
     # only chi_y takes a parameter; any other kind given one is refused
     for kind in ("todd", "l_genus", "a_hat", "euler"):
         with pytest.raises(BadParams, match="does not take a parameter y"):
-            theta_of(kind, 5, 7)
+            trace_theta_power(kind, 5, 1, 7)
         with pytest.raises(BadParams, match="does not take a parameter y"):
             ab_trace(kind, 5, [1, 2], 7)
     for kind in ("todd", "l_genus", "a_hat"):
@@ -387,9 +389,119 @@ def test_trace_route_refuses_p_above_bound():
 
 
 def test_prime_mismatch_and_validation():
-    with pytest.raises(PrimeMismatch):
+    with pytest.raises(AssertionError, match="mixed primes"):
         CycloElem.one(3) * CycloElem.one(5)
     with pytest.raises(BadParams):
         CycloElem(5, [1, 2, 3])
     with pytest.raises(BadParams):
         CycloElem.zeta(4)
+
+
+_THETA_KINDS = [("todd", None), ("euler", None), ("l_genus", None), ("a_hat", None)]
+_THETA_KINDS += [("chi_y", F(y)) for y in (0, 1, 2, F(-1, 2), F(1, 3), -3)]
+
+
+def test_trace_theta_power_matches_field_reference():
+    # Every kind, chi_y at six y, p <= 13 and k = -12..12: the group-ring kernel
+    # gives the exact Fraction of field arithmetic (successive powers of theta
+    # and of its field inverse), and a degenerate y is refused by both.
+    for p in (3, 5, 7, 11, 13):
+        for kind, y in _THETA_KINDS:
+            if y is not None and (y.denominator % p == 0 or (1 + y).numerator % p == 0):
+                for k in (-1, 0, 1):
+                    with pytest.raises(BadParams):
+                        trace_theta_power(kind, p, k, y)
+                    with pytest.raises(BadParams):
+                        (theta_of(kind, p, y) ** k).trace()
+                continue
+            theta = theta_of(kind, p, y)
+            inv = theta.invert()
+            pos = neg = CycloElem.one(p)
+            for k in range(13):
+                for s, power in ((k, pos), (-k, neg)):
+                    got = trace_theta_power(kind, p, s, y)
+                    assert type(got) is F and got == power.trace(), (kind, y, p, s)
+                pos, neg = pos * theta, neg * inv
+            if p == 7:  # long exponents, whose powers are taken by squaring
+                for k in (-257, 100, 255):
+                    assert trace_theta_power(kind, p, k, y) == (theta ** k).trace(), (kind, y, k)
+
+
+def _trace_pairing_vanishes(coeffs, kind, p, y):
+    """Tr(P(theta) theta^j) = 0 for j < p - 1, which for theta of degree p - 1
+    (a generator of the field, whose trace form is nondegenerate) is P(theta) = 0."""
+    return all(
+        sum(c * trace_theta_power(kind, p, i + j, y) for i, c in enumerate(coeffs)) == 0
+        for j in range(p - 1)
+    )
+
+
+def test_trace_pairing_agrees_with_field_evaluation():
+    cases = [("todd", None), ("l_genus", None), ("a_hat", None)]
+    cases += [("chi_y", F(y)) for y in (0, 2, F(-1, 2), F(1, 3), -3)]
+    for p in (3, 5, 7):
+        for kind, y in cases:
+            if y is not None and (y.denominator % p == 0 or (1 + y).numerator % p == 0):
+                continue
+            theta = theta_of(kind, p, y)
+            coeffs = theta_minimal_polynomial(kind, p, y)
+            perturbed = (coeffs[0] + 1,) + coeffs[1:]
+            for poly, vanishes in ((coeffs, True), (perturbed, False)):
+                assert _trace_pairing_vanishes(poly, kind, p, y) is vanishes, (kind, y, p)
+                assert evaluate_at_theta(poly, theta).is_zero() is vanishes, (kind, y, p)
+
+
+def test_trace_theta_power_refuses_bad_inputs():
+    # The classes the field computation raised: a stray y is checked before the
+    # kind, and every check runs at k = 0 too.
+    cases = [(kind, 5, None, UnsupportedKind) for kind in ("elliptic", "custom", "bogus")]
+    cases += [(kind, 5, 2, BadParams) for kind in ("elliptic", "custom", "bogus")]
+    cases += [(kind, 5, 7, BadParams) for kind in ("todd", "l_genus", "a_hat", "euler")]
+    chi = [(3, 2), (5, 4), (5, F(-8, 3)), (5, F(1, 5)), (3, F(2, 3)), (5, None)]
+    cases += [("chi_y", p, y, BadParams) for p, y in chi]
+    for p in (-3, 0, 1, 2, 9, 15):
+        cases += [("todd", p, None, BadParams), ("chi_y", p, 2, BadParams)]
+    for kind, p, y, exc in cases:
+        for k in (-2, 0, 3):
+            with pytest.raises(exc):
+                trace_theta_power(kind, p, k, y)
+            with pytest.raises(exc):
+                (theta_of(kind, p, y) ** k).trace()
+
+
+def test_theta_functions_refuse_p_above_bound():
+    # trace_theta_power and the full-degree minimal polynomial are O(p) and
+    # worse; above TRACE_MAX_P they refuse before building anything.
+    above = next(q for q in range(TRACE_MAX_P + 1, 2 * TRACE_MAX_P) if is_odd_prime(q))
+    for p in (above, 10007, 2**61 - 1):
+        calls = [(theta_minimal_polynomial, (kind, p, y)) for kind, y in
+                 (("todd", None), ("l_genus", None), ("a_hat", None), ("chi_y", 2))]
+        calls += [(trace_theta_power, (kind, p, k, y)) for kind, y in
+                  (("todd", None), ("euler", None), ("chi_y", 2)) for k in (-1, 0, 3)]
+        for func, args in calls:
+            start = time.perf_counter()
+            with pytest.raises(BadParams, match="TRACE_MAX_P"):
+                func(*args)
+            assert time.perf_counter() - start < 0.1, (func.__name__, args)
+    below = next(q for q in range(TRACE_MAX_P, 2, -1) if is_odd_prime(q))
+    assert len(theta_minimal_polynomial("l_genus", below)) == below
+    assert trace_theta_power("todd", below, -1) == F(below - 1, 2)
+
+
+def test_trace_table_takes_any_integer_vector():
+    # The slot table shifts any integer vector by its minimum (a multiple of
+    # sum_k t^k); products of its images under t -> t^x keep their exact trace.
+    rng = random.Random(16)
+    for p in (3, 5, 7, 11, 13):
+        for _ in range(12):
+            vec = [rng.randint(-30, 30) for _ in range(p)]
+            den, n, k = rng.choice([1, 2, -3, 7]), rng.randint(0, 4), rng.randint(1, 3)
+            pt = [rng.randrange(1, p) for _ in range(n)]
+            prod = [1] + [0] * (p - 1)
+            for x in pt:
+                image = [0] * p
+                for i, c in enumerate(vec):
+                    image[i * x % p] = c
+                prod = _loop_cyclic_mul(prod, image)
+            want = -k * F(p * prod[0] - sum(prod), den**n)
+            assert _trace_total(p, _trace_table(vec, den, n), [(pt, k)]) == want, (p, vec, pt)

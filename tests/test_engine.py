@@ -2,11 +2,13 @@
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from zpgenus import cli
+from zpgenus import engine as engine_module
 from zpgenus import genus as genus_module
 from zpgenus.cpn import ResidueTuple, canonical_residues, cpn_weight_set
 from zpgenus.cyclotomic import ab_trace, trace_theta_power
@@ -16,7 +18,6 @@ from zpgenus.engine import (
     SubmanifoldData,
     Thm71Report,
     WeightSet,
-    _distinct_points,
     _point_sums,
     _route_total,
     a_series,
@@ -261,7 +262,7 @@ def test_routes_read_exact_values_of_wide_truncations():
             for w in sets:
                 order = w.n + p + 2
                 pf = p_power_factor(wide, p, order)
-                for pt in _distinct_points(w):
+                for pt in w.distinct_points:
                     prod = _point_sums(lean, WeightSet(p, w.n, (pt,)), "pseries", range(w.n + 1))
                     ref = pf * a_series(wide, pt, order)
                     assert prod == list(ref.coeffs[: w.n + 1]), (kind, y, p, pt)
@@ -277,7 +278,7 @@ def _series_thm71_and_cf(g, w):
     as computed before the integer numerators."""
     n, p = w.n, w.p
     pf = p_power_factor(g, p, n)
-    points = _distinct_points(w).items()
+    points = w.distinct_points.items()
     prods = [(k, pf * a_series(g, pt, n)) for pt, k in points]
     sums = [sum((prod[m] * k for k, prod in prods), F(0)) for m in range(n + 1)]
     cf = []
@@ -319,7 +320,7 @@ def test_integer_routes_equal_series_products():
                 n = w.n
                 pf = p_power_factor(g, p, n)
                 totals = {"pseries": g.ring.zero, "ab": F(0)}
-                for pt, k in _distinct_points(w).items():
+                for pt, k in w.distinct_points.items():
                     one = WeightSet(p, n, (pt,))
                     want = {"pseries": (pf * a_series(g, pt, n))[n]}
                     if has_b:
@@ -369,7 +370,7 @@ def test_repeated_points_and_multiplicativity():
                 a1, a2 = rng.sample(range(n + 1), 2)
                 comps = [(a1, n - a1, rng.randint(2, 3)), (a2, n - a2, rng.randint(1, 3))]
                 w = _union_of_products(rng, p, comps)
-                assert len(_distinct_points(w)) < w.q
+                assert len(w.distinct_points) < w.q
                 pf = p_power_factor(g, p, n)
                 plain = {
                     "pseries": sum((pf * a_series(g, pt, n))[n] for pt in w.points),
@@ -623,3 +624,19 @@ def test_submanifold_json():
         )
     with pytest.raises(BadParams):
         SubmanifoldData.from_json("[")
+
+
+def test_distinct_points_are_counted_once_per_weight_set(monkeypatch):
+    # The Counter of points up to weight order is cached on the frozen WeightSet:
+    # all three routes read one count, and equality, hash and repr ignore it.
+    counted = []
+    monkeypatch.setattr(engine_module, "Counter", lambda: counted.append(1) or Counter())
+    points = ((2, 1), (1, 2), (3, 4), (2, 1))
+    w, v = WeightSet(7, 2, points), WeightSet(7, 2, points)
+    before = (hash(w), repr(w))
+    g = make_genus("todd", 4)
+    assert len({str(genus_mod_p(g, w, r)) for r in ROUTES}) == 1
+    assert len(counted) == 1
+    assert w.distinct_points == {(2, 1): 3, (3, 4): 1}  # keyed by first occurrence
+    assert w.distinct_points is w.distinct_points
+    assert w == v and (hash(w), repr(w)) == before and hash(v) == before[0]
