@@ -51,14 +51,12 @@ from .errors import (
     UnsupportedClosedForm,
     UnsupportedKind,
     ZeroDivision,
-    ZeroPolynomial,
     ZeroWeight,
 )
 from .genus import (
     CATALOG_KINDS,
     GenusSpec,
     cpn_genus,
-    genus_name,
     make_genus,
     parse_genus_name,
     power_system,
@@ -66,17 +64,14 @@ from .genus import (
 )
 from .rings import (
     DE,
-    INHOMOGENEOUS,
     QQ,
     GradedPoly,
     GradedPolyModP,
     ModP,
     Rational,
-    poly_from_text,
     poly_reduce_mod_p,
     poly_to_text,
     rational_reduce_mod_p,
-    weighted_degree,
 )
 from .series import Series, binomial_power, geometric
 

@@ -215,27 +215,24 @@ def _run_cpn(args) -> int:
 def _run_legendre(args) -> int:
     if args.p is None:
         raise BadParams("legendre needs --p")
+    if args.residues is None and args.n is None:
+        report46 = check_eq46(args.p)
+        ok = (
+            report46.equal
+            and report46.power_system_matches
+            and report46.low_coeffs_vanish
+            and report46.eps_one_equal
+        )
+        _emit(args, {"verb": "legendre", "check": "power-system", **report46.to_json_dict()})
+        return 0 if ok else 1
     if args.residues is not None:
         report = check_eq45(args.p, residues=_parse_int_list(args.residues))
-        ok = report.equal and report.cpn_matches
-        _emit(args, {"verb": "legendre", "check": "projective", **report.to_json_dict()})
-        return 0 if ok else 1
-    if args.n is not None:
-        if args.n % 2:
-            raise BadParams("the projective check needs even n")
+    elif args.n % 2:
+        raise BadParams("the projective check needs even n")
+    else:
         report = check_eq45(args.p, m=args.n // 2)
-        ok = report.equal and report.cpn_matches
-        _emit(args, {"verb": "legendre", "check": "projective", **report.to_json_dict()})
-        return 0 if ok else 1
-    report46 = check_eq46(args.p)
-    ok = (
-        report46.equal
-        and report46.power_system_matches
-        and report46.low_coeffs_vanish
-        and report46.eps_one_equal
-    )
-    _emit(args, {"verb": "legendre", "check": "power-system", **report46.to_json_dict()})
-    return 0 if ok else 1
+    _emit(args, {"verb": "legendre", "check": "projective", **report.to_json_dict()})
+    return 0 if report.equal and report.cpn_matches else 1
 
 
 def _run_thm71(args) -> int:
@@ -268,7 +265,7 @@ def _run_submanifold(args) -> int:
 
 
 def _selftest_checks():
-    from .genus import cpn_genus, power_system, power_system_closed
+    from .genus import power_system, power_system_closed
 
     yield "todd_cp2_p5_routes_agree", lambda: _routes_agree("td", 5, 2, "1")
     yield "euler_cp3_p7_value", lambda: _routes_agree("euler", 7, 3, "4")
@@ -339,21 +336,36 @@ def _run_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, genus=False, weights=False, route=False):
-    sub.add_argument("--p", type=int, default=None, help="the odd prime p")
-    sub.add_argument("--residues", type=str, default=None, help="comma-separated integers")
-    sub.add_argument("--n", type=int, default=None, help="dimension parameter")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    if genus:
-        sub.add_argument(
-            "--genus",
-            required=True,
-            help="td, euler, L, chi_y:<rational>, ahat or elliptic",
-        )
-    if weights:
-        sub.add_argument("--weights", type=str, default=None, help="JSON input file")
-    if route:
-        sub.add_argument("--route", choices=ROUTES + ("all",), default="all")
+_FLAGS = {
+    "genus": dict(required=True, help="td, euler, L, chi_y:<rational>, ahat or elliptic"),
+    "weights": dict(type=str, default=None, help="JSON input file"),
+    "p": dict(type=int, default=None, help="the odd prime p"),
+    "residues": dict(type=str, default=None, help="comma-separated integers"),
+    "n": dict(type=int, default=None, help="dimension parameter"),
+    "route": dict(choices=ROUTES + ("all",), default="all"),
+    "force": dict(action="store_true", help="ignore the n <= p-2 guard"),
+    "emit": dict(type=str, default=None, help="also write the JSON here"),
+    "format": dict(choices=("text", "json"), default="text"),
+}
+
+# verb, handler, help, and the flags the handler reads
+_VERBS = (
+    ("compute", _run_compute, "genus of a weight set mod p",
+     ("genus", "weights", "p", "residues", "route", "format")),
+    ("cf-check", _run_cf_check, "low p-series coefficients must vanish",
+     ("genus", "weights", "p", "residues", "format")),
+    ("ab", _run_ab, "coefficient route vs trace route, one point",
+     ("genus", "p", "residues", "format")),
+    ("cpn", _run_cpn, "weight set of a linear action on CP^n (printed as JSON)",
+     ("p", "residues", "n", "emit")),
+    ("legendre", _run_legendre, "elliptic Legendre congruence checks",
+     ("p", "residues", "n", "format")),
+    ("thm71", _run_thm71, "ab vs pseries + weighted residuals",
+     ("genus", "weights", "p", "residues", "force", "format")),
+    ("submanifold", _run_submanifold, "genus from fixed-submanifold data",
+     ("genus", "weights", "format")),
+    ("selftest", _run_selftest, "internal cross-validation battery", ("format",)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,41 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"zpgenus {__version__}")
     subs = parser.add_subparsers(dest="verb", required=True)
-
-    sub = subs.add_parser("compute", help="genus of a weight set mod p")
-    _add_common(sub, genus=True, weights=True, route=True)
-    sub.set_defaults(handler=_run_compute)
-
-    sub = subs.add_parser("cf-check", help="low p-series coefficients must vanish")
-    _add_common(sub, genus=True, weights=True)
-    sub.set_defaults(handler=_run_cf_check)
-
-    sub = subs.add_parser("ab", help="coefficient route vs trace route, one point")
-    _add_common(sub, genus=True)
-    sub.set_defaults(handler=_run_ab)
-
-    sub = subs.add_parser("cpn", help="weight set of a linear action on CP^n")
-    _add_common(sub)
-    sub.add_argument("--emit", type=str, default=None, help="also write the JSON here")
-    sub.set_defaults(handler=_run_cpn)
-
-    sub = subs.add_parser("legendre", help="elliptic Legendre congruence checks")
-    _add_common(sub)
-    sub.set_defaults(handler=_run_legendre)
-
-    sub = subs.add_parser("thm71", help="ab vs pseries + weighted residuals")
-    _add_common(sub, genus=True, weights=True)
-    sub.add_argument("--force", action="store_true", help="ignore the n <= p-2 guard")
-    sub.set_defaults(handler=_run_thm71)
-
-    sub = subs.add_parser("submanifold", help="genus from fixed-submanifold data")
-    _add_common(sub, genus=True, weights=True)
-    sub.set_defaults(handler=_run_submanifold)
-
-    sub = subs.add_parser("selftest", help="internal cross-validation battery")
-    _add_common(sub)
-    sub.set_defaults(handler=_run_selftest)
-
+    for verb, handler, help_text, flags in _VERBS:
+        sub = subs.add_parser(verb, help=help_text)
+        for flag in flags:
+            sub.add_argument(f"--{flag}", **_FLAGS[flag])
+        sub.set_defaults(handler=handler)
     return parser
 
 
@@ -408,7 +390,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except EngineError as exc:
         diagnostic = {"error": type(exc).__name__, "detail": str(exc)}
-        if args.format == "json":
+        if getattr(args, "format", "text") == "json":  # cpn has no --format
             print(json.dumps(diagnostic, indent=2), file=sys.stderr)
         else:
             print(f"error: {diagnostic['error']}", file=sys.stderr)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Optional, Sequence, Tuple
 
 from .engine import WeightSet, genus_mod_p, p_series_term, reduce_value
@@ -29,14 +30,7 @@ from .genus import (
     make_genus,
     power_factor,
 )
-from .rings import (
-    DE,
-    GradedPoly,
-    GradedPolyModP,
-    poly_reduce_mod_p,
-    require_odd_prime,
-)
-from .series import Series, binomial_power
+from .rings import GradedPoly, GradedPolyModP, poly_reduce_mod_p, require_odd_prime
 
 
 @dataclass(frozen=True)
@@ -89,8 +83,8 @@ def canonical_residues(p: int, n: int) -> ResidueTuple:
 
 
 # ---------------------------------------------------------------------------
-# Legendre polynomials, exact, via the generating function
-# (1 - 2tu + u^2)^{-1/2} = sum_m P_m(t) u^m.
+# Legendre polynomials, exact:
+# P_m(t) = 2^-m sum_k (-1)^k C(m, k) C(2m - 2k, m) t^(m - 2k).
 # ---------------------------------------------------------------------------
 
 
@@ -98,19 +92,9 @@ def legendre_coeffs(m: int) -> Tuple[Fraction, ...]:
     """Coefficients of P_m(t), low degree first, exact over Q."""
     if not isinstance(m, int) or m < 0:
         raise BadParams(f"Legendre index must be an int >= 0, got {m!r}")
-    # expand over Q[delta, eps] with delta standing in for t
-    w = Series(
-        DE,
-        [GradedPoly.zero(), GradedPoly.delta() * Fraction(-2), GradedPoly.one()],
-        max(m, 1),
-    )
-    gen = binomial_power(w, Fraction(-1, 2))
-    poly = gen[m]
     coeffs = [Fraction(0)] * (m + 1)
-    for (a, b), c in poly.terms.items():
-        if b != 0:
-            raise BadParams("unexpected eps term in a Legendre expansion")
-        coeffs[a] = c
+    for k in range(m // 2 + 1):
+        coeffs[m - 2 * k] = Fraction((-1) ** k * comb(m, k) * comb(2 * m - 2 * k, m), 2**m)
     return tuple(coeffs)
 
 
@@ -122,16 +106,9 @@ def legendre_value(m: int, t: Fraction) -> Fraction:
 def homogenized_legendre(m: int) -> GradedPoly:
     """P_m(t) with t^a replaced by delta^a eps^{(m-a)/2}: weighted degree 2m.
 
-    P_m has the parity of m, so m - a is always even on nonzero terms.
+    P_m has the parity of m, so m - a is even wherever the coefficient is nonzero.
     """
-    terms = {}
-    for a, c in enumerate(legendre_coeffs(m)):
-        if not c:
-            continue
-        if (m - a) % 2:
-            raise BadParams("Legendre parity violated; cannot homogenize")
-        terms[(a, (m - a) // 2)] = c
-    return GradedPoly(terms)
+    return GradedPoly({(a, (m - a) // 2): c for a, c in enumerate(legendre_coeffs(m))})
 
 
 # ---------------------------------------------------------------------------

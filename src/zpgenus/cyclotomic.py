@@ -37,12 +37,16 @@ from .genus import (
     KIND_L,
     KIND_TODD,
     TRACE_KINDS,
+    _kind_y,
 )
 from .rings import Rational, require_odd_prime
 
 # The largest p of the trace route, which packs vectors of length p into one int
 # per weight: 3 weights took 0.016 s at p = 2003, 0.05 s at 4001 (3.11, Xeon).
 TRACE_MAX_P = 2048
+# The largest p |k| bitlen(L1 of the shifted preimage), about the packed bits of
+# theta^k, for trace_theta_power: 1.4 Mbit took 1.4 s, 3.2 Mbit 4.0 s (3.11, Xeon).
+TRACE_MAX_BITS = 2**21
 
 
 def _require_trace_prime(p: int, what: str) -> None:
@@ -54,13 +58,9 @@ def _require_trace_prime(p: int, what: str) -> None:
 
 def _kind_param(kind: str, p: int, y: Union[Rational, int, None]):
     """y as a Fraction for chi_y (p-integral, 1 + y a unit mod p); other kinds take none."""
-    if kind != KIND_CHI_Y:
-        if y is not None:
-            raise BadParams(f"kind {kind!r} does not take a parameter y")
-        return None
+    y = _kind_y(kind, y)
     if y is None:
-        raise BadParams("chi_y needs the parameter y")
-    y = Fraction(y)
+        return None
     if y.denominator % p == 0:
         raise BadParams(f"chi_y parameter {y} is not p-integral at p = {p}")
     if (1 + y).numerator % p == 0:
@@ -78,13 +78,19 @@ def trace_theta_power(
     The |k|-th power, by squaring, is of theta's preimage for k > 0 and of the
     trace-route factor of weight 1, theta^{-1}, for k < 0.  a_hat's factor is
     -theta^{-1}, but zeta -> zeta^{-1} maps its theta to -theta, so its odd
-    traces vanish and the sign never shows.
+    traces vanish and the sign never shows.  A power that would pack more than
+    TRACE_MAX_BITS bits is refused with BadParams before it is taken.
     """
     if not isinstance(k, int):
         raise BadParams(f"theta power wants an int, got {k!r}")
     vec, den = _trace_preimage(kind, p, y, theta=k > 0)
     if k == 0:
         return Fraction(p - 1)
+    bits = p * abs(k) * (sum(vec) - p * min(vec)).bit_length()
+    if bits > TRACE_MAX_BITS:
+        raise BadParams(
+            f"Tr(theta^{k}) at p = {p} packs about {bits} bits; TRACE_MAX_BITS = {TRACE_MAX_BITS}"
+        )
     den, slots, total, width = _trace_table(vec, den, abs(k))
     shift = 8 * width * p
     mask = (1 << shift) - 1

@@ -19,10 +19,6 @@ class NonIntegralAtP(EngineError):
     """A rational that must be p-integral has p dividing its denominator."""
 
 
-class ZeroPolynomial(EngineError):
-    """The zero polynomial was passed where a degree is required."""
-
-
 class ZeroDivision(EngineError):
     """Division by zero (or by a non-unit) in an exact ring."""
 

@@ -26,7 +26,6 @@ kernel of the mod-p fixed-point machinery.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Optional, Union
 
 from .errors import (
@@ -35,7 +34,7 @@ from .errors import (
     UnsupportedClosedForm,
     UnsupportedKind,
 )
-from .rings import DE, QQ, CoefficientRing, GradedPoly, Rational
+from .rings import DE, QQ, GradedPoly, Rational
 from .series import Series, binomial_power, geometric
 
 KIND_TODD = "todd"
@@ -114,6 +113,17 @@ def _build_logarithm(kind: str, order: int, y: Optional[Fraction]) -> Series:
     raise UnsupportedKind(f"unknown genus kind {kind!r}")
 
 
+def _kind_y(kind: str, y: Union[Rational, int, None]) -> Optional[Fraction]:
+    """y as a Fraction for chi_y, which needs it; every other kind takes none."""
+    if kind != KIND_CHI_Y:
+        if y is not None:
+            raise BadParams(f"kind {kind!r} does not take a parameter y")
+        return None
+    if y is None:
+        raise BadParams("chi_y needs the parameter y")
+    return Fraction(y)
+
+
 _GENUS_CACHE: dict = {}
 
 
@@ -141,12 +151,7 @@ def make_genus(
         return GenusSpec(KIND_CUSTOM, None, logarithm)
     if logarithm is not None:
         raise BadParams("an explicit logarithm is only allowed with kind='custom'")
-    if kind == KIND_CHI_Y:
-        if y is None:
-            raise BadParams("chi_y needs the parameter y")
-        y = Fraction(y)
-    elif y is not None:
-        raise BadParams(f"kind {kind!r} does not take a parameter y")
+    y = _kind_y(kind, y)
     if kind not in CATALOG_KINDS:
         raise UnsupportedKind(f"unknown genus kind {kind!r}")
 
@@ -199,13 +204,7 @@ def power_system_closed(
     """Closed-form [u]_m for the kinds that admit one (all but elliptic/custom)."""
     if not isinstance(m, int) or m < 1:
         raise BadParams(f"power system index must be an int >= 1, got {m!r}")
-    if kind == KIND_CHI_Y:
-        if y is None:
-            raise BadParams("chi_y needs the parameter y")
-        y = Fraction(y)
-    elif y is not None:
-        raise BadParams(f"kind {kind!r} does not take a parameter y")
-
+    y = _kind_y(kind, y)
     one = Series.one(QQ, order)
     u = Series.identity(QQ, order)
     if kind == KIND_TODD:
@@ -245,37 +244,6 @@ def cpn_genus(g: GenusSpec, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Hyperbolic helper series, the references for the a_hat closed forms.
-# ---------------------------------------------------------------------------
-
-
-def sinh_series(ring: CoefficientRing, order: int) -> Series:
-    return Series(
-        ring,
-        [
-            ring.from_fraction(Fraction(1, factorial(k))) if k % 2 else ring.zero
-            for k in range(order + 1)
-        ],
-    )
-
-
-def cosh_series(ring: CoefficientRing, order: int) -> Series:
-    return Series(
-        ring,
-        [
-            ring.zero if k % 2 else ring.from_fraction(Fraction(1, factorial(k)))
-            for k in range(order + 1)
-        ],
-    )
-
-
-def arcsinh_u_over_2(order: int) -> Series:
-    """t(u) = arcsinh(u/2) over Q; the a_hat logarithm is 2t."""
-    w = Series.from_fractions(QQ, [0, 0, Fraction(1, 4)], order - 1)
-    return binomial_power(w, Fraction(-1, 2)).integrate().scale(Fraction(1, 2))
-
-
-# ---------------------------------------------------------------------------
 # Genus names as accepted by the command line.
 # ---------------------------------------------------------------------------
 
@@ -286,8 +254,6 @@ _NAME_TO_KIND = {
     "ahat": KIND_A_HAT,
     "elliptic": KIND_ELLIPTIC,
 }
-
-_KIND_TO_NAME = {v: k for k, v in _NAME_TO_KIND.items()}
 
 
 def parse_genus_name(text: str):
@@ -304,11 +270,3 @@ def parse_genus_name(text: str):
     raise BadParams(
         f"unknown genus name {text!r}; expected td, euler, L, chi_y:<y>, ahat or elliptic"
     )
-
-
-def genus_name(kind: str, y: Optional[Rational] = None) -> str:
-    if kind == KIND_CHI_Y:
-        return f"chi_y:{y}"
-    if kind in _KIND_TO_NAME:
-        return _KIND_TO_NAME[kind]
-    return kind

@@ -1,22 +1,20 @@
 """Exact coefficient arithmetic.
 
-Four coefficient domains, all exact:
+Two exact coefficient domains and their images mod p:
 
 * ``Rational`` -- stdlib :class:`fractions.Fraction` (already canonical:
-  gcd-reduced, positive denominator).
-* :class:`ModP` -- a residue mod p, p an odd prime.
+  gcd-reduced, positive denominator), reduced to :class:`ModP`.
 * :class:`GradedPoly` -- Q[delta, eps] with the weighted grading
-  deg(delta) = 2, deg(eps) = 4.
-* :class:`GradedPolyModP` -- F_p[delta, eps], the image of GradedPoly mod p.
+  deg(delta) = 2, deg(eps) = 4, where the elliptic genus takes its values;
+  reduced to :class:`GradedPolyModP`, i.e. F_p[delta, eps].
 
 Reduction mod p is only defined for p-integral inputs: a rational (or a
 polynomial coefficient) with p dividing its denominator raises
 :class:`~zpgenus.errors.NonIntegralAtP`.  This is the single choke point for
 p-integrality diagnostics in the whole package.
 
-The module also exposes two ring descriptors (:data:`QQ` and :data:`DE`) so
-the series layer can stay generic over the exact coefficient domain; the
-mod-p types only receive final reductions.
+The descriptors :data:`QQ` and :data:`DE` name the two exact domains for the
+series layer; the mod-p types only receive final reductions.
 """
 from __future__ import annotations
 
@@ -24,12 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Union
 
-from .errors import (
-    BadParams,
-    NonIntegralAtP,
-    ZeroDivision,
-    ZeroPolynomial,
-)
+from .errors import BadParams, NonIntegralAtP, ZeroDivision
 
 Rational = Fraction
 
@@ -133,21 +126,6 @@ def _term_sort_key(m: Monomial):
     return (-_monomial_degree(m), -m[0])
 
 
-class _Inhomogeneous:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INHOMOGENEOUS"
-
-
-INHOMOGENEOUS = _Inhomogeneous()
-
-
 class GradedPoly:
     """An element of Q[delta, eps], stored sparsely as {(a, b): coefficient}.
 
@@ -239,18 +217,6 @@ class GradedPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise BadParams(f"polynomial power wants k >= 0, got {k!r}")
-        out = GradedPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def substitute(self, delta_val: Union[Rational, int], eps_val: Union[Rational, int]) -> Rational:
         """Evaluate at delta = delta_val, eps = eps_val."""
         dv, ev = Fraction(delta_val), Fraction(eps_val)
@@ -285,22 +251,6 @@ class GradedPoly:
         return poly_to_text(self)
 
 
-def weighted_degree(q: GradedPoly):
-    """Weighted degree of a nonzero homogeneous polynomial.
-
-    Returns the sentinel INHOMOGENEOUS when terms of different weighted
-    degrees are mixed; raises ZeroPolynomial on the zero polynomial.
-    """
-    if not isinstance(q, GradedPoly):
-        raise BadParams(f"weighted_degree wants a GradedPoly, got {type(q).__name__}")
-    if q.is_zero():
-        raise ZeroPolynomial("the zero polynomial has no weighted degree")
-    degrees = {_monomial_degree(m) for m in q.terms}
-    if len(degrees) > 1:
-        return INHOMOGENEOUS
-    return degrees.pop()
-
-
 class GradedPolyModP:
     """An element of F_p[delta, eps]: integer coefficients in [1, p-1], sparse."""
 
@@ -318,10 +268,6 @@ class GradedPolyModP:
 
     def __setattr__(self, name, val):
         raise AttributeError("GradedPolyModP is immutable")
-
-    @classmethod
-    def zero(cls, p: int) -> "GradedPolyModP":
-        return cls({}, p)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -365,7 +311,7 @@ def poly_reduce_mod_p(q: GradedPoly, p: int) -> GradedPolyModP:
 # ---------------------------------------------------------------------------
 # Text form: "c", "c*delta^a", "c*eps^b", "c*delta^a*eps^b" joined by " + ",
 # exponent 1 omitted, terms in descending weighted degree then descending
-# delta exponent.  Round-trips bit-exactly.
+# delta exponent.
 # ---------------------------------------------------------------------------
 
 
@@ -385,92 +331,14 @@ def poly_to_text(q: Union[GradedPoly, GradedPolyModP]) -> str:
     return " + ".join(_term_to_text(m, c) for m, c in q.sorted_terms())
 
 
-def _parse_term(text: str):
-    pieces = text.split("*")
-    try:
-        c = Fraction(pieces[0])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise BadParams(f"bad coefficient {pieces[0]!r} in term {text!r}") from exc
-    a = b = 0
-    for piece in pieces[1:]:
-        if piece.startswith("delta"):
-            rest, cur = piece[len("delta"):], "delta"
-        elif piece.startswith("eps"):
-            rest, cur = piece[len("eps"):], "eps"
-        else:
-            raise BadParams(f"bad factor {piece!r} in term {text!r}")
-        if rest == "":
-            e = 1
-        elif rest.startswith("^"):
-            try:
-                e = int(rest[1:])
-            except ValueError as exc:
-                raise BadParams(f"bad exponent in {piece!r}") from exc
-        else:
-            raise BadParams(f"bad factor {piece!r} in term {text!r}")
-        if cur == "delta":
-            a += e
-        else:
-            b += e
-    return (a, b), c
-
-
-def poly_from_text(text: str) -> GradedPoly:
-    """Parse the text form of a GradedPoly (inverse of poly_to_text)."""
-    text = text.strip()
-    if not text:
-        raise BadParams("empty polynomial text")
-    if text == "0":
-        return GradedPoly.zero()
-    terms = {}
-    for chunk in text.split(" + "):
-        m, c = _parse_term(chunk.strip())
-        terms[m] = terms.get(m, Fraction(0)) + c
-    return GradedPoly(terms)
-
-
 # ---------------------------------------------------------------------------
-# Ring descriptors.  A descriptor carries just enough for the series layer:
-# distinguished elements, conversions, and unit tests.
+# Ring descriptors: the distinguished elements, conversions and unit tests a
+# series needs from its coefficient domain.
 # ---------------------------------------------------------------------------
 
 
-class CoefficientRing:
-    """Descriptor protocol; concrete subclasses are singletons."""
-
-    name: str = "?"
-
-    @property
-    def zero(self):
-        raise NotImplementedError
-
-    @property
-    def one(self):
-        raise NotImplementedError
-
-    def from_fraction(self, q: Rational):
-        raise NotImplementedError
-
-    def is_unit(self, x) -> bool:
-        raise NotImplementedError
-
-    def invert(self, x):
-        raise NotImplementedError
-
-    def __repr__(self):
-        return self.name
-
-
-class _RationalField(CoefficientRing):
-    name = "Q"
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+class _RationalField:
+    zero, one = Fraction(0), Fraction(1)
 
     def from_fraction(self, q: Rational):
         return Fraction(q)
@@ -483,17 +351,12 @@ class _RationalField(CoefficientRing):
             raise ZeroDivision("division by zero in Q")
         return 1 / Fraction(x)
 
+    def __repr__(self):
+        return "Q"
 
-class _GradedRing(CoefficientRing):
-    name = "Q[delta,eps]"
 
-    @property
-    def zero(self):
-        return GradedPoly.zero()
-
-    @property
-    def one(self):
-        return GradedPoly.one()
+class _GradedRing:
+    zero, one = GradedPoly.zero(), GradedPoly.one()
 
     def from_fraction(self, q: Rational):
         return GradedPoly.const(q)
@@ -503,9 +366,13 @@ class _GradedRing(CoefficientRing):
 
     def invert(self, x):
         if not self.is_unit(x):
-            raise ZeroDivision(f"{x!r} is not a unit in {self.name}")
+            raise ZeroDivision(f"{x!r} is not a unit in {self!r}")
         return GradedPoly.const(1 / x.constant_value())
+
+    def __repr__(self):
+        return "Q[delta,eps]"
 
 
 QQ = _RationalField()
 DE = _GradedRing()
+Ring = Union[_RationalField, _GradedRing]

@@ -34,7 +34,7 @@ from .errors import (
     RingMismatch,
     ZeroDivision,
 )
-from .rings import QQ, CoefficientRing
+from .rings import QQ, Ring
 
 Scalar = Union[int, Fraction]
 
@@ -42,7 +42,7 @@ Scalar = Union[int, Fraction]
 class Series:
     __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring: CoefficientRing, coeffs: Sequence, order: int | None = None):
+    def __init__(self, ring: Ring, coeffs: Sequence, order: int | None = None):
         coeffs = list(coeffs)
         if order is not None:
             if order < 0:
@@ -61,21 +61,21 @@ class Series:
 
     # -- constructors --------------------------------------------------------
     @classmethod
-    def zero(cls, ring: CoefficientRing, order: int) -> "Series":
+    def zero(cls, ring: Ring, order: int) -> "Series":
         return cls(ring, [], order)
 
     @classmethod
-    def one(cls, ring: CoefficientRing, order: int) -> "Series":
+    def one(cls, ring: Ring, order: int) -> "Series":
         return cls(ring, [ring.one], order)
 
     @classmethod
-    def identity(cls, ring: CoefficientRing, order: int) -> "Series":
+    def identity(cls, ring: Ring, order: int) -> "Series":
         if order < 1:
             raise BadParams("the identity series u needs order >= 1")
         return cls(ring, [ring.zero, ring.one], order)
 
     @classmethod
-    def from_fractions(cls, ring: CoefficientRing, coeffs: Sequence[Scalar], order: int) -> "Series":
+    def from_fractions(cls, ring: Ring, coeffs: Sequence[Scalar], order: int) -> "Series":
         return cls(ring, [ring.from_fraction(Fraction(c)) for c in coeffs], order)
 
     # -- basic structure -----------------------------------------------------
@@ -352,6 +352,6 @@ def binomial_power(w: Series, alpha: Scalar) -> "Series":
     return acc
 
 
-def geometric(ring: CoefficientRing, order: int) -> Series:
+def geometric(ring: Ring, order: int) -> Series:
     """1/(1-u) = 1 + u + u^2 + ... as an explicit polynomial-free construction."""
     return Series(ring, [ring.one] * (order + 1))

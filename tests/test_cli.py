@@ -1,5 +1,9 @@
 """Command-line interface: verbs, formats, exit codes."""
+import itertools
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +179,84 @@ def test_bad_input_exits_2(tmp_path, capsys):
             rc = main([verb, "--genus", "td", "--weights", str(path), "--format", "json"])
             assert rc == 2, doc
             assert json.loads(capsys.readouterr().err)["error"] == "BadParams", doc
+
+
+# Each verb with a bad input; the error name and detail go to stderr, nothing to stdout.
+BAD_INPUTS = [
+    (["compute", "--genus", "td", "--p", "4", "--residues", "0,1"], "BadParams"),
+    (["cf-check", "--genus", "td", "--p", "5", "--residues", "0,5"], "DuplicateResidues"),
+    (["ab", "--genus", "td", "--p", "7", "--residues", "0,2"], "ZeroWeight"),
+    (["cpn", "--p", "4", "--n", "1"], "BadParams"),
+    (["legendre", "--p", "7", "--n", "3"], "BadParams"),
+    (["thm71", "--genus", "td", "--p", "5", "--residues", "0,1,2,3,4"], "GuardViolation"),
+    (["submanifold", "--genus", "td", "--weights", "/no/such/file.json"], "BadParams"),
+]
+
+
+@pytest.mark.parametrize("argv, error", BAD_INPUTS, ids=[argv[0] for argv, _ in BAD_INPUTS])
+def test_bad_input_exits_2_with_diagnostic(argv, error, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name, detail = captured.err.splitlines()
+    assert name == f"error: {error}" and detail.startswith("detail: ")
+
+
+def test_selftest_bad_input_exits_2(capsys):
+    # selftest reads only --format, so its one bad input is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--format", "yaml"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'yaml'" in capsys.readouterr().err
+
+
+# A verb takes only the flags it reads; these were accepted and ignored before.
+DROPPED_FLAGS = [
+    (["compute", "--genus", "td", "--p", "5", "--residues", "0,1,2"], "--n", "2"),
+    (["cf-check", "--genus", "td", "--p", "5", "--residues", "0,1,2"], "--n", "2"),
+    (["ab", "--genus", "td", "--p", "5", "--residues", "1,2"], "--n", "2"),
+    (["cpn", "--p", "5", "--n", "2"], "--format", "json"),
+    (["thm71", "--genus", "td", "--p", "5", "--residues", "0,1,2"], "--n", "2"),
+    (["submanifold", "--genus", "td", "--weights", "sub.json"], "--p", "5"),
+    (["submanifold", "--genus", "td", "--weights", "sub.json"], "--residues", "0,1"),
+    (["submanifold", "--genus", "td", "--weights", "sub.json"], "--n", "2"),
+    (["selftest"], "--p", "5"),
+    (["selftest"], "--residues", "0,1"),
+    (["selftest"], "--n", "2"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value", DROPPED_FLAGS, ids=[f"{argv[0]}{flag}" for argv, flag, _ in DROPPED_FLAGS]
+)
+def test_dropped_flags_exit_2(argv, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def _readme_examples():
+    """(argv, shown stdout) for each `$ zpgenus` line of the README's sh blocks, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        lines = block.splitlines()
+        for i, line in enumerate(lines):
+            if line.startswith("$ zpgenus "):
+                shown = itertools.takewhile(lambda out: not out.startswith("$ "), lines[i + 1:])
+                yield shlex.split(line)[2:], "".join(out + "\n" for out in shown)
+
+
+def test_readme_examples(tmp_path, monkeypatch, capsys):
+    # run in order, since an example may read a file an earlier one wrote
+    monkeypatch.chdir(tmp_path)
+    examples = list(_readme_examples())
+    assert sum(1 for _, shown in examples if shown) == 3
+    for argv, shown in examples:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if shown:
+            assert out == shown, argv
 
 
 def test_selftest(capsys):

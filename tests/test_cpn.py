@@ -4,6 +4,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from reference_series import legendre_coeffs_by_expansion
 
 from zpgenus.cpn import (
     EQ46_MAX_P,
@@ -21,7 +22,7 @@ from zpgenus.cpn import (
 from zpgenus.engine import WeightSet, genus_mod_p, reduce_value
 from zpgenus.errors import BadParams, DuplicateResidues
 from zpgenus.genus import cpn_genus, make_genus
-from zpgenus.rings import GradedPoly, is_odd_prime, poly_reduce_mod_p, weighted_degree
+from zpgenus.rings import GradedPoly, is_odd_prime, poly_reduce_mod_p
 
 D = GradedPoly.delta()
 E = GradedPoly.eps()
@@ -59,6 +60,12 @@ def test_legendre_frozen():
         legendre_coeffs(-1)
 
 
+def test_legendre_closed_sum_matches_generating_function():
+    # the explicit sum against (1 - 2tu + u^2)^{-1/2} expanded over Q[delta, eps]
+    for m in range(31):
+        assert legendre_coeffs(m) == legendre_coeffs_by_expansion(m), m
+
+
 def test_legendre_recurrence_and_special_values():
     samples = (F(0), F(1), F(-1), F(3, 7), F(-2, 5))
     for m in range(1, 9):
@@ -78,7 +85,7 @@ def test_homogenized_legendre():
     assert homogenized_legendre(2) == D * D * F(3, 2) + E * F(-1, 2)
     for m in range(1, 7):
         h = homogenized_legendre(m)
-        assert weighted_degree(h) == 2 * m
+        assert {2 * a + 4 * b for a, b in h.terms} == {2 * m}
         for t in (F(2), F(-1, 3)):
             assert h.substitute(t, 1) == legendre_value(m, t)
 

@@ -488,6 +488,20 @@ def test_theta_functions_refuse_p_above_bound():
     assert trace_theta_power("todd", below, -1) == F(below - 1, 2)
 
 
+def test_trace_theta_power_refuses_long_exponents_at_once():
+    # p |k| bitlen(L1) above TRACE_MAX_BITS is refused before any power is
+    # taken; chi_y:2 at p = 2039, k = 3 would pack 12.5 Mbit.
+    below = next(q for q in range(TRACE_MAX_P, 2, -1) if is_odd_prime(q))
+    calls = [(kind, p, k, y) for kind, y in _THETA_KINDS for p in (7, below)
+             for k in (10**9, -(10**9))]
+    calls += [("chi_y", below, 3, 2)]
+    for kind, p, k, y in calls:
+        start = time.perf_counter()
+        with pytest.raises(BadParams, match="TRACE_MAX_BITS"):
+            trace_theta_power(kind, p, k, y)
+        assert time.perf_counter() - start < 0.1, (kind, p, k, y)
+
+
 def test_trace_table_takes_any_integer_vector():
     # The slot table shifts any integer vector by its minimum (a multiple of
     # sum_k t^k); products of its images under t -> t^x keep their exact trace.

@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from reference_series import arcsinh_u_over_2, cosh_series
 
 from zpgenus import cli
 from zpgenus import engine as engine_module
@@ -39,14 +40,7 @@ from zpgenus.errors import (
     UnsupportedKind,
     ZeroWeight,
 )
-from zpgenus.genus import (
-    TRACE_KINDS,
-    arcsinh_u_over_2,
-    cosh_series,
-    cpn_genus,
-    make_genus,
-    power_system,
-)
+from zpgenus.genus import TRACE_KINDS, cpn_genus, make_genus, power_system
 from zpgenus.rings import QQ, GradedPoly, ModP, poly_reduce_mod_p, rational_reduce_mod_p
 from zpgenus.series import Series
 

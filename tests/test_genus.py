@@ -1,9 +1,9 @@
 """The genus catalog: logarithms, characteristic series, power systems."""
-import random
 from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from reference_series import cosh_series, sinh_series
 
 from zpgenus.errors import (
     BadParams,
@@ -13,16 +13,13 @@ from zpgenus.errors import (
 )
 from zpgenus.genus import (
     CATALOG_KINDS,
-    cosh_series,
     cpn_genus,
-    genus_name,
     make_genus,
     parse_genus_name,
     power_system,
     power_system_closed,
-    sinh_series,
 )
-from zpgenus.rings import DE, QQ, GradedPoly, weighted_degree
+from zpgenus.rings import DE, QQ, GradedPoly
 from zpgenus.series import Series, binomial_power
 
 D = GradedPoly.delta()
@@ -123,15 +120,14 @@ def test_elliptic_homogeneity():
     for series in (g.logarithm, g.f_series, power_system(g, 3)):
         for m in range(1, 13):
             c = series[m]
-            if not c.is_zero():
-                assert weighted_degree(c) == m - 1, (m, c)
+            assert {2 * a + 4 * b for a, b in c.terms} <= {m - 1}, (m, c)
     deriv = g.logarithm.differentiate()
     for m in range(12):
         c = deriv[m]
         if m % 2:
             assert c.is_zero()
         else:
-            assert weighted_degree(c) == m
+            assert {2 * a + 4 * b for a, b in c.terms} == {m}
 
 
 def test_elliptic_power_system_3_closed_form():
@@ -246,9 +242,9 @@ def test_genus_names():
     assert parse_genus_name("L") == ("l_genus", None)
     assert parse_genus_name("chi_y:-1/2") == ("chi_y", F(-1, 2))
     assert parse_genus_name("ahat") == ("a_hat", None)
-    for name in ("td", "euler", "L", "ahat", "elliptic", "chi_y:2"):
-        kind, y = parse_genus_name(name)
-        assert genus_name(kind, y) == name
+    assert parse_genus_name("euler") == ("euler", None)
+    assert parse_genus_name("elliptic") == ("elliptic", None)
+    assert parse_genus_name("chi_y:2") == ("chi_y", F(2))
     with pytest.raises(BadParams):
         parse_genus_name("todd_genus")
     with pytest.raises(BadParams):

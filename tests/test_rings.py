@@ -5,23 +5,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from zpgenus.errors import (
-    BadParams,
-    NonIntegralAtP,
-    ZeroPolynomial,
-)
+from zpgenus.errors import BadParams, NonIntegralAtP
 from zpgenus.rings import (
-    INHOMOGENEOUS,
     GradedPoly,
     GradedPolyModP,
     ModP,
     is_odd_prime,
-    poly_from_text,
     poly_reduce_mod_p,
     poly_to_text,
     rational_reduce_mod_p,
     require_odd_prime,
-    weighted_degree,
 )
 
 D = GradedPoly.delta()
@@ -99,16 +92,6 @@ def test_graded_poly_basic_algebra():
     assert hash(D + E) == hash(E + D)
 
 
-def test_weighted_degree():
-    assert weighted_degree(D) == 2
-    assert weighted_degree(E) == 4
-    assert weighted_degree(D * D + E * 7) == 4
-    assert weighted_degree(ONE) == 0
-    assert weighted_degree(D + E) is INHOMOGENEOUS
-    with pytest.raises(ZeroPolynomial):
-        weighted_degree(GradedPoly.zero())
-
-
 def test_weighted_degree_multiplicative():
     rng = random.Random(7)
     for _ in range(50):
@@ -117,7 +100,7 @@ def test_weighted_degree_multiplicative():
         # random homogeneous polys of weighted degrees 2*d1.. and 2*d2..
         q1 = GradedPoly({(d1 - 2 * b, b): rng.randint(1, 5) for b in range(d1 // 2 + 1)})
         q2 = GradedPoly({(d2 - 2 * b, b): rng.randint(1, 5) for b in range(d2 // 2 + 1)})
-        assert weighted_degree(q1 * q2) == weighted_degree(q1) + weighted_degree(q2)
+        assert {2 * a + 4 * b for a, b in (q1 * q2).terms} == {2 * d1 + 2 * d2}
 
 
 def test_poly_reduce_mod_p():
@@ -132,29 +115,11 @@ def test_poly_text_round_trip_fixed():
     q = D * D * F(3, 2) + E * F(-1, 2)
     text = poly_to_text(q)
     assert text == "3/2*delta^2 + -1/2*eps"
-    assert poly_from_text(text) == q
     assert poly_to_text(GradedPoly.zero()) == "0"
-    assert poly_from_text("0") == GradedPoly.zero()
     assert poly_to_text(ONE * 7) == "7"
     # ordering: descending weighted degree, then descending delta exponent
     q2 = E + D * D + D + ONE * 2
     assert poly_to_text(q2) == "1*delta^2 + 1*eps + 1*delta + 2"
-
-
-def test_poly_text_round_trip_random():
-    rng = random.Random(31)
-    for _ in range(100):
-        terms = {}
-        for _ in range(rng.randint(0, 6)):
-            terms[(rng.randint(0, 4), rng.randint(0, 3))] = F(
-                rng.randint(-9, 9), rng.randint(1, 9)
-            )
-        q = GradedPoly(terms)
-        assert poly_from_text(poly_to_text(q)) == q
-    with pytest.raises(BadParams):
-        poly_from_text("3*gamma")
-    with pytest.raises(BadParams):
-        poly_from_text("")
 
 
 def test_substitution():
