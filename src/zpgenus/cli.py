@@ -225,12 +225,10 @@ def _run_legendre(args) -> int:
         )
         _emit(args, {"verb": "legendre", "check": "power-system", **report46.to_json_dict()})
         return 0 if ok else 1
-    if args.residues is not None:
-        report = check_eq45(args.p, residues=_parse_int_list(args.residues))
-    elif args.n % 2:
+    if args.n is not None and args.n % 2:
         raise BadParams("the projective check needs even n")
-    else:
-        report = check_eq45(args.p, m=args.n // 2)
+    residues = None if args.residues is None else _parse_int_list(args.residues)
+    report = check_eq45(args.p, residues, None if args.n is None else args.n // 2)
     _emit(args, {"verb": "legendre", "check": "projective", **report.to_json_dict()})
     return 0 if report.equal and report.cpn_matches else 1
 

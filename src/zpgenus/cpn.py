@@ -170,7 +170,7 @@ def check_eq45(
         if rt.n % 2:
             raise BadParams(f"check_eq45 needs even n, got n = {rt.n}")
         if m is not None and 2 * m != rt.n:
-            raise BadParams(f"m = {m} contradicts n = {rt.n}")
+            raise BadParams(f"m = {m} (n = {2 * m}) contradicts n = {rt.n} of the residues")
         m = rt.n // 2
     n = 2 * m
     w = cpn_weight_set(rt)

@@ -47,6 +47,15 @@ TRACE_MAX_P = 2048
 # The largest p |k| bitlen(L1 of the shifted preimage), about the packed bits of
 # theta^k, for trace_theta_power: 1.4 Mbit took 1.4 s, 3.2 Mbit 4.0 s (3.11, Xeon).
 TRACE_MAX_BITS = 2**21
+# The same bound on p n bitlen(L1) for a product of n weights, which costs n
+# products instead of about 2 log2 |k|: at p = 2039, chi_y:2 took 22 s at
+# 2.1 Mbit (n = 44), and 2.9 s at this bound (n = 22; todd n = 24, 4.1 s)
+# (3.11, Xeon).
+TRACE_ROUTE_MAX_BITS = 2**20
+# The largest count * p * width bytes of packed factors a route table keeps
+# between calls; a call that starts above it drops them.  All p - 1 factors of
+# todd at p = 2039, n = 3 would take about 33 MB.
+TRACE_CACHE_BYTES = 2**20
 
 
 def _require_trace_prime(p: int, what: str) -> None:
@@ -86,12 +95,7 @@ def trace_theta_power(
     vec, den = _trace_preimage(kind, p, y, theta=k > 0)
     if k == 0:
         return Fraction(p - 1)
-    bits = p * abs(k) * (sum(vec) - p * min(vec)).bit_length()
-    if bits > TRACE_MAX_BITS:
-        raise BadParams(
-            f"Tr(theta^{k}) at p = {p} packs about {bits} bits; TRACE_MAX_BITS = {TRACE_MAX_BITS}"
-        )
-    den, slots, total, width = _trace_table(vec, den, abs(k))
+    den, slots, total, width, _ = _trace_table(vec, den, abs(k), power=True)
     shift = 8 * width * p
     mask = (1 << shift) - 1
     factor, power = int.from_bytes(b"".join(slots), "little"), 1
@@ -125,7 +129,7 @@ def ab_trace(
     The factor for a weight x is the theta-machinery analogue of u/[u]_x:
     todd 1/(1-zeta^x), l_genus (1+zeta^x)/(1-zeta^x), chi_y
     (1+y zeta^x)/(1-zeta^x), a_hat zeta^{x(p+1)/2}/(1-zeta^x), euler 1.
-    A one-point call of :func:`_trace_total`.
+    A one-point call of :func:`_trace_total` on a fresh table.
     """
     weights = tuple(weights)
     table = _trace_table(*_trace_preimage(kind, p, y), len(weights))
@@ -163,38 +167,54 @@ def _trace_preimage(kind: str, p: int, y: Union[Rational, int, None], theta: boo
     return [b * c + a * d for c, d in zip(vec, vec[-1:] + vec[:-1])], p * b
 
 
-def _trace_table(vec: list, den: int, n: int):
-    """(den^n, slots, total, width) for products of n factors sum_j vec[j] t^j / den.
+def _trace_table(vec: list, den: int, n: int, power: bool = False):
+    """(den^n, slots, total, width, packed) for products of n factors sum_j vec[j] t^j / den.
 
     ``slots`` holds vec minus its minimum, a multiple of sum_k t^k (0 in the
     field) that makes it nonnegative, at ``width`` bytes per coefficient; no
-    product coefficient exceeds ``total``.
+    product coefficient exceeds ``total``.  ``packed`` maps a weight to its
+    packed factor and is filled by :func:`_trace_total`.  A product whose
+    packed size, about p n bitlen(sum_j slots[j]) bits, exceeds
+    TRACE_ROUTE_MAX_BITS (TRACE_MAX_BITS for a theta power) is refused with
+    BadParams before anything is packed.
     """
     low = min(vec)
     one = sum(vec) - len(vec) * low  # sum_j slots[j], as t -> 1 is a ring map
+    bits = len(vec) * n * one.bit_length()
+    limit = TRACE_MAX_BITS if power else TRACE_ROUTE_MAX_BITS
+    if bits > limit:
+        name = "TRACE_MAX_BITS" if power else "TRACE_ROUTE_MAX_BITS"
+        raise BadParams(f"{n} factors at p = {len(vec)} pack about {bits} bits; {name} = {limit}")
     width = (max(one, one**n).bit_length() + 8) // 8  # a factor's or product's sum, plus a bit
-    return den**n, [(c - low).to_bytes(width, "little") for c in vec], one**n, width
+    return den**n, [(c - low).to_bytes(width, "little") for c in vec], one**n, width, {}
 
 
 def _trace_total(p: int, table, points) -> Fraction:
     """sum k (-Tr prod_{x in pt} factor(x)) over (pt, k) in points, over the table's den.
 
-    The factor of x, that of 1 under t -> t^x, is packed once per call; a weight
-    costs one bigint product and a fold of t^{p+i} onto t^i.
+    The factor of x, that of 1 under t -> t^x, is read from the table's packed
+    factors and packed there on a miss, so a table kept on the genus packs a
+    weight once across calls; a call that starts with more than
+    TRACE_CACHE_BYTES of them drops them first.  A weight then costs one
+    bigint product and a fold of t^{p+i} onto t^i.
     """
-    den, slots, total, width = table
+    den, slots, total, width, packed = table
+    if len(packed) * p * width > TRACE_CACHE_BYTES:
+        packed.clear()
     shift = 8 * width * p
-    mask = (1 << shift) - 1
-    num, packed = 0, {}
+    mask, slot = (1 << shift) - 1, (1 << 8 * width) - 1
+    num = 0
     for pt, k in points:
         prod = 1
         for x in pt:
-            if x not in packed:
+            factor = packed.get(x)
+            if factor is None:
                 v = pow(x, -1, p)
-                packed[x] = int.from_bytes(b"".join([slots[j * v % p] for j in range(p)]), "little")
-            prod *= packed[x]
+                factor = b"".join([slots[j * v % p] for j in range(p)])
+                factor = packed[x] = int.from_bytes(factor, "little")
+            prod *= factor
             prod = (prod & mask) + (prod >> shift)
-        num += k * (total - p * (prod & (1 << 8 * width) - 1))
+        num += k * (total - p * (prod & slot))
     return Fraction(num, den)
 
 

@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from typing import Iterable, Sequence, Tuple, Union
 
 from .cyclotomic import _kind_param, _theta_polynomial, _trace_preimage, _trace_table, _trace_total
@@ -317,10 +317,13 @@ def _pack(coeffs: list, width: int) -> int:
 
 
 def _packed_table(g: GenusSpec, p: int, n: int, route: str, weights: set):
-    """(F, den, W, top, packed), cached on g: F = p u/[u]_p (pseries) or -B (ab) over
-    den and packed[x] = (u/[u]_x over d_x, d_x) for the weights so far, through u^n,
-    each by :func:`_pack` at width W.  A product coefficient is at most L1(F) top^n,
-    top the largest factor L1; W holds that and a sign, and a larger L1 repacks all.
+    """(F, den, W, top, packed, slot, half, mask, off), cached on g: F = p u/[u]_p
+    (pseries) or -B (ab) over den and packed[x] = (u/[u]_x over d_x, d_x) for the
+    weights so far, through u^n, each by :func:`_pack` at width W.  A product
+    coefficient is at most L1(F) top^n, top the largest factor L1; W holds that
+    and a sign, and a larger L1 repacks all.  slot masks one coefficient, mask
+    all n + 1, and off adds half = 2^(W-1) to each so that every slot reads
+    nonnegative.
     """
     table = g._tables.get((p, n, route))
     known = table[4] if table else {}
@@ -333,7 +336,9 @@ def _packed_table(g: GenusSpec, p: int, n: int, route: str, weights: set):
         lead = b_series(g.kind, p, n, g.y).scale(-1) if route == "ab" else p_power_factor(g, p, n)
         first, den = integer_numerators(lead.coeffs)
         width = (sum(map(abs, first)) * top**n).bit_length() + 1
-        table = g._tables[p, n, route] = (_pack(first, width), den, width, top, {})
+        slot, half, mask = (1 << width) - 1, 1 << width - 1, (1 << width * (n + 1)) - 1
+        table = (_pack(first, width), den, width, top, {}, slot, half, mask, half * (mask // slot))
+        g._tables[p, n, route] = table
     table[4].update((x, (_pack(f, table[2]), d)) for x, (f, d) in nums.items())
     return table
 
@@ -342,8 +347,9 @@ def _point_sums(g: GenusSpec, w: WeightSet, route: str, ms: Iterable[int]) -> li
     """sum_j k_j <F A_j>_m for m in ms; j runs over ``w.distinct_points``, k_j
     is its multiplicity, A_j = prod u/[u]_x over its weights, and F is
     p u/[u]_p (pseries) or -B (ab).  Order n holds every coefficient read.
-    Over QQ a point is a product of packed ints (:func:`_packed_table`) and a sum
-    is one integer over den L^n, L = lcm d_x over w; other rings multiply series.
+    Over QQ a point is a product of packed ints (:func:`_packed_table`), whose
+    factor denominators d_x multiply in the same loop, and a sum is one integer
+    over den L^n, L = lcm d_x over w; other rings multiply series.
     """
     n = w.n
     g = ensure_order(g, n + 1)
@@ -353,18 +359,17 @@ def _point_sums(g: GenusSpec, w: WeightSet, route: str, ms: Iterable[int]) -> li
         prods = [(k, pf * a_series(g, pt, n)) for pt, k in points]
         return [sum((a[m] * k for k, a in prods), g.ring.zero) for m in ms]
     weights = {x for pt, _ in points for x in pt}
-    first, den, width, _, packed = _packed_table(g, w.p, n, route, weights)
-    slot, half = (1 << width) - 1, 1 << width - 1
-    mask = (1 << width * (n + 1)) - 1
-    off = half * (mask // slot)  # half in every slot, so each slot reads nonnegative
+    first, den, width, _, packed, slot, half, mask, off = _packed_table(g, w.p, n, route, weights)
     big = lcm(*[packed[x][1] for x in weights]) ** n  # each point's d_x product divides it
     sums = [0 for _ in ms]
     for pt, k in points:
-        acc = first
+        acc, d = first, 1
         for x in pt:
-            acc = acc * packed[x][0] & mask
+            f, dx = packed[x]
+            acc = acc * f & mask
+            d *= dx
         acc += off
-        k *= big // prod(packed[x][1] for x in pt)
+        k *= big // d
         for i, m in enumerate(ms):
             sums[i] += k * ((acc >> width * m & slot) - half)
     return [Fraction(s, den * big) for s in sums]

@@ -141,6 +141,7 @@ def make_genus(
     """
     if not isinstance(order, int) or order < 2:
         raise BadParams(f"order must be an int >= 2, got {order!r}")
+    y = _kind_y(kind, y)
     if kind == KIND_CUSTOM:
         if logarithm is None:
             raise BadParams("custom genus needs an explicit logarithm")
@@ -151,7 +152,6 @@ def make_genus(
         return GenusSpec(KIND_CUSTOM, None, logarithm)
     if logarithm is not None:
         raise BadParams("an explicit logarithm is only allowed with kind='custom'")
-    y = _kind_y(kind, y)
     if kind not in CATALOG_KINDS:
         raise UnsupportedKind(f"unknown genus kind {kind!r}")
 

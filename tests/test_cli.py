@@ -89,6 +89,25 @@ def test_legendre_projective_and_power_system(capsys):
     assert "EQ46_MAX_P" in capsys.readouterr().err
 
 
+def test_legendre_checks_residues_against_n(capsys):
+    # With both flags the residues must have n + 1 entries for an even n;
+    # a consistent pair prints what either flag alone prints.
+    runs, five = {}, ["--residues", "0,1,2,3,4"]
+    for argv in (five, ["--n", "4"], five + ["--n", "4"]):
+        for fmt in ("text", "json"):
+            assert main(["legendre", "--p", "7", *argv, "--format", fmt]) == 0
+            runs.setdefault(fmt, []).append(capsys.readouterr().out)
+    for outs in runs.values():
+        assert outs[0] == outs[1] == outs[2]
+    for argv, detail in ((["--residues", "0,1,2", "--n", "4"], "contradicts"),
+                         (["--residues", "0,1,2", "--n", "3"], "even n"),
+                         (["--residues", "0,1,2,3", "--n", "3"], "even n")):
+        assert main(["legendre", "--p", "7", *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: BadParams" in captured.err
+        assert detail in captured.err, argv
+
+
 def test_thm71_verb_and_guard(tmp_path, capsys):
     path = tmp_path / "w.json"
     assert main(["cpn", "--p", "5", "--n", "2", "--emit", str(path)]) == 0

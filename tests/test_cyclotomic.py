@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from reference_cyclotomic import CycloElem, evaluate_at_theta, theta_of
 from zpgenus.cyclotomic import (
+    TRACE_CACHE_BYTES,
     TRACE_MAX_P,
     _todd_preimage,
+    _trace_preimage,
     _trace_table,
     _trace_total,
     ab_trace,
@@ -26,6 +28,7 @@ from zpgenus.engine import (
     _route_total,
     a_series,
     b_series,
+    genus_mod_p,
     p_power_factor,
 )
 from zpgenus.errors import BadParams, UnsupportedKind, ZeroDivision, ZeroWeight
@@ -519,3 +522,44 @@ def test_trace_table_takes_any_integer_vector():
                 prod = _loop_cyclic_mul(prod, image)
             want = -k * F(p * prod[0] - sum(prod), den**n)
             assert _trace_total(p, _trace_table(vec, den, n), [(pt, k)]) == want, (p, vec, pt)
+
+
+def test_trace_table_factor_bytes_stay_bounded():
+    # At p = 2039 all p - 1 packed factors would take tens of MB; a stream of
+    # weight sets keeps at most TRACE_CACHE_BYTES plus one call's factors.
+    rng = random.Random(45)
+    p, n, y = 2039, 2, F(2)
+    g = make_genus("chi_y", n + 1, y)
+    g._tables.pop((p, n, "trace"), None)
+    den, slots, total, width, _ = _trace_table(*_trace_preimage("chi_y", p, y), n)
+    most = 0
+    for _ in range(10):
+        w = WeightSet(p, n, tuple(tuple(rng.randrange(1, p) for _ in range(n)) for _ in range(8)))
+        want = _trace_total(p, (den, slots, total, width, {}), w.distinct_points.items())
+        assert _route_total(g, w, "trace") == want
+        packed = g._tables[p, n, "trace"][4]
+        call = {x for pt in w.points for x in pt}
+        assert call <= packed.keys()
+        assert len(packed) * p * width <= TRACE_CACHE_BYTES + len(call) * p * width
+        most = max(most, len(packed))
+    assert most * p * width > TRACE_CACHE_BYTES  # the stream did pass the bound
+
+
+def test_trace_route_refuses_many_weights_at_once():
+    # p n bitlen(L1) above TRACE_ROUTE_MAX_BITS is refused before anything is
+    # packed: 44 weights of chi_y:2 at p = 2039 took about 22 s unbounded.
+    below = next(q for q in range(TRACE_MAX_P, 2, -1) if is_odd_prime(q))
+    for kind, y in _THETA_KINDS:
+        for n in (3000, 44):
+            weights = [x % (below - 1) + 1 for x in range(n)]
+            w = WeightSet(below, n, (tuple(weights),))
+            g = make_genus(kind, 2, y)
+            if kind == "euler" and n == 44:  # bitlen(L1) = 1: 44 weights stay cheap
+                assert ab_trace(kind, below, weights, y) == -(below - 1)
+                continue
+            start = time.perf_counter()
+            with pytest.raises(BadParams, match="TRACE_ROUTE_MAX_BITS"):
+                ab_trace(kind, below, weights, y)
+            with pytest.raises(BadParams, match="TRACE_ROUTE_MAX_BITS"):
+                genus_mod_p(g, w, "trace")
+            assert time.perf_counter() - start < 0.1, (kind, y, n)

@@ -430,15 +430,16 @@ def test_factor_cache_is_independent_of_fill_order(monkeypatch):
 
 
 def test_packed_tables_grow_with_new_weights(monkeypatch):
-    # A route's packed table covers the weights queried so far; a genus warmed
-    # with set A and then asked for set B (new weights, same p and n) must give
-    # the exact totals of a fresh genus on every route.
+    # A route's packed table covers the weights queried so far (for the trace
+    # route, up to its byte bound); a genus warmed with set A and then asked
+    # for set B (new weights, same p and n) must give the exact totals of a
+    # fresh genus on every route.
     def fresh(kind, y):
         monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
         return make_genus(kind, 2, y)
 
     kinds = [("todd", None), ("euler", None), ("l_genus", None), ("chi_y", F(-1, 2)),
-             ("a_hat", None), ("elliptic", None)]
+             ("chi_y", F(2)), ("a_hat", None), ("elliptic", None)]
     for p, n in ((7, 2), (11, 3)):
         low = WeightSet(p, n, ((1, 2, 3)[:n], (2, 1, 2)[:n], (1, 1, 3)[:n]))
         high = WeightSet(p, n, ((p - 1, 2, 5)[:n], (p - 2, 1, p - 1)[:n], (1, 2, 3)[:n]))
@@ -457,6 +458,7 @@ def test_packed_tables_grow_with_new_weights(monkeypatch):
                 lean = make_genus(kind, n + 1, y)
                 used = {x for w in (low, high) for pt in w.points for x in pt}
                 assert set(lean._tables[p, n, "pseries"][4]) == used
+                assert set(g._tables[p, n, "trace"][4]) == used
 
 
 def test_packed_width_is_bounded_by_the_largest_factor():

@@ -225,6 +225,15 @@ def test_custom_genus():
         make_genus("custom", 5, logarithm=Series.from_fractions(QQ, [0, 2], 5))
 
 
+def test_custom_genus_refuses_a_stray_y():
+    # like every other kind but chi_y, custom takes no y
+    log = Series.from_fractions(QQ, [0, 1, 0, F(1, 3), 0, F(1, 5)], 5)
+    for y in (5, F(1, 2), 0):
+        with pytest.raises(BadParams, match="does not take a parameter y"):
+            make_genus("custom", 5, y=y, logarithm=log)
+    assert make_genus("custom", 5, y=None, logarithm=log).y is None
+
+
 def test_make_genus_validation():
     with pytest.raises(BadParams):
         make_genus("todd", 1)
