@@ -202,6 +202,8 @@ def _run_cpn(args) -> int:
         rt = canonical_residues(args.p, args.n)
     else:
         rt = ResidueTuple(args.p, _parse_int_list(args.residues))
+        if args.n is not None and args.n != rt.n:
+            raise BadParams(f"--n {args.n} contradicts n = {rt.n} of the residues")
     w = cpn_weight_set(rt)
     doc = w.to_json_dict()
     if args.emit:

@@ -21,7 +21,7 @@ and the trace-route factor of a weight x is theta^{-1} (-theta^{-1} for
 a_hat) under zeta -> zeta^x.  Tr(theta^k) and the fixed-point contribution
 ab_trace = -Tr(prod_k factor(x_k)) share one kernel: each preimage is packed
 into one Python int, a weight costs one bigint product, and a sum over points
-builds one Fraction.
+is one integer over one denominator.
 """
 from __future__ import annotations
 
@@ -136,7 +136,7 @@ def ab_trace(
     weights = [x % p for x in weights]
     if not all(weights):
         raise ZeroWeight(f"weight divisible by p = {p}")
-    return _trace_total(p, table, [(weights, 1)])
+    return Fraction(*_trace_total(p, table, [(weights, 1)]))
 
 
 def _trace_preimage(kind: str, p: int, y: Union[Rational, int, None], theta: bool = False):
@@ -189,8 +189,9 @@ def _trace_table(vec: list, den: int, n: int, power: bool = False):
     return den**n, [(c - low).to_bytes(width, "little") for c in vec], one**n, width, {}
 
 
-def _trace_total(p: int, table, points) -> Fraction:
-    """sum k (-Tr prod_{x in pt} factor(x)) over (pt, k) in points, over the table's den.
+def _trace_total(p: int, table, points) -> Tuple[int, int]:
+    """(num, den): sum k (-Tr prod_{x in pt} factor(x)) over (pt, k) in points is
+    num/den, den the table's.
 
     The factor of x, that of 1 under t -> t^x, is read from the table's packed
     factors and packed there on a miss, so a table kept on the genus packs a
@@ -215,7 +216,7 @@ def _trace_total(p: int, table, points) -> Fraction:
             prod *= factor
             prod = (prod & mask) + (prod >> shift)
         num += k * (total - p * (prod & slot))
-    return Fraction(num, den)
+    return num, den
 
 
 def _theta_polynomial(

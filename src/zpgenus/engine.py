@@ -15,7 +15,7 @@ repeated fixed point once, times its multiplicity):
   Z[t]/(t^p - 1), sharing no series arithmetic with the other two routes.
 
 Over Q each route sums packed per-point integer products over one common
-denominator, one Fraction per total and coefficient read (:func:`_point_sums`).
+denominator, reduced mod p as ints; Fractions only where exact values are read.
 
 Realizable weight sets also satisfy the vanishing of the lower p-series
 coefficients (m = 0..n-1), exposed by :func:`cf_residuals`, and the exact
@@ -24,7 +24,6 @@ congruence of :func:`thm71_check` ties all of it together.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -66,10 +65,19 @@ ROUTES = ("pseries", "ab", "trace")
 
 
 def reduce_value(x, p: int) -> Residue:
-    """Reduce an exact route value (Fraction or GradedPoly) mod p."""
+    """Reduce an exact route value (Fraction or GradedPoly) mod p, or a sum given
+    as ints (num, den): p is cancelled from both as far as it goes, and only if
+    it still divides den is a Fraction built, to raise NonIntegralAtP on it."""
     if isinstance(x, GradedPoly):
         return poly_reduce_mod_p(x, p)
-    return rational_reduce_mod_p(x, p)
+    if not isinstance(x, tuple):
+        return rational_reduce_mod_p(x, p)
+    num, den = x
+    while not den % p:
+        if num % p:
+            return rational_reduce_mod_p(Fraction(num, den), p)
+        num, den = num // p, den // p
+    return ModP(num * pow(den, -1, p), p)
 
 
 def canonical_weight(x: int, p: int) -> int:
@@ -118,16 +126,18 @@ class WeightSet:
         return len(self.points)
 
     @cached_property
-    def distinct_points(self) -> Counter:
+    def distinct_points(self) -> dict:
         """Multiplicity per distinct fixed point, keyed by its first occurrence in
         points; route values ignore weight order.  Built once per set, read-only.
 
         Keying by a point the set already holds, not a new sorted tuple, halves
-        what a set retains: about 0.5 KB instead of 1 KB at 12 points.
+        what a set retains: about 0.5 KB instead of 1 KB at 12 points.  A plain
+        dict counted with get, not a Counter, skips a __missing__ call per point.
         """
-        first, counts = {}, Counter()
+        first, counts = {}, {}
         for pt in self.points:
-            counts[first.setdefault(tuple(sorted(pt)), pt)] += 1
+            pt = first.setdefault(tuple(sorted(pt)), pt)
+            counts[pt] = counts.get(pt, 0) + 1
         return counts
 
     def to_json_dict(self) -> dict:
@@ -316,20 +326,20 @@ def _pack(coeffs: list, width: int) -> int:
     return sum(c << width * i for i, c in enumerate(coeffs)) & (1 << width * len(coeffs)) - 1
 
 
-def _packed_table(g: GenusSpec, p: int, n: int, route: str, weights: set):
-    """(F, den, W, top, packed, slot, half, mask, off), cached on g: F = p u/[u]_p
+def _packed_table(g: GenusSpec, p: int, n: int, route: str, points):
+    """(F, den, W, top, packed, slot, half, mask, off, big, L), cached on g: F = p u/[u]_p
     (pseries) or -B (ab) over den and packed[x] = (u/[u]_x over d_x, d_x) for the
-    weights so far, through u^n, each by :func:`_pack` at width W.  A product
-    coefficient is at most L1(F) top^n, top the largest factor L1; W holds that
-    and a sign, and a larger L1 repacks all.  slot masks one coefficient, mask
-    all n + 1, and off adds half = 2^(W-1) to each so that every slot reads
-    nonnegative.
+    weights so far, now with those of points, through u^n, each by :func:`_pack`
+    at width W.  A product coefficient is at most L1(F) top^n, top the largest
+    factor L1; W holds that and a sign, and a larger L1 repacks all.  slot masks
+    one coefficient, mask all n + 1, and off adds half = 2^(W-1) to each so that
+    every slot reads nonnegative.  big = L^n, L = lcm d_x over packed, so each
+    point's d_x product divides big.
     """
     table = g._tables.get((p, n, route))
     known = table[4] if table else {}
-    if table is not None and weights <= known.keys():
-        return table
-    nums = {x: integer_numerators(power_factor(g, x, n).coeffs) for x in weights - known.keys()}
+    new = {x for pt, _ in points for x in pt} - known.keys()
+    nums = {x: integer_numerators(power_factor(g, x, n).coeffs) for x in new}
     top = max((sum(map(abs, f)) for f, _ in nums.values()), default=1)
     if table is None or top > table[3]:
         nums.update((x, integer_numerators(power_factor(g, x, n).coeffs)) for x in known)
@@ -337,19 +347,23 @@ def _packed_table(g: GenusSpec, p: int, n: int, route: str, weights: set):
         first, den = integer_numerators(lead.coeffs)
         width = (sum(map(abs, first)) * top**n).bit_length() + 1
         slot, half, mask = (1 << width) - 1, 1 << width - 1, (1 << width * (n + 1)) - 1
-        table = (_pack(first, width), den, width, top, {}, slot, half, mask, half * (mask // slot))
-        g._tables[p, n, route] = table
+        off = half * (mask // slot)
+        table = (_pack(first, width), den, width, top, {}, slot, half, mask, off, 1, 1)
     table[4].update((x, (_pack(f, table[2]), d)) for x, (f, d) in nums.items())
+    lcm_d = lcm(table[10], *[d for _, d in nums.values()])
+    table = g._tables[p, n, route] = table[:9] + (lcm_d**n, lcm_d)
     return table
 
 
-def _point_sums(g: GenusSpec, w: WeightSet, route: str, ms: Iterable[int]) -> list:
+def _point_totals(g: GenusSpec, w: WeightSet, route: str, ms: Iterable[int]) -> list:
     """sum_j k_j <F A_j>_m for m in ms; j runs over ``w.distinct_points``, k_j
     is its multiplicity, A_j = prod u/[u]_x over its weights, and F is
     p u/[u]_p (pseries) or -B (ab).  Order n holds every coefficient read.
     Over QQ a point is a product of packed ints (:func:`_packed_table`), whose
-    factor denominators d_x multiply in the same loop, and a sum is one integer
-    over den L^n, L = lcm d_x over w; other rings multiply series.
+    factor denominators d_x multiply in the same loop, and a sum is a pair
+    (num, den) of ints, den that of F times the table's big; a weight the table
+    lacks packs the call's weights, then the loop runs again.  Other rings
+    multiply series and give each sum exact.
     """
     n = w.n
     g = ensure_order(g, n + 1)
@@ -358,27 +372,42 @@ def _point_sums(g: GenusSpec, w: WeightSet, route: str, ms: Iterable[int]) -> li
         pf = p_power_factor(g, w.p, n)
         prods = [(k, pf * a_series(g, pt, n)) for pt, k in points]
         return [sum((a[m] * k for k, a in prods), g.ring.zero) for m in ms]
-    weights = {x for pt, _ in points for x in pt}
-    first, den, width, _, packed, slot, half, mask, off = _packed_table(g, w.p, n, route, weights)
-    big = lcm(*[packed[x][1] for x in weights]) ** n  # each point's d_x product divides it
+    table = g._tables.get((w.p, n, route)) or _packed_table(g, w.p, n, route, points)
+    first, den, width, _, packed, slot, half, mask, off, big, _ = table
     sums = [0 for _ in ms]
-    for pt, k in points:
-        acc, d = first, 1
-        for x in pt:
-            f, dx = packed[x]
-            acc = acc * f & mask
-            d *= dx
-        acc += off
-        k *= big // d
-        for i, m in enumerate(ms):
-            sums[i] += k * ((acc >> width * m & slot) - half)
-    return [Fraction(s, den * big) for s in sums]
+    try:
+        for pt, k in points:
+            acc, d = first, 1
+            for x in pt:
+                f, dx = packed[x]
+                acc = acc * f & mask
+                d *= dx
+            acc += off
+            k *= big // d
+            for i, m in enumerate(ms):
+                sums[i] += k * ((acc >> width * m & slot) - half)
+    except KeyError:
+        _packed_table(g, w.p, n, route, points)
+        return _point_totals(g, w, route, ms)
+    den *= big
+    return [(s, den) for s in sums]
 
 
-def _route_total(g: GenusSpec, w: WeightSet, route: str):
-    """The exact sum over fixed points of the chosen route's per-point value."""
+def _exact(total):
+    """A sum from :func:`_point_totals` or :func:`_route_sum` as an exact value."""
+    return Fraction(*total) if isinstance(total, tuple) else total
+
+
+def _point_sums(g: GenusSpec, w: WeightSet, route: str, ms: Iterable[int]) -> list:
+    """The sums of :func:`_point_totals`, exact: Fractions over QQ."""
+    return [_exact(t) for t in _point_totals(g, w, route, ms)]
+
+
+def _route_sum(g: GenusSpec, w: WeightSet, route: str):
+    """The sum over fixed points of the chosen route's per-point value: (num, den)
+    ints on the packed pseries, ab and trace loops, else exact."""
     if route == "pseries" or (route == "ab" and g.kind in B_SERIES_KINDS):
-        return _point_sums(g, w, route, [w.n])[0]
+        return _point_totals(g, w, route, [w.n])[0]
     points = w.distinct_points.items()
     if route == "trace" and points:
         if (w.p, w.n, route) not in g._tables:
@@ -389,17 +418,23 @@ def _route_total(g: GenusSpec, w: WeightSet, route: str):
     return sum((ab_coefficient(g, w.p, pt) * k for pt, k in points), Fraction(0))
 
 
+def _route_total(g: GenusSpec, w: WeightSet, route: str):
+    """The exact sum over fixed points of the chosen route's per-point value."""
+    return _exact(_route_sum(g, w, route))
+
+
 def genus_mod_p(g: GenusSpec, w: WeightSet, route: str = "pseries") -> Residue:
     """The genus of the ambient manifold mod p, by the chosen route.
 
     The exact per-point values are summed over Q (or Q[delta, eps]), each
-    distinct point once times its multiplicity, and only the total is reduced;
-    a non-p-integral total raises NonIntegralAtP, which for the pseries route
+    distinct point once times its multiplicity, and only the total is reduced,
+    over Q from its integer numerator and denominator (:func:`reduce_value`); a
+    non-p-integral total raises NonIntegralAtP, which for the pseries route
     flags non-realizable input data.
     """
     if route not in ROUTES:
         raise BadParams(f"route must be one of {ROUTES}, got {route!r}")
-    return reduce_value(_route_total(g, w, route), w.p)
+    return reduce_value(_route_sum(g, w, route), w.p)
 
 
 def cf_residuals(g: GenusSpec, w: WeightSet) -> list:
@@ -413,7 +448,7 @@ def cf_residuals(g: GenusSpec, w: WeightSet) -> list:
     if w.n < 1:
         raise BadParams("cf_residuals needs n >= 1")
     out = []
-    for total in _point_sums(g, w, "pseries", range(w.n)):
+    for total in _point_totals(g, w, "pseries", range(w.n)):
         try:
             out.append(reduce_value(total, w.p))
         except NonIntegralAtP as exc:

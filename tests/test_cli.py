@@ -108,6 +108,24 @@ def test_legendre_checks_residues_against_n(capsys):
         assert detail in captured.err, argv
 
 
+def test_cpn_checks_residues_against_n(tmp_path, capsys):
+    # With both flags the residues must have n + 1 entries; a consistent pair
+    # prints what the residues alone print, and a contradicting one writes nothing.
+    outs = []
+    for argv in (["--residues", "0,1,2"], ["--n", "2"], ["--residues", "0,1,2", "--n", "2"]):
+        assert main(["cpn", "--p", "7", *argv]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    path = tmp_path / "cp.json"
+    for n in ("5", "1"):
+        argv = ["cpn", "--p", "7", "--residues", "0,1,2", "--n", n, "--emit", str(path)]
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: BadParams" in captured.err
+        assert f"--n {n} contradicts n = 2" in captured.err
+        assert not path.exists()
+
+
 def test_thm71_verb_and_guard(tmp_path, capsys):
     path = tmp_path / "w.json"
     assert main(["cpn", "--p", "5", "--n", "2", "--emit", str(path)]) == 0

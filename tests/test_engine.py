@@ -2,10 +2,12 @@
 import json
 import random
 import time
-from collections import Counter
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_series import arcsinh_u_over_2, cosh_series
 
 from zpgenus import cli
@@ -30,11 +32,13 @@ from zpgenus.engine import (
     h_series,
     p_power_factor,
     p_series_term,
+    reduce_value,
     submanifold_genus,
     thm71_check,
 )
 from zpgenus.errors import (
     BadParams,
+    EngineError,
     GuardViolation,
     NonIntegralAtP,
     UnsupportedKind,
@@ -461,6 +465,77 @@ def test_packed_tables_grow_with_new_weights(monkeypatch):
                 assert set(g._tables[p, n, "trace"][4]) == used
 
 
+def test_a_warm_call_packs_nothing_and_a_miss_packs_once(monkeypatch):
+    # A call whose weights the table holds reads it as it is; a weight it lacks
+    # packs the call's weights once and runs the loop again.  The table's big,
+    # (lcm d_x)^n over every weight packed, changes only the denominator, so
+    # the totals equal a fresh genus's.
+    calls = []
+    pack = engine_module._packed_table
+    monkeypatch.setattr(engine_module, "_packed_table", lambda *a: calls.append(1) or pack(*a))
+    p, n = 13, 3
+    low = WeightSet(p, n, ((1, 2, 4), (2, 1, 2), (4, 4, 1)))
+    high = WeightSet(p, n, ((12, 2, 5), (1, 2, 3), (11, 1, 12)))
+    for kind, y in [("todd", None), ("chi_y", F(-1, 2)), ("a_hat", None)]:
+        monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
+        g = make_genus(kind, n + 1, y)
+        for route in ("pseries", "ab"):
+            calls.clear()
+            _route_total(g, low, route)
+            _route_total(g, WeightSet(p, n, low.points[::-1]), route)
+            assert len(calls) == 1, (kind, route)  # the first call builds the table
+            got = _route_total(g, high, route)
+            assert len(calls) == 2, (kind, route)
+            table = g._tables[p, n, route]
+            assert set(table[4]) == {1, 2, 3, 4, 5, 11, 12}
+            assert table[9] == lcm(*[d for _, d in table[4].values()]) ** n
+            monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
+            assert got == _route_total(make_genus(kind, n + 1, y), high, route), (kind, route)
+
+
+_CATALOG = [("todd", None), ("euler", None), ("l_genus", None), ("chi_y", F(2)),
+            ("chi_y", F(-1, 2)), ("a_hat", None), ("elliptic", None)]
+
+
+@st.composite
+def _catalog_inputs(draw):
+    """A catalog kind, p <= 23, and a weight set with negative, >= p and repeated
+    weights and points; n reaches p - 1 and beyond at p <= 7."""
+    kind, y = draw(st.sampled_from(_CATALOG))
+    p = draw(st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23)))
+    n = draw(st.integers(0, 3 if kind == "elliptic" else 8))
+    unit = st.integers(-3 * p, 3 * p).filter(lambda x: x % p)
+    points = draw(st.lists(st.tuples(*[unit] * n), max_size=4))
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=3))
+    return kind, y, WeightSet(p, n, tuple(points))
+
+
+def _outcome(f, *args):
+    """repr of f(*args), or of the EngineError it raises."""
+    try:
+        return repr(f(*args))
+    except EngineError as exc:
+        return repr(exc)
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(_catalog_inputs())
+def test_residues_reduce_the_exact_totals(case):
+    # genus_mod_p reduces each route's integer numerator and denominator with no
+    # Fraction unless p divides the denominator; it must give reduce_value of
+    # the exact total or raise the same error (NonIntegralAtP where the total is
+    # not p-integral), and so must cf_residuals slot by slot.
+    kind, y, w = case
+    g = make_genus(kind, 2, y)
+    for route in ROUTES:
+        want = _outcome(lambda: reduce_value(_route_total(g, w, route), w.p))
+        assert _outcome(genus_mod_p, g, w, route) == want, (case, route)
+    if w.n:
+        want = [_outcome(reduce_value, s, w.p) for s in _point_sums(g, w, "pseries", range(w.n))]
+        assert [repr(r) for r in cf_residuals(g, w)] == want, case
+
+
 def test_packed_width_is_bounded_by_the_largest_factor():
     # Each factor is packed over its own denominator, so the slot width follows
     # the largest factor, not the number of weights seen: a stream of weight
@@ -623,10 +698,11 @@ def test_submanifold_json():
 
 
 def test_distinct_points_are_counted_once_per_weight_set(monkeypatch):
-    # The Counter of points up to weight order is cached on the frozen WeightSet:
+    # The count of points up to weight order is cached on the frozen WeightSet:
     # all three routes read one count, and equality, hash and repr ignore it.
     counted = []
-    monkeypatch.setattr(engine_module, "Counter", lambda: counted.append(1) or Counter())
+    prop = WeightSet.__dict__["distinct_points"]
+    monkeypatch.setattr(prop, "func", lambda w, build=prop.func: counted.append(1) or build(w))
     points = ((2, 1), (1, 2), (3, 4), (2, 1))
     w, v = WeightSet(7, 2, points), WeightSet(7, 2, points)
     before = (hash(w), repr(w))
