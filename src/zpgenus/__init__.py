@@ -10,6 +10,7 @@ has a closed form.
 """
 from .cyclotomic import ab_trace, theta_minimal_polynomial, trace_theta_power
 from .engine import (
+    ResidueTuple,
     SubmanifoldComponent,
     SubmanifoldData,
     Thm71Report,
@@ -17,25 +18,15 @@ from .engine import (
     a_series,
     ab_coefficient,
     b_series,
+    canonical_residues,
     cf_residuals,
+    cpn_weight_set,
     genus_mod_p,
     h_series,
     p_series_term,
     reduce_value,
     submanifold_genus,
     thm71_check,
-)
-from .cpn import (
-    Eq45Report,
-    Eq46Report,
-    ResidueTuple,
-    canonical_residues,
-    check_eq45,
-    check_eq46,
-    cpn_weight_set,
-    homogenized_legendre,
-    legendre_coeffs,
-    legendre_value,
 )
 from .errors import (
     BadParams,
@@ -76,3 +67,21 @@ from .rings import (
 from .series import Series, binomial_power, geometric
 
 __version__ = "0.1.0"
+
+# The Legendre checks load on first use, so that a query that does not run them
+# does not compile them (PEP 562).
+_CPN_NAMES = ("Eq45Report", "Eq46Report", "check_eq45", "check_eq46",
+              "homogenized_legendre", "legendre_coeffs", "legendre_value")
+
+
+def __getattr__(name):
+    if name not in _CPN_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import cpn
+
+    globals()[name] = value = getattr(cpn, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_CPN_NAMES))

@@ -22,21 +22,17 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .cpn import (
-    ResidueTuple,
-    canonical_residues,
-    check_eq45,
-    check_eq46,
-    cpn_weight_set,
-)
 from .cyclotomic import ab_trace, theta_minimal_polynomial, trace_theta_power
 from .engine import (
     ROUTES,
+    ResidueTuple,
     SubmanifoldData,
     WeightSet,
     ab_coefficient,
     b_series,
+    canonical_residues,
     cf_residuals,
+    cpn_weight_set,
     genus_mod_p,
     h_series,
     submanifold_genus,
@@ -215,6 +211,8 @@ def _run_cpn(args) -> int:
 
 
 def _run_legendre(args) -> int:
+    from .cpn import check_eq45, check_eq46  # only this verb and selftest compile the checks
+
     if args.p is None:
         raise BadParams("legendre needs --p")
     if args.residues is None and args.n is None:
@@ -265,6 +263,7 @@ def _run_submanifold(args) -> int:
 
 
 def _selftest_checks():
+    from .cpn import check_eq45, check_eq46
     from .genus import power_system, power_system_closed
 
     yield "todd_cp2_p5_routes_agree", lambda: _routes_agree("td", 5, 2, "1")

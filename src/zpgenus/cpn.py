@@ -1,6 +1,10 @@
 """Projective-space laboratory: linear Z/p actions on CP^n and the
 Legendre-polynomial congruences of the elliptic genus.
 
+The weight-set builder (``ResidueTuple``, ``canonical_residues``,
+``cpn_weight_set``) lives in :mod:`zpgenus.engine` and is re-exported here, so
+that only the ``legendre`` and ``selftest`` verbs import this module.
+
 A linear Z/p action on CP^n is given by n+1 residues y_0..y_n, distinct
 mod p; its fixed points are the n+1 coordinate lines, and the fixed point
 number j carries the tangent weights (y_i - y_j) mod p, i != j.  These
@@ -17,13 +21,20 @@ mod-p values are homogenized Legendre polynomials:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence, Tuple
 
-from .engine import WeightSet, genus_mod_p, p_series_term, reduce_value
-from .errors import BadParams, DuplicateResidues
+from .engine import (
+    ResidueTuple,
+    _Record,
+    canonical_residues,
+    cpn_weight_set,
+    genus_mod_p,
+    p_series_term,
+    reduce_value,
+)
+from .errors import BadParams
 from .genus import (
     KIND_ELLIPTIC,
     cpn_genus,
@@ -33,62 +44,13 @@ from .genus import (
 from .rings import GradedPoly, GradedPolyModP, poly_reduce_mod_p, require_odd_prime
 
 
-@dataclass(frozen=True)
-class ResidueTuple:
-    """Residues y_0..y_n defining a linear Z/p action on CP^n."""
-
-    p: int
-    residues: Tuple[int, ...]
-
-    def __post_init__(self):
-        require_odd_prime(self.p)
-        res = tuple(int(y) for y in self.residues)
-        if not res:
-            raise BadParams("need at least one residue")
-        seen = set()
-        for y in res:
-            r = y % self.p
-            if r in seen:
-                raise DuplicateResidues(
-                    f"residues must be distinct mod {self.p}; {y} repeats"
-                )
-            seen.add(r)
-        object.__setattr__(self, "residues", res)
-
-    @property
-    def n(self) -> int:
-        return len(self.residues) - 1
-
-
-def cpn_weight_set(rt: ResidueTuple) -> WeightSet:
-    """The fixed-point weight set of the linear action: point j gets
-    weights (y_i - y_j) mod p for i != j."""
-    p = rt.p
-    points = []
-    for j, yj in enumerate(rt.residues):
-        points.append(
-            tuple((yi - yj) % p for i, yi in enumerate(rt.residues) if i != j)
-        )
-    return WeightSet(p=p, n=rt.n, points=tuple(points))
-
-
-def canonical_residues(p: int, n: int) -> ResidueTuple:
-    """The standard action with residues (0, 1, ..., n); needs n < p."""
-    require_odd_prime(p)
-    if not isinstance(n, int) or n < 0:
-        raise BadParams(f"n must be an int >= 0, got {n!r}")
-    if n >= p:
-        raise BadParams(f"CP^{n} admits no effective linear Z/{p} action: n >= p")
-    return ResidueTuple(p, tuple(range(n + 1)))
-
-
 # ---------------------------------------------------------------------------
 # Legendre polynomials, exact:
 # P_m(t) = 2^-m sum_k (-1)^k C(m, k) C(2m - 2k, m) t^(m - 2k).
 # ---------------------------------------------------------------------------
 
 
-def legendre_coeffs(m: int) -> Tuple[Fraction, ...]:
+def legendre_coeffs(m: int) -> tuple[Fraction, ...]:
     """Coefficients of P_m(t), low degree first, exact over Q."""
     if not isinstance(m, int) or m < 0:
         raise BadParams(f"Legendre index must be an int >= 0, got {m!r}")
@@ -116,16 +78,12 @@ def homogenized_legendre(m: int) -> GradedPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Eq45Report:
+class Eq45Report(_Record):
     """Elliptic genus of CP^{2m} mod p vs the homogenized Legendre polynomial."""
 
-    p: int
-    m: int
-    residues: Tuple[int, ...]
-    pseries_value: GradedPolyModP
-    legendre_value: GradedPolyModP
-    cpn_value: GradedPolyModP
+    def __init__(self, p: int, m: int, residues: tuple[int, ...], pseries_value: GradedPolyModP,
+                 legendre_value: GradedPolyModP, cpn_value: GradedPolyModP):
+        self._fill(locals())
 
     @property
     def equal(self) -> bool:
@@ -150,8 +108,8 @@ class Eq45Report:
 
 def check_eq45(
     p: int,
-    residues: Optional[Sequence[int]] = None,
-    m: Optional[int] = None,
+    residues: Sequence[int] | None = None,
+    m: int | None = None,
 ) -> Eq45Report:
     """Compare the elliptic p-series value on CP^{2m} with homogenized P_m.
 
@@ -188,17 +146,12 @@ def check_eq45(
     )
 
 
-@dataclass(frozen=True)
-class Eq46Report:
+class Eq46Report(_Record):
     """The u^p coefficient of the elliptic [u]_p mod p vs homogenized P_{(p-1)/2}."""
 
-    p: int
-    m: int
-    scaled_term: GradedPolyModP
-    legendre_value: GradedPolyModP
-    power_system_u_p: GradedPolyModP
-    low_coeffs_vanish: bool
-    eps_one_equal: bool
+    def __init__(self, p: int, m: int, scaled_term: GradedPolyModP, legendre_value: GradedPolyModP,
+                 power_system_u_p: GradedPolyModP, low_coeffs_vanish: bool, eps_one_equal: bool):
+        self._fill(locals())
 
     @property
     def equal(self) -> bool:

@@ -25,9 +25,9 @@ is one integer over one denominator.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Tuple, Union
 
 from .errors import BadParams, UnsupportedKind, ZeroWeight
 from .genus import (
@@ -65,7 +65,7 @@ def _require_trace_prime(p: int, what: str) -> None:
         raise BadParams(f"{what} needs p <= TRACE_MAX_P = {TRACE_MAX_P}, got {p}")
 
 
-def _kind_param(kind: str, p: int, y: Union[Rational, int, None]):
+def _kind_param(kind: str, p: int, y: Rational | int | None):
     """y as a Fraction for chi_y (p-integral, 1 + y a unit mod p); other kinds take none."""
     y = _kind_y(kind, y)
     if y is None:
@@ -80,7 +80,7 @@ def _kind_param(kind: str, p: int, y: Union[Rational, int, None]):
 
 
 def trace_theta_power(
-    kind: str, p: int, k: int, y: Union[Rational, int, None] = None
+    kind: str, p: int, k: int, y: Rational | int | None = None
 ) -> Fraction:
     """Tr(theta^k) for any integer k, on the packed slots of :func:`_trace_table`.
 
@@ -122,7 +122,7 @@ def ab_trace(
     kind: str,
     p: int,
     weights: Iterable[int],
-    y: Union[Rational, int, None] = None,
+    y: Rational | int | None = None,
 ) -> Fraction:
     """The trace-route fixed-point contribution -Tr(prod_k factor(x_k)).
 
@@ -139,7 +139,7 @@ def ab_trace(
     return Fraction(*_trace_total(p, table, [(weights, 1)]))
 
 
-def _trace_preimage(kind: str, p: int, y: Union[Rational, int, None], theta: bool = False):
+def _trace_preimage(kind: str, p: int, y: Rational | int | None, theta: bool = False):
     """(vec, den) after checking p, y and kind: sum_j vec[j] t^j / den maps onto
     the factor of weight 1, or onto theta if asked, by t -> zeta.
 
@@ -189,7 +189,7 @@ def _trace_table(vec: list, den: int, n: int, power: bool = False):
     return den**n, [(c - low).to_bytes(width, "little") for c in vec], one**n, width, {}
 
 
-def _trace_total(p: int, table, points) -> Tuple[int, int]:
+def _trace_total(p: int, table, points) -> tuple[int, int]:
     """(num, den): sum k (-Tr prod_{x in pt} factor(x)) over (pt, k) in points is
     num/den, den the table's.
 
@@ -220,7 +220,7 @@ def _trace_total(p: int, table, points) -> Tuple[int, int]:
 
 
 def _theta_polynomial(
-    kind: str, p: int, y: Union[Rational, int, None], top: int
+    kind: str, p: int, y: Rational | int | None, top: int
 ) -> list:
     """The coefficients of u^0..u^min(top, p-1) of the minimal polynomial of theta.
 
@@ -248,8 +248,8 @@ def _theta_polynomial(
 
 
 def theta_minimal_polynomial(
-    kind: str, p: int, y: Union[Rational, int, None] = None
-) -> Tuple[Fraction, ...]:
+    kind: str, p: int, y: Rational | int | None = None
+) -> tuple[Fraction, ...]:
     """Coefficients (low to high) of the degree p-1 polynomial annihilating theta.
 
     The closed forms are those of :func:`_theta_polynomial`, built to full degree.

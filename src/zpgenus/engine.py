@@ -24,15 +24,15 @@ congruence of :func:`thm71_check` ties all of it together.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence, Tuple, Union
 
 from .cyclotomic import _kind_param, _theta_polynomial, _trace_preimage, _trace_table, _trace_total
 from .errors import (
     BadParams,
+    DuplicateResidues,
     GuardViolation,
     NonIntegralAtP,
     UnsupportedKind,
@@ -59,12 +59,11 @@ from .rings import (
 )
 from .series import Series, integer_numerators
 
-Residue = Union[ModP, GradedPolyModP]
 
 ROUTES = ("pseries", "ab", "trace")
 
 
-def reduce_value(x, p: int) -> Residue:
+def reduce_value(x, p: int) -> ModP | GradedPolyModP:
     """Reduce an exact route value (Fraction or GradedPoly) mod p, or a sum given
     as ints (num, den): p is cancelled from both as far as it goes, and only if
     it still divides den is a Fraction built, to raise NonIntegralAtP on it."""
@@ -90,7 +89,7 @@ def canonical_weight(x: int, p: int) -> int:
     return x
 
 
-def canonical_weights(weights: Iterable[int], p: int) -> Tuple[int, ...]:
+def canonical_weights(weights: Iterable[int], p: int) -> tuple[int, ...]:
     return tuple(canonical_weight(x, p) for x in weights)
 
 
@@ -99,27 +98,57 @@ def canonical_weights(weights: Iterable[int], p: int) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightSet:
+class _Record:
+    """A frozen record whose fields are its constructor's parameters, with the
+    ==, hash and repr of a frozen dataclass over them, so that a query loads
+    no ``dataclasses`` (nor the ``inspect`` and ``ast`` it imports)."""
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _fill(self, values: dict) -> None:
+        """Set every field from the constructor's ``locals()``."""
+        self.__dict__.update((f, values[f]) for f in self._fields)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class WeightSet(_Record):
     """Fixed-point data: q points, each carrying n weights in [1, p-1]."""
 
-    p: int
-    n: int
-    points: Tuple[Tuple[int, ...], ...]
-
-    def __post_init__(self):
-        require_odd_prime(self.p)
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
-            raise BadParams(f"n must be an int >= 0, got {self.n!r}")
+    def __init__(self, p: int, n: int, points: tuple[tuple[int, ...], ...]):
+        require_odd_prime(p)
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise BadParams(f"n must be an int >= 0, got {n!r}")
         pts = []
-        for pt in self.points:
-            pt = canonical_weights(pt, self.p)
-            if len(pt) != self.n:
+        for pt in points:
+            pt = canonical_weights(pt, p)
+            if len(pt) != n:
                 raise BadParams(
-                    f"each fixed point needs exactly n = {self.n} weights, got {len(pt)}"
+                    f"each fixed point needs exactly n = {n} weights, got {len(pt)}"
                 )
             pts.append(pt)
-        object.__setattr__(self, "points", tuple(pts))
+        self.__dict__.update(p=p, n=n, points=tuple(pts))
 
     @property
     def q(self) -> int:
@@ -168,30 +197,79 @@ class WeightSet:
         return cls.from_json_dict(d)
 
 
-@dataclass(frozen=True)
-class SubmanifoldComponent:
-    normal_weights: Tuple[int, ...]
-    genus_value: Fraction
+class ResidueTuple(_Record):
+    """Residues y_0..y_n, ints distinct mod p, defining a linear Z/p action on CP^n."""
+
+    def __init__(self, p: int, residues: tuple[int, ...]):
+        require_odd_prime(p)
+        res = tuple(residues)
+        if not res:
+            raise BadParams("need at least one residue")
+        seen = set()
+        for y in res:
+            if not isinstance(y, int) or isinstance(y, bool):
+                raise BadParams(f"residues must be ints, got {y!r}")
+            if y % p in seen:
+                raise DuplicateResidues(f"residues must be distinct mod {p}; {y} repeats")
+            seen.add(y % p)
+        self.__dict__.update(p=p, residues=res)
+
+    @property
+    def n(self) -> int:
+        return len(self.residues) - 1
 
 
-@dataclass(frozen=True)
-class SubmanifoldData:
+def cpn_weight_set(rt: ResidueTuple) -> WeightSet:
+    """The fixed-point weight set of the linear action: point j gets
+    weights (y_i - y_j) mod p for i != j."""
+    p = rt.p
+    points = []
+    for j, yj in enumerate(rt.residues):
+        points.append(
+            tuple((yi - yj) % p for i, yi in enumerate(rt.residues) if i != j)
+        )
+    return WeightSet(p=p, n=rt.n, points=tuple(points))
+
+
+def canonical_residues(p: int, n: int) -> ResidueTuple:
+    """The standard action with residues (0, 1, ..., n); needs n < p."""
+    require_odd_prime(p)
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise BadParams(f"n must be an int >= 0, got {n!r}")
+    if n >= p:
+        raise BadParams(f"CP^{n} admits no effective linear Z/{p} action: n >= p")
+    return ResidueTuple(p, tuple(range(n + 1)))
+
+
+def _genus_value(gv) -> Fraction:
+    """A component's genus value, given as an int, a Fraction or a rational string."""
+    if isinstance(gv, str):
+        try:
+            return Fraction(gv)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise BadParams(f"bad genus_value {gv!r}") from exc
+    if isinstance(gv, (int, Fraction)) and not isinstance(gv, bool):
+        return Fraction(gv)
+    raise BadParams(f"genus_value must be an int or a rational string, got {gv!r}")
+
+
+class SubmanifoldComponent(_Record):
+    def __init__(self, normal_weights: tuple[int, ...], genus_value: Fraction):
+        self._fill(locals())
+
+
+class SubmanifoldData(_Record):
     """Fixed submanifold data: per component, normal weights and the genus value."""
 
-    p: int
-    components: Tuple[SubmanifoldComponent, ...]
-
-    def __post_init__(self):
-        require_odd_prime(self.p)
-        comps = []
-        for c in self.components:
-            comps.append(
-                SubmanifoldComponent(
-                    canonical_weights(c.normal_weights, self.p),
-                    Fraction(c.genus_value),
-                )
+    def __init__(self, p: int, components: tuple[SubmanifoldComponent, ...]):
+        require_odd_prime(p)
+        comps = tuple(
+            SubmanifoldComponent(
+                canonical_weights(c.normal_weights, p), _genus_value(c.genus_value)
             )
-        object.__setattr__(self, "components", tuple(comps))
+            for c in components
+        )
+        self.__dict__.update(p=p, components=comps)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SubmanifoldData":
@@ -213,16 +291,7 @@ class SubmanifoldData:
                 ) from exc
             if not isinstance(nw, list):
                 raise BadParams(f"normal_weights must be a list of ints, got {nw!r}")
-            if isinstance(gv, str):
-                try:
-                    gv = Fraction(gv)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise BadParams(f"bad genus_value {gv!r}") from exc
-            elif isinstance(gv, int) and not isinstance(gv, bool):
-                gv = Fraction(gv)
-            else:
-                raise BadParams(f"genus_value must be an int or a rational string, got {gv!r}")
-            built.append(SubmanifoldComponent(tuple(nw), gv))
+            built.append(SubmanifoldComponent(tuple(nw), _genus_value(gv)))
         return cls(p=p, components=tuple(built))
 
     @classmethod
@@ -267,7 +336,7 @@ _B_CACHE: dict = {}
 
 
 def b_series(
-    kind: str, p: int, order: int, y: Union[Rational, int, None] = None
+    kind: str, p: int, order: int, y: Rational | int | None = None
 ) -> Series:
     """The trace generating series B(u) = sum_s Tr(theta^{-s}) u^s, over Q.
 
@@ -423,7 +492,7 @@ def _route_total(g: GenusSpec, w: WeightSet, route: str):
     return _exact(_route_sum(g, w, route))
 
 
-def genus_mod_p(g: GenusSpec, w: WeightSet, route: str = "pseries") -> Residue:
+def genus_mod_p(g: GenusSpec, w: WeightSet, route: str = "pseries") -> ModP | GradedPolyModP:
     """The genus of the ambient manifold mod p, by the chosen route.
 
     The exact per-point values are summed over Q (or Q[delta, eps]), each
@@ -461,7 +530,7 @@ def cf_residuals(g: GenusSpec, w: WeightSet) -> list:
 # ---------------------------------------------------------------------------
 
 def h_series(
-    kind: str, p: int, order: int, y: Union[Rational, int, None] = None
+    kind: str, p: int, order: int, y: Rational | int | None = None
 ) -> Series:
     """h(u) = p([u]_p - u)/(B(u)[u]_p) = p(1 - u/[u]_p)/B(u); h(0) = 1 and h is p-integral.
 
@@ -479,19 +548,13 @@ def h_series(
     return num.divide(b_series(kind, p, order, yk))
 
 
-@dataclass(frozen=True)
-class Thm71Report:
+class Thm71Report(_Record):
     """Exact data behind the congruence: sum_j ab ≡ pseries_n + sum H*cf (mod p)."""
 
-    p: int
-    n: int
-    q: int
-    ab_sum: Fraction
-    pseries_n: Fraction
-    cf_sums: Tuple[Fraction, ...]
-    h_inverse_coeffs: Tuple[Fraction, ...]
-    lhs: ModP
-    rhs: ModP
+    def __init__(self, p: int, n: int, q: int, ab_sum: Fraction, pseries_n: Fraction,
+                 cf_sums: tuple[Fraction, ...], h_inverse_coeffs: tuple[Fraction, ...],
+                 lhs: ModP, rhs: ModP):
+        self._fill(locals())
 
     @property
     def equal(self) -> bool:
@@ -557,7 +620,7 @@ def thm71_check(g: GenusSpec, w: WeightSet, force: bool = False) -> Thm71Report:
 # ---------------------------------------------------------------------------
 
 
-def submanifold_genus(g: GenusSpec, data: SubmanifoldData) -> Residue:
+def submanifold_genus(g: GenusSpec, data: SubmanifoldData) -> ModP | GradedPolyModP:
     """phi(M) ≡ sum_nu ab_coefficient(normal weights of nu) * phi(M_nu) (mod p).
 
     Isolated fixed points have n normal weights and genus value 1, recovering

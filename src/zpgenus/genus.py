@@ -26,7 +26,6 @@ kernel of the mod-p fixed-point machinery.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Union
 
 from .errors import (
     BadParams,
@@ -61,7 +60,7 @@ class GenusSpec:
 
     __slots__ = ("kind", "y", "ring", "logarithm", "f_series", "_factors", "_tables")
 
-    def __init__(self, kind: str, y: Optional[Rational], logarithm: Series):
+    def __init__(self, kind: str, y: Rational | None, logarithm: Series):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "ring", logarithm.ring)
@@ -82,7 +81,7 @@ class GenusSpec:
         return f"GenusSpec({self.kind}{y}; order {self.order})"
 
 
-def _build_logarithm(kind: str, order: int, y: Optional[Fraction]) -> Series:
+def _build_logarithm(kind: str, order: int, y: Fraction | None) -> Series:
     if kind == KIND_TODD:
         return geometric(QQ, order - 1).integrate()
     if kind == KIND_EULER:
@@ -113,7 +112,7 @@ def _build_logarithm(kind: str, order: int, y: Optional[Fraction]) -> Series:
     raise UnsupportedKind(f"unknown genus kind {kind!r}")
 
 
-def _kind_y(kind: str, y: Union[Rational, int, None]) -> Optional[Fraction]:
+def _kind_y(kind: str, y: Rational | int | None) -> Fraction | None:
     """y as a Fraction for chi_y, which needs it; every other kind takes none."""
     if kind != KIND_CHI_Y:
         if y is not None:
@@ -130,8 +129,8 @@ _GENUS_CACHE: dict = {}
 def make_genus(
     kind: str,
     order: int,
-    y: Union[Rational, int, None] = None,
-    logarithm: Optional[Series] = None,
+    y: Rational | int | None = None,
+    logarithm: Series | None = None,
 ) -> GenusSpec:
     """Construct (and cache) a genus from the catalog.
 
@@ -174,7 +173,7 @@ def ensure_order(g: GenusSpec, order: int) -> GenusSpec:
     return make_genus(g.kind, order, g.y)
 
 
-def power_system(g: GenusSpec, m: int, order: Optional[int] = None) -> Series:
+def power_system(g: GenusSpec, m: int, order: int | None = None) -> Series:
     """The m-th power system [u]_m = f(m·g(u)), composed only through u^order.
 
     The order defaults to the genus's own.  Not cached (see power_factor).
@@ -199,7 +198,7 @@ def power_factor(g: GenusSpec, m: int, order: int) -> Series:
 
 
 def power_system_closed(
-    kind: str, m: int, order: int, y: Union[Rational, int, None] = None
+    kind: str, m: int, order: int, y: Rational | int | None = None
 ) -> Series:
     """Closed-form [u]_m for the kinds that admit one (all but elliptic/custom)."""
     if not isinstance(m, int) or m < 1:

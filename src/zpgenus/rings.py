@@ -18,9 +18,9 @@ series layer; the mod-p types only receive final reductions.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
 
 from .errors import BadParams, NonIntegralAtP, ZeroDivision
 
@@ -98,7 +98,7 @@ class ModP:
         return str(self.value)
 
 
-def rational_reduce_mod_p(r: Union[Rational, int], p: int) -> ModP:
+def rational_reduce_mod_p(r: Rational | int, p: int) -> ModP:
     """Reduce a p-integral rational mod p.
 
     Raises NonIntegralAtP when p divides the denominator of r in lowest terms.
@@ -135,7 +135,7 @@ class GradedPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Union[Rational, int]] = ()):
+    def __init__(self, terms: Mapping[Monomial, Rational | int] = ()):
         canon = {}
         for (a, b), c in dict(terms).items():
             if not isinstance(a, int) or not isinstance(b, int) or a < 0 or b < 0:
@@ -158,7 +158,7 @@ class GradedPoly:
         return cls({(0, 0): 1})
 
     @classmethod
-    def const(cls, q: Union[Rational, int]) -> "GradedPoly":
+    def const(cls, q: Rational | int) -> "GradedPoly":
         return cls({(0, 0): Fraction(q)})
 
     @classmethod
@@ -217,7 +217,7 @@ class GradedPoly:
 
     __rmul__ = __mul__
 
-    def substitute(self, delta_val: Union[Rational, int], eps_val: Union[Rational, int]) -> Rational:
+    def substitute(self, delta_val: Rational | int, eps_val: Rational | int) -> Rational:
         """Evaluate at delta = delta_val, eps = eps_val."""
         dv, ev = Fraction(delta_val), Fraction(eps_val)
         total = Fraction(0)
@@ -225,7 +225,7 @@ class GradedPoly:
             total += c * dv**a * ev**b
         return total
 
-    def substitute_eps(self, eps_val: Union[Rational, int]) -> "GradedPoly":
+    def substitute_eps(self, eps_val: Rational | int) -> "GradedPoly":
         """Partial evaluation eps = eps_val; the result lives in Q[delta]."""
         ev = Fraction(eps_val)
         out = {}
@@ -325,7 +325,7 @@ def _term_to_text(m: Monomial, c) -> str:
     return "*".join(parts)
 
 
-def poly_to_text(q: Union[GradedPoly, GradedPolyModP]) -> str:
+def poly_to_text(q: GradedPoly | GradedPolyModP) -> str:
     if q.is_zero():
         return "0"
     return " + ".join(_term_to_text(m, c) for m, c in q.sorted_terms())
@@ -375,4 +375,3 @@ class _GradedRing:
 
 QQ = _RationalField()
 DE = _GradedRing()
-Ring = Union[_RationalField, _GradedRing]

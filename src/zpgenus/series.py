@@ -20,10 +20,10 @@ Conventions used throughout:
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Sequence, Union
 
 from .errors import (
     BadParams,
@@ -34,9 +34,10 @@ from .errors import (
     RingMismatch,
     ZeroDivision,
 )
-from .rings import QQ, Ring
+from .rings import QQ
 
-Scalar = Union[int, Fraction]
+# Annotations are never evaluated: a "Ring" there is one of the descriptors
+# QQ and DE of :mod:`zpgenus.rings`.
 
 
 class Series:
@@ -75,7 +76,7 @@ class Series:
         return cls(ring, [ring.zero, ring.one], order)
 
     @classmethod
-    def from_fractions(cls, ring: Ring, coeffs: Sequence[Scalar], order: int) -> "Series":
+    def from_fractions(cls, ring: Ring, coeffs: Sequence[int | Fraction], order: int) -> "Series":
         return cls(ring, [ring.from_fraction(Fraction(c)) for c in coeffs], order)
 
     # -- basic structure -----------------------------------------------------
@@ -328,7 +329,7 @@ def integer_numerators(coeffs: Sequence[Fraction]):
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
-def binomial_power(w: Series, alpha: Scalar) -> "Series":
+def binomial_power(w: Series, alpha: int | Fraction) -> "Series":
     """(1 + w)^alpha for a series w with w(0) = 0 and rational alpha.
 
     Expanded by the generalized binomial theorem; since w has positive

@@ -9,11 +9,11 @@ from fractions import Fraction
 from math import factorial
 from typing import Tuple
 
-from zpgenus.rings import DE, QQ, GradedPoly, Ring
+from zpgenus.rings import DE, QQ, GradedPoly
 from zpgenus.series import Series, binomial_power
 
 
-def sinh_series(ring: Ring, order: int) -> Series:
+def sinh_series(ring, order: int) -> Series:
     return Series(
         ring,
         [
@@ -23,7 +23,7 @@ def sinh_series(ring: Ring, order: int) -> Series:
     )
 
 
-def cosh_series(ring: Ring, order: int) -> Series:
+def cosh_series(ring, order: int) -> Series:
     return Series(
         ring,
         [

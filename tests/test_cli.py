@@ -1,8 +1,11 @@
 """Command-line interface: verbs, formats, exit codes."""
 import itertools
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -309,3 +312,17 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("zpgenus ")
+
+
+def test_a_cli_import_loads_only_what_a_query_runs():
+    # no dataclasses, inspect, typing or Legendre checks; -S, as a site hook may
+    # import typing first
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-S", str(root / "tests" / "check_imports.py")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"ok {root / 'src' / 'zpgenus' / '__init__.py'}\n"
