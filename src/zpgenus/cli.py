@@ -201,12 +201,14 @@ def _run_cpn(args) -> int:
         if args.n is not None and args.n != rt.n:
             raise BadParams(f"--n {args.n} contradicts n = {rt.n} of the residues")
     w = cpn_weight_set(rt)
-    doc = w.to_json_dict()
+    text = json.dumps(w.to_json_dict(), indent=2)
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-    print(json.dumps(doc, indent=2))
+        try:
+            with open(args.emit, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise BadParams(f"cannot write emit file: {exc}") from exc
+    print(text)
     return 0
 
 

@@ -16,6 +16,7 @@ repeated fixed point once, times its multiplicity):
 
 Over Q each route sums packed per-point integer products over one common
 denominator, reduced mod p as ints; Fractions only where exact values are read.
+pseries and ab share one packed table per (p, n) and the last set's products.
 
 Realizable weight sets also satisfy the vanishing of the lower p-series
 coefficients (m = 0..n-1), exposed by :func:`cf_residuals`, and the exact
@@ -28,6 +29,7 @@ from collections.abc import Iterable, Sequence
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
+from types import SimpleNamespace
 
 from .cyclotomic import _kind_param, _theta_polynomial, _trace_preimage, _trace_table, _trace_total
 from .errors import (
@@ -76,7 +78,7 @@ def reduce_value(x, p: int) -> ModP | GradedPolyModP:
         if num % p:
             return rational_reduce_mod_p(Fraction(num, den), p)
         num, den = num // p, den // p
-    return ModP(num * pow(den, -1, p), p)
+    return ModP._of(num * pow(den, -1, p), p)
 
 
 def canonical_weight(x: int, p: int) -> int:
@@ -395,44 +397,64 @@ def _pack(coeffs: list, width: int) -> int:
     return sum(c << width * i for i, c in enumerate(coeffs)) & (1 << width * len(coeffs)) - 1
 
 
-def _packed_table(g: GenusSpec, p: int, n: int, route: str, points):
-    """(F, den, W, top, packed, slot, half, mask, off, big, L), cached on g: F = p u/[u]_p
-    (pseries) or -B (ab) over den and packed[x] = (u/[u]_x over d_x, d_x) for the
-    weights so far, now with those of points, through u^n, each by :func:`_pack`
-    at width W.  A product coefficient is at most L1(F) top^n, top the largest
-    factor L1; W holds that and a sign, and a larger L1 repacks all.  slot masks
-    one coefficient, mask all n + 1, and off adds half = 2^(W-1) to each so that
-    every slot reads nonnegative.  big = L^n, L = lcm d_x over packed, so each
-    point's d_x product divides big.
+def _packed_table(g: GenusSpec, p: int, n: int, route: str, points) -> SimpleNamespace:
+    """g._tables[p, n], shared by pseries and ab, now with route's lead and the
+    weights of points: packed[x] = (u/[u]_x over d_x, d_x) per weight so far, and
+    leads[r] = (F, den, numerators of F) per route r asked so far, F = p u/[u]_p
+    (pseries) or -B (ab) over den; so a pseries query builds no B.  Each packs
+    through u^n by :func:`_pack` at width W, which holds cap top^n (top and cap
+    the largest factor and lead L1) and a sign; a larger top or cap repacks all.
+    slot masks one coefficient, mask all n + 1, and off adds half = 2^(W-1) to
+    each so that every slot reads nonnegative.  big = L^n, L = lcm d_x over
+    packed.  last keeps one set's :func:`_products`; new weights drop them.
     """
-    table = g._tables.get((p, n, route))
-    known = table[4] if table else {}
-    new = {x for pt, _ in points for x in pt} - known.keys()
+    t = g._tables.setdefault(
+        (p, n), SimpleNamespace(packed={}, leads={}, top=0, cap=0, L=1, big=1, last=None))
+    new = {x for pt, _ in points for x in pt} - t.packed.keys()
     nums = {x: integer_numerators(power_factor(g, x, n).coeffs) for x in new}
-    top = max((sum(map(abs, f)) for f, _ in nums.values()), default=1)
-    if table is None or top > table[3]:
-        nums.update((x, integer_numerators(power_factor(g, x, n).coeffs)) for x in known)
+    leads = {}
+    if route not in t.leads:
         lead = b_series(g.kind, p, n, g.y).scale(-1) if route == "ab" else p_power_factor(g, p, n)
-        first, den = integer_numerators(lead.coeffs)
-        width = (sum(map(abs, first)) * top**n).bit_length() + 1
-        slot, half, mask = (1 << width) - 1, 1 << width - 1, (1 << width * (n + 1)) - 1
-        off = half * (mask // slot)
-        table = (_pack(first, width), den, width, top, {}, slot, half, mask, off, 1, 1)
-    table[4].update((x, (_pack(f, table[2]), d)) for x, (f, d) in nums.items())
-    lcm_d = lcm(table[10], *[d for _, d in nums.values()])
-    table = g._tables[p, n, route] = table[:9] + (lcm_d**n, lcm_d)
-    return table
+        leads[route] = integer_numerators(lead.coeffs)
+    top = max([1, t.top] + [sum(map(abs, f)) for f, _ in nums.values()])
+    cap = max([t.cap] + [sum(map(abs, f)) for f, _ in leads.values()])
+    if top > t.top or cap > t.cap:
+        nums.update((x, integer_numerators(power_factor(g, x, n).coeffs)) for x in t.packed)
+        leads.update((r, (f, d)) for r, (_, d, f) in t.leads.items())
+        t.top, t.cap, t.width = top, cap, (cap * top**n).bit_length() + 1
+        t.slot, t.half, t.mask = (1 << t.width) - 1, 1 << t.width - 1, (1 << t.width * (n + 1)) - 1
+        t.off = t.half * (t.mask // t.slot)
+    t.packed.update((x, (_pack(f, t.width), d)) for x, (f, d) in nums.items())
+    t.leads.update((r, (_pack(f, t.width), d, f)) for r, (f, d) in leads.items())
+    if nums:  # new weights, or all of them repacked
+        t.L = lcm(t.L, *[d for _, d in nums.values()])
+        t.big, t.last = t.L**n, None
+    return t
+
+
+def _products(t: SimpleNamespace, points) -> list:
+    """[(A_j, k_j big/d_j)] over points, A_j a point's packed factor product over
+    d_j; KeyError on a weight the table t lacks."""
+    packed, mask, big, prods = t.packed, t.mask, t.big, []
+    for pt, k in points:
+        acc, d = 1, 1
+        for x in pt:
+            f, dx = packed[x]
+            acc = acc * f & mask
+            d *= dx
+        prods.append((acc, k * (big // d)))
+    return prods
 
 
 def _point_totals(g: GenusSpec, w: WeightSet, route: str, ms: Iterable[int]) -> list:
     """sum_j k_j <F A_j>_m for m in ms; j runs over ``w.distinct_points``, k_j
     is its multiplicity, A_j = prod u/[u]_x over its weights, and F is
     p u/[u]_p (pseries) or -B (ab).  Order n holds every coefficient read.
-    Over QQ a point is a product of packed ints (:func:`_packed_table`), whose
-    factor denominators d_x multiply in the same loop, and a sum is a pair
-    (num, den) of ints, den that of F times the table's big; a weight the table
-    lacks packs the call's weights, then the loop runs again.  Other rings
-    multiply series and give each sum exact.
+    Over QQ the A_j do not depend on F: the table (:func:`_packed_table`) keeps
+    them for w, so a later call on w, on either route, only multiplies by F.  A
+    sum is a pair (num, den) of ints, den that of F times the table's big; a
+    weight the table lacks packs the call's weights, then the products are taken
+    again.  Other rings multiply series and give each sum exact.
     """
     n = w.n
     g = ensure_order(g, n + 1)
@@ -441,25 +463,24 @@ def _point_totals(g: GenusSpec, w: WeightSet, route: str, ms: Iterable[int]) -> 
         pf = p_power_factor(g, w.p, n)
         prods = [(k, pf * a_series(g, pt, n)) for pt, k in points]
         return [sum((a[m] * k for k, a in prods), g.ring.zero) for m in ms]
-    table = g._tables.get((w.p, n, route)) or _packed_table(g, w.p, n, route, points)
-    first, den, width, _, packed, slot, half, mask, off, big, _ = table
-    sums = [0 for _ in ms]
-    try:
-        for pt, k in points:
-            acc, d = first, 1
-            for x in pt:
-                f, dx = packed[x]
-                acc = acc * f & mask
-                d *= dx
-            acc += off
-            k *= big // d
-            for i, m in enumerate(ms):
-                sums[i] += k * ((acc >> width * m & slot) - half)
-    except KeyError:
-        _packed_table(g, w.p, n, route, points)
-        return _point_totals(g, w, route, ms)
-    den *= big
-    return [(s, den) for s in sums]
+    t = g._tables.get((w.p, n))
+    if t is None or route not in t.leads:
+        t = _packed_table(g, w.p, n, route, points)
+    if t.last is None or t.last[0] is not w:
+        try:
+            t.last = (w, _products(t, points))
+        except KeyError:
+            _packed_table(g, w.p, n, route, points)
+            return _point_totals(g, w, route, ms)
+    lead, den, _ = t.leads[route]
+    width, slot, half, off, den = t.width, t.slot, t.half, t.off, den * t.big
+    sums = []
+    for m in ms:  # one m on every genus_mod_p call
+        s, shift = 0, width * m
+        for acc, k in t.last[1]:
+            s += k * ((lead * acc + off >> shift & slot) - half)
+        sums.append((s, den))
+    return sums
 
 
 def _exact(total):

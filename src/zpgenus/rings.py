@@ -31,9 +31,10 @@ Rational = Fraction
 # to all of them (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases").
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
+_PRIME_CACHE_SIZE = 256  # answers kept; a stream of distinct p must not grow it without end
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PRIME_CACHE_SIZE)
 def is_odd_prime(p: int) -> bool:
     """Deterministic Miller-Rabin; BadParams at or above the exact bound."""
     if not isinstance(p, int) or p < 3 or p % 2 == 0:
@@ -69,10 +70,16 @@ class ModP:
 
     __slots__ = ("value", "p")
 
-    def __init__(self, value: int, p: int):
-        require_odd_prime(p)
+    def __new__(cls, value: int, p: int):
+        return cls._of(value, require_odd_prime(p))
+
+    @classmethod
+    def _of(cls, value: int, p: int) -> "ModP":
+        """ModP(value, p) for a p already known to be an odd prime: no primality test."""
+        self = object.__new__(cls)
         object.__setattr__(self, "value", value % p)
         object.__setattr__(self, "p", p)
+        return self
 
     def __setattr__(self, name, val):  # immutable
         raise AttributeError("ModP is immutable")
@@ -107,7 +114,7 @@ def rational_reduce_mod_p(r: Rational | int, p: int) -> ModP:
     r = Fraction(r)
     if r.denominator % p == 0:
         raise NonIntegralAtP(f"{r} is not p-integral at p = {p}")
-    return ModP(r.numerator * pow(r.denominator, -1, p), p)
+    return ModP._of(r.numerator * pow(r.denominator, -1, p), p)
 
 
 # ---------------------------------------------------------------------------

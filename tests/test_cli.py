@@ -174,6 +174,18 @@ def test_cf_check_exit_codes(tmp_path, capsys):
     assert "all_zero: False" in capsys.readouterr().out
 
 
+def test_cpn_emit_to_an_unwritable_path_exits_2(tmp_path, capsys):
+    # A file that cannot be written is a BadParams naming it, not a traceback,
+    # and nothing is printed.
+    missing = tmp_path / "no" / "such" / "x.json"
+    for target in (missing, tmp_path):
+        assert main(["cpn", "--p", "7", "--n", "2", "--emit", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: BadParams" in captured.err
+        assert "cannot write emit file" in captured.err and str(target) in captured.err
+    assert not missing.parent.exists()
+
+
 def test_bad_input_exits_2(tmp_path, capsys):
     assert main(["compute", "--genus", "td", "--weights", "/no/such/file.json"]) == 2
     assert "error: BadParams" in capsys.readouterr().err

@@ -459,38 +459,46 @@ def test_packed_tables_grow_with_new_weights(monkeypatch):
                 assert _route_total(g, high, r) == want[r], (kind, p, n, r)
             assert [repr(r) for r in cf_residuals(g, high)] == want_cf, (kind, p, n)
             if kind != "elliptic":
+                # one series table per (p, n), holding the lead of each series route asked
                 lean = make_genus(kind, n + 1, y)
                 used = {x for w in (low, high) for pt in w.points for x in pt}
-                assert set(lean._tables[p, n, "pseries"][4]) == used
+                assert set(lean._tables) == {(p, n)}
+                assert set(lean._tables[p, n].packed) == used
+                leads = {"pseries", "ab"} if kind != "euler" else {"pseries"}
+                assert set(lean._tables[p, n].leads) == leads
                 assert set(g._tables[p, n, "trace"][4]) == used
 
 
 def test_a_warm_call_packs_nothing_and_a_miss_packs_once(monkeypatch):
-    # A call whose weights the table holds reads it as it is; a weight it lacks
-    # packs the call's weights once and runs the loop again.  The table's big,
+    # A call whose weights and lead the table holds reads it as it is; a lead it
+    # lacks is added once, and a weight it lacks packs the call's weights once
+    # and runs the loop again, for both series routes at once.  The table's big,
     # (lcm d_x)^n over every weight packed, changes only the denominator, so
     # the totals equal a fresh genus's.
     calls = []
     pack = engine_module._packed_table
-    monkeypatch.setattr(engine_module, "_packed_table", lambda *a: calls.append(1) or pack(*a))
+    monkeypatch.setattr(engine_module, "_packed_table", lambda *a: calls.append(a[3]) or pack(*a))
     p, n = 13, 3
     low = WeightSet(p, n, ((1, 2, 4), (2, 1, 2), (4, 4, 1)))
     high = WeightSet(p, n, ((12, 2, 5), (1, 2, 3), (11, 1, 12)))
     for kind, y in [("todd", None), ("chi_y", F(-1, 2)), ("a_hat", None)]:
         monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
         g = make_genus(kind, n + 1, y)
+        calls.clear()
         for route in ("pseries", "ab"):
-            calls.clear()
             _route_total(g, low, route)
             _route_total(g, WeightSet(p, n, low.points[::-1]), route)
-            assert len(calls) == 1, (kind, route)  # the first call builds the table
-            got = _route_total(g, high, route)
-            assert len(calls) == 2, (kind, route)
-            table = g._tables[p, n, route]
-            assert set(table[4]) == {1, 2, 3, 4, 5, 11, 12}
-            assert table[9] == lcm(*[d for _, d in table[4].values()]) ** n
-            monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
-            assert got == _route_total(make_genus(kind, n + 1, y), high, route), (kind, route)
+        assert calls == ["pseries", "ab"], kind  # the table, then the ab lead
+        got = {route: _route_total(g, high, route) for route in ("pseries", "ab")}
+        assert calls == ["pseries", "ab", "pseries"], kind  # high's weights, once
+        table = g._tables[p, n]
+        assert set(table.packed) == {1, 2, 3, 4, 5, 11, 12}
+        assert set(table.leads) == {"pseries", "ab"}
+        assert table.big == lcm(*[d for _, d in table.packed.values()]) ** n
+        monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
+        fresh = make_genus(kind, n + 1, y)
+        for route in ("ab", "pseries"):
+            assert got[route] == _route_total(fresh, high, route), (kind, route)
 
 
 _CATALOG = [("todd", None), ("euler", None), ("l_genus", None), ("chi_y", F(2)),
@@ -548,14 +556,15 @@ def test_packed_width_is_bounded_by_the_largest_factor():
         w = _random_weight_set(rng, p, n, 4)
         for route in ("pseries", "ab"):
             genus_mod_p(g, w, route)
-        widths.append(g._tables[p, n, "pseries"][2])
-    assert len(g._tables[p, n, "pseries"][4]) > 400
+        widths.append(g._tables[p, n].width)
+    assert len(g._tables[p, n].packed) > 400
     assert max(widths) <= 2 * widths[0]
 
 
 def test_large_p_ab_query_builds_factors_for_its_weights_only(monkeypatch, capsys):
     # At p = 100003 the ab route must touch only the query's weights: no
-    # factor u/[u]_m for the other p - 5 residues, and no p u/[u]_p either.
+    # factor u/[u]_m for the other p - 5 residues, and no p u/[u]_p either,
+    # so its one series table holds the ab lead only.
     monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
     argv = ["compute", "--genus", "chi_y:2", "--p", "100003", "--residues", "0,1,2",
             "--route", "ab", "--format", "json"]
@@ -565,11 +574,131 @@ def test_large_p_ab_query_builds_factors_for_its_weights_only(monkeypatch, capsy
     assert json.loads(capsys.readouterr().out)["result"] == "3"  # chi_y(CP^2) = 1 - y + y^2
     weights = {1, 2, 100001, 100002}
     built = set()
+    tables = []
     for g in genus_module._GENUS_CACHE.values():
         built |= set(g._factors)
-        for table in g._tables.values():
-            assert set(table[4]) <= weights
+        tables += g._tables.items()
+    assert [key for key, _ in tables] == [(100003, 2)]
+    assert set(tables[0][1].packed) == weights and set(tables[0][1].leads) == {"ab"}
     assert built == weights
+
+
+def test_series_routes_share_one_product_pass_per_weight_set(monkeypatch):
+    # pseries, ab, cf_residuals and thm71_check on one weight set multiply each
+    # point's factors once; an equal but distinct set multiplies them again.
+    calls = []
+    products = engine_module._products
+    monkeypatch.setattr(engine_module, "_products", lambda *a: calls.append(1) or products(*a))
+    monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
+    p, n = 11, 3
+    w = WeightSet(p, n, ((1, 2, 4), (3, 5, 9), (2, 1, 4), (10, 10, 6)))
+    g = make_genus("l_genus", n + 1)
+    values = [genus_mod_p(g, w, "pseries"), genus_mod_p(g, w, "ab")]
+    cf = cf_residuals(g, w)
+    report = thm71_check(g, w)
+    assert len(calls) == 1
+    twin = WeightSet(p, n, w.points)
+    assert [genus_mod_p(g, twin, r) for r in ("ab", "pseries")] == values[::-1]
+    assert cf_residuals(g, twin) == cf and thm71_check(g, twin) == report
+    assert len(calls) == 2
+
+
+def test_packing_between_two_routes_of_one_set_gives_fresh_totals(monkeypatch):
+    # Packing new weights (a new big) or repacking (a wider lead or factor)
+    # drops the kept products, so the next route on the first set recomputes
+    # them and gives a fresh genus's totals; a lead added at the same width
+    # keeps them.
+    def fresh(kind, y):
+        monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
+        return make_genus(kind, n + 1, y)
+
+    p, n = 13, 3
+    w = WeightSet(p, n, ((1, 1, 1), (1, 2, 1), (2, 2, 2)))
+    wide = WeightSet(p, n, ((12, 11, 6), (7, 5, 9)))
+    seen = set()
+    for kind, y in [("todd", None), ("chi_y", F(-1, 2)), ("a_hat", None), ("l_genus", None)]:
+        want = {r: _route_total(fresh(kind, y), w, r) for r in ("pseries", "ab")}
+        for between in ((), (wide,)):
+            for first, then in (("pseries", "ab"), ("ab", "pseries")):
+                g = fresh(kind, y)
+                assert _route_total(g, w, first) == want[first]
+                t = g._tables[p, n]
+                top = t.top
+                for v in between:
+                    _route_total(g, v, first)
+                seen.add(("wider factor", t.top > top))
+                cap = t.cap
+                assert _route_total(g, w, then) == want[then], (kind, between, first)
+                seen.add(("wider lead", t.cap > cap))
+                assert _point_sums(g, w, first, [n]) == [want[first]]
+    # each kind of repack, and its absence, falls between two routes of w
+    whys = ("wider factor", "wider lead")
+    assert seen == {(why, grew) for why in whys for grew in (False, True)}
+
+
+def test_a_degenerate_chi_y_lead_leaves_pseries_working(monkeypatch):
+    # chi_y with 1 + y ≡ 0 mod p has no B: the ab route raises, in either
+    # order, and the shared table keeps the pseries lead alone.
+    w = WeightSet(3, 2, ((1, 2), (2, 1), (1, 1)))
+    want = reduce_value(_route_total(make_genus("chi_y", 5, F(2)), w, "pseries"), 3)
+    for routes in (("pseries", "ab", "pseries"), ("ab", "pseries", "ab")):
+        monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
+        g = make_genus("chi_y", 3, F(2))
+        for route in routes:
+            if route == "ab":
+                with pytest.raises(BadParams, match="theta degenerates"):
+                    genus_mod_p(g, w, route)
+            else:
+                assert genus_mod_p(g, w, route) == want, routes
+        assert set(g._tables[3, 2].leads) == {"pseries"}
+
+
+_SERIES_OPS = ("pseries", "ab", "cf", "thm71", "sums")
+
+
+@st.composite
+def _interleaved_queries(draw):
+    """A B-series catalog kind at p <= 13, weight sets at one or two n (the last
+    equal to the first but a distinct object), and a drawn sequence of (set,
+    series query)."""
+    kind, y = draw(st.sampled_from([c for c in _CATALOG if c[0] not in ("euler", "elliptic")]))
+    p = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    unit = st.integers(1, p - 1)
+    sets = []
+    for n in draw(st.lists(st.integers(0, 5), min_size=1, max_size=2, unique=True)):
+        for points in draw(st.lists(st.lists(st.tuples(*[unit] * n), max_size=4), min_size=1,
+                                    max_size=3)):
+            sets.append(WeightSet(p, n, tuple(points)))
+    sets.append(WeightSet(p, sets[0].n, sets[0].points))
+    queries = draw(st.lists(st.tuples(st.integers(0, len(sets) - 1), st.sampled_from(_SERIES_OPS)),
+                            min_size=1, max_size=12))
+    return kind, y, sets, queries
+
+
+def _series_query(g, w, query):
+    if query in ("pseries", "ab"):
+        return _outcome(_route_total, g, w, query)
+    if query == "sums":
+        return _outcome(_point_sums, g, w, "pseries", range(w.n + 1))
+    if w.n == 0:
+        return None
+    if query == "cf":
+        return [repr(r) for r in cf_residuals(g, w)]
+    return _outcome(lambda: json.dumps(thm71_check(g, w, force=True).to_json_dict()))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_interleaved_queries())
+def test_series_queries_in_any_order_give_fresh_totals(case):
+    # Over interleaved weight sets, series queries asked in a drawn order (so
+    # kept products, lead additions, packing and repacking fall between them)
+    # each give the exact values of a genus whose tables are empty.
+    kind, y, sets, queries = case
+    g = make_genus(kind, 9, y)
+    ref = make_genus(kind, 10, y)
+    for i, query in queries:
+        ref._tables.clear()
+        assert _series_query(g, sets[i], query) == _series_query(ref, sets[i], query), (i, query)
 
 
 def test_custom_logarithm_needs_only_order_n_plus_1():

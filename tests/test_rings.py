@@ -7,6 +7,7 @@ import pytest
 
 from zpgenus.errors import BadParams, NonIntegralAtP
 from zpgenus.rings import (
+    _PRIME_CACHE_SIZE,
     GradedPoly,
     GradedPolyModP,
     ModP,
@@ -53,6 +54,24 @@ def test_odd_prime_gate_matches_sieve():
     gate = is_odd_prime.__wrapped__  # bypass the cache, which would keep every n
     for n in range(limit):
         assert gate(n) == (bool(sieve[n]) and n != 2), n
+
+
+def test_odd_prime_cache_is_bounded():
+    # A stream of distinct p keeps the last _PRIME_CACHE_SIZE answers, no more.
+    for q in range(10**6 + 1, 10**6 + 1 + 4 * _PRIME_CACHE_SIZE, 2):
+        is_odd_prime(q)
+    info = is_odd_prime.cache_info()
+    assert info.maxsize == info.currsize == _PRIME_CACHE_SIZE
+    assert is_odd_prime(10**6 + 3) and not is_odd_prime(10**6 + 1)
+
+
+def test_unchecked_residue_equals_the_checked_one():
+    # ModP._of skips the primality test a validated p has passed already.
+    for value, p in ((12, 5), (-1, 7), (0, 3), (10**30 + 7, 101)):
+        got = ModP._of(value, p)
+        assert got == ModP(value, p) and repr(got) == repr(ModP(value, p))
+        with pytest.raises(AttributeError):
+            got.value = 0
 
 
 def test_rational_reduce_examples():
