@@ -6,17 +6,16 @@ space (nonzero residues mod p).  The genus of the ambient manifold mod p is
 computed by any of three routes, which must agree (each computes a
 repeated fixed point once, times its multiplicity):
 
-* ``pseries``: sum over fixed points of <(p u/[u]_p) * prod_k u/[u]_{x_k}>_n,
-  exact over Q (or Q[delta, eps]), reduced mod p at the end.
+* ``pseries``: sum over fixed points of <(p u/[u]_p) * prod_k u/[u]_{x_k}>_n.
 * ``ab``: sum over fixed points of ab_coefficient = -<A(u) B(u)>_n with
   A = prod_k u/[u]_{x_k} and B the trace generating series of the kind.
 * ``trace``: sum over fixed points of -Tr prod_k factor(zeta^{x_k}) in
   Q(zeta_p), as packed products of integer preimages in the group ring
   Z[t]/(t^p - 1), sharing no series arithmetic with the other two routes.
 
-Over Q each route sums packed per-point integer products over one common
-denominator, reduced mod p as ints; Fractions only where exact values are read.
-pseries and ab share one packed table per (p, n) and the last set's products.
+Over Q, pseries and ab read the sum mod p from one table per (p, n) of
+residues mod p^e, which also keeps the last set's products; every exact value,
+and every sum the table cannot reduce, comes from series products.
 
 Realizable weight sets also satisfy the vanishing of the lower p-series
 coefficients (m = 0..n-1), exposed by :func:`cf_residuals`, and the exact
@@ -28,7 +27,6 @@ import json
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
 from types import SimpleNamespace
 
 from .cyclotomic import _kind_param, _theta_polynomial, _trace_preimage, _trace_table, _trace_total
@@ -158,16 +156,14 @@ class WeightSet(_Record):
 
     @cached_property
     def distinct_points(self) -> dict:
-        """Multiplicity per distinct fixed point, keyed by its first occurrence in
-        points; route values ignore weight order.  Built once per set, read-only.
-
-        Keying by a point the set already holds, not a new sorted tuple, halves
-        what a set retains: about 0.5 KB instead of 1 KB at 12 points.  A plain
-        dict counted with get, not a Counter, skips a __missing__ call per point.
+        """Multiplicity per distinct fixed point, keyed by the point as given.
+        Reorderings of one point's weights count apart: every route value is
+        symmetric in them, so a sort per point would buy nothing.  Built once
+        per set, read-only.  A plain dict counted with get, not a Counter, skips
+        a __missing__ call per point.
         """
-        first, counts = {}, {}
+        counts = {}
         for pt in self.points:
-            pt = first.setdefault(tuple(sorted(pt)), pt)
             counts[pt] = counts.get(pt, 0) + 1
         return counts
 
@@ -392,112 +388,113 @@ def p_series_term(g: GenusSpec, p: int, weights: Sequence[int], m: int):
 # ---------------------------------------------------------------------------
 
 
-def _pack(coeffs: list, width: int) -> int:
-    """The ring map u -> 2^width of Z[u]/(u^len(coeffs)) onto Z/2^{width len(coeffs)}."""
-    return sum(c << width * i for i, c in enumerate(coeffs)) & (1 << width * len(coeffs)) - 1
-
-
-def _packed_table(g: GenusSpec, p: int, n: int, route: str, points) -> SimpleNamespace:
-    """g._tables[p, n], shared by pseries and ab, now with route's lead and the
-    weights of points: packed[x] = (u/[u]_x over d_x, d_x) per weight so far, and
-    leads[r] = (F, den, numerators of F) per route r asked so far, F = p u/[u]_p
-    (pseries) or -B (ab) over den; so a pseries query builds no B.  Each packs
-    through u^n by :func:`_pack` at width W, which holds cap top^n (top and cap
-    the largest factor and lead L1) and a sign; a larger top or cap repacks all.
-    slot masks one coefficient, mask all n + 1, and off adds half = 2^(W-1) to
-    each so that every slot reads nonnegative.  big = L^n, L = lcm d_x over
-    packed.  last keeps one set's :func:`_products`; new weights drop them.
-    """
-    t = g._tables.setdefault(
-        (p, n), SimpleNamespace(packed={}, leads={}, top=0, cap=0, L=1, big=1, last=None))
-    new = {x for pt, _ in points for x in pt} - t.packed.keys()
-    nums = {x: integer_numerators(power_factor(g, x, n).coeffs) for x in new}
-    leads = {}
-    if route not in t.leads:
-        lead = b_series(g.kind, p, n, g.y).scale(-1) if route == "ab" else p_power_factor(g, p, n)
-        leads[route] = integer_numerators(lead.coeffs)
-    top = max([1, t.top] + [sum(map(abs, f)) for f, _ in nums.values()])
-    cap = max([t.cap] + [sum(map(abs, f)) for f, _ in leads.values()])
-    if top > t.top or cap > t.cap:
-        nums.update((x, integer_numerators(power_factor(g, x, n).coeffs)) for x in t.packed)
-        leads.update((r, (f, d)) for r, (_, d, f) in t.leads.items())
-        t.top, t.cap, t.width = top, cap, (cap * top**n).bit_length() + 1
-        t.slot, t.half, t.mask = (1 << t.width) - 1, 1 << t.width - 1, (1 << t.width * (n + 1)) - 1
-        t.off = t.half * (t.mask // t.slot)
-    t.packed.update((x, (_pack(f, t.width), d)) for x, (f, d) in nums.items())
-    t.leads.update((r, (_pack(f, t.width), d, f)) for r, (f, d) in leads.items())
-    if nums:  # new weights, or all of them repacked
-        t.L = lcm(t.L, *[d for _, d in nums.values()])
-        t.big, t.last = t.L**n, None
-    return t
-
-
-def _products(t: SimpleNamespace, points) -> list:
-    """[(A_j, k_j big/d_j)] over points, A_j a point's packed factor product over
-    d_j; KeyError on a weight the table t lacks."""
-    packed, mask, big, prods = t.packed, t.mask, t.big, []
-    for pt, k in points:
-        acc, d = 1, 1
-        for x in pt:
-            f, dx = packed[x]
-            acc = acc * f & mask
-            d *= dx
-        prods.append((acc, k * (big // d)))
-    return prods
-
-
-def _point_totals(g: GenusSpec, w: WeightSet, route: str, ms: Iterable[int]) -> list:
-    """sum_j k_j <F A_j>_m for m in ms; j runs over ``w.distinct_points``, k_j
-    is its multiplicity, A_j = prod u/[u]_x over its weights, and F is
-    p u/[u]_p (pseries) or -B (ab).  Order n holds every coefficient read.
-    Over QQ the A_j do not depend on F: the table (:func:`_packed_table`) keeps
-    them for w, so a later call on w, on either route, only multiplies by F.  A
-    sum is a pair (num, den) of ints, den that of F times the table's big; a
-    weight the table lacks packs the call's weights, then the products are taken
-    again.  Other rings multiply series and give each sum exact.
-    """
-    n = w.n
-    g = ensure_order(g, n + 1)
-    points = w.distinct_points.items()
-    if g.ring is not QQ:  # pseries only: no B-series kind lives here
-        pf = p_power_factor(g, w.p, n)
-        prods = [(k, pf * a_series(g, pt, n)) for pt, k in points]
-        return [sum((a[m] * k for k, a in prods), g.ring.zero) for m in ms]
-    t = g._tables.get((w.p, n))
-    if t is None or route not in t.leads:
-        t = _packed_table(g, w.p, n, route, points)
-    if t.last is None or t.last[0] is not w:
-        try:
-            t.last = (w, _products(t, points))
-        except KeyError:
-            _packed_table(g, w.p, n, route, points)
-            return _point_totals(g, w, route, ms)
-    lead, den, _ = t.leads[route]
-    width, slot, half, off, den = t.width, t.slot, t.half, t.off, den * t.big
-    sums = []
-    for m in ms:  # one m on every genus_mod_p call
-        s, shift = 0, width * m
-        for acc, k in t.last[1]:
-            s += k * ((lead * acc + off >> shift & slot) - half)
-        sums.append((s, den))
-    return sums
-
-
-def _exact(total):
-    """A sum from :func:`_point_totals` or :func:`_route_sum` as an exact value."""
-    return Fraction(*total) if isinstance(total, tuple) else total
+def _lead(g: GenusSpec, p: int, n: int, route: str) -> Series:
+    """F, by which a series route multiplies each point's A: p u/[u]_p or -B."""
+    return b_series(g.kind, p, n, g.y).scale(-1) if route == "ab" else p_power_factor(g, p, n)
 
 
 def _point_sums(g: GenusSpec, w: WeightSet, route: str, ms: Iterable[int]) -> list:
-    """The sums of :func:`_point_totals`, exact: Fractions over QQ."""
-    return [_exact(t) for t in _point_totals(g, w, route, ms)]
+    """sum_j k_j <F A_j>_m for m in ms, exact in the coefficient ring; j runs over
+    ``w.distinct_points``, k_j is its multiplicity, A_j = prod u/[u]_x over its
+    weights and F = :func:`_lead`.  Order n holds every coefficient read."""
+    n = w.n
+    g = ensure_order(g, n + 1)
+    lead = _lead(g, w.p, n, route)
+    prods = [(k, lead * a_series(g, pt, n)) for pt, k in w.distinct_points.items()]
+    return [sum((a[m] * k for k, a in prods), g.ring.zero) for m in ms]
+
+
+def _packed_residues(series: Series, t: SimpleNamespace) -> tuple:
+    """(p^v series mod M, v), v = v_p of the series' denominator, packed by the
+    ring map u -> 2^width of Z[u]/(u^(n+1)) onto Z with each slot in [0, M)."""
+    nums, d = integer_numerators(series.coeffs)
+    v = 0
+    while not d % t.p:
+        d, v = d // t.p, v + 1
+    inv = pow(d, -1, t.M)
+    return sum(c * inv % t.M << t.width * i for i, c in enumerate(nums)), v
+
+
+def _residue_table(g: GenusSpec, p: int, n: int, route: str, points) -> SimpleNamespace:
+    """g._tables[p, n], shared by pseries and ab, now with route's lead and the
+    weights of points, through u^n mod M = p^e, e = 1 + n // (p - 1):
+    packed[x] = u/[u]_x and leads[r] = (p^v F, v), F = :func:`_lead`; None
+    where a factor is not p-integral or v >= e.  The width holds an n + 1 fold
+    product of slots, so it is fixed by (p, n) and last, one set's
+    :func:`_products`, outlives any packing."""
+    t = g._tables.get((p, n))
+    if t is None:
+        M = p ** (1 + n // (p - 1))
+        width = ((n + 1) ** n * (M - 1) ** (n + 1)).bit_length()
+        t = g._tables[p, n] = SimpleNamespace(p=p, M=M, width=width, slot=(1 << width) - 1,
+                                              mask=(1 << width * (n + 1)) - 1, packed={},
+                                              leads={}, last=None)
+    for x in {x for pt, _ in points for x in pt} - t.packed.keys():
+        f, v = _packed_residues(power_factor(g, x, n), t)
+        t.packed[x] = None if v else f
+    if route not in t.leads:
+        lead = _packed_residues(_lead(g, p, n, route), t)
+        t.leads[route] = lead if p ** lead[1] < t.M else None
+    return t
+
+
+def _products(t: SimpleNamespace, points) -> list | None:
+    """[(A_j mod M, k_j)] over points, A_j a point's packed factor product; None
+    if a factor is not p-integral, KeyError on a weight the table t lacks."""
+    packed, mask, prods = t.packed, t.mask, []
+    for pt, k in points:
+        acc = 1
+        for x in pt:
+            f = packed[x]
+            if f is None:
+                return None
+            acc = acc * f & mask
+        prods.append((acc, k))
+    return prods
+
+
+def _residues(g: GenusSpec, w: WeightSet, route: str, ms: Sequence[int]) -> list:
+    """Each sum S of :func:`_point_sums` mod p, or the NonIntegralAtP it raises.
+    Over QQ, s = sum_j k_j <p^v F A_j>_m mod M from the table is p^v S mod M:
+    S is p-integral exactly when p^v divides s, and S ≡ s / p^v.  Where the
+    table cannot tell (S or a factor not p-integral, or v >= e), and over
+    other rings, the exact sum is reduced."""
+    n, p = w.n, w.p
+    out = [None] * len(ms)
+    if g.ring is QQ:
+        g = ensure_order(g, n + 1)
+        points = w.distinct_points.items()
+        t = g._tables.get((p, n))
+        if t is None or route not in t.leads:
+            t = _residue_table(g, p, n, route, points)
+        if t.last is None or t.last[0] is not w:
+            try:
+                t.last = (w, _products(t, points))
+            except KeyError:
+                t.last = (w, _products(_residue_table(g, p, n, route, points), points))
+        lead, prods = t.leads[route], t.last[1]
+        if lead is not None and prods is not None:
+            (F, v), slot = lead, t.slot
+            pv = p**v
+            for i, m in enumerate(ms):  # one m on every genus_mod_p call
+                shift = t.width * m
+                s = sum(k * (F * acc >> shift & slot) for acc, k in prods) % t.M
+                if not s % pv:
+                    out[i] = ModP._of(s // pv, p)
+    if None in out:
+        exact = _point_sums(g, w, route, ms)
+        for i, r in enumerate(out):
+            if r is None:
+                try:
+                    out[i] = reduce_value(exact[i], p)
+                except NonIntegralAtP as exc:
+                    out[i] = exc
+    return out
 
 
 def _route_sum(g: GenusSpec, w: WeightSet, route: str):
-    """The sum over fixed points of the chosen route's per-point value: (num, den)
-    ints on the packed pseries, ab and trace loops, else exact."""
-    if route == "pseries" or (route == "ab" and g.kind in B_SERIES_KINDS):
-        return _point_totals(g, w, route, [w.n])[0]
+    """The trace route's sum over fixed points as (num, den) ints, or the ab
+    route's as a Fraction for a kind without B."""
     points = w.distinct_points.items()
     if route == "trace" and points:
         if (w.p, w.n, route) not in g._tables:
@@ -510,20 +507,28 @@ def _route_sum(g: GenusSpec, w: WeightSet, route: str):
 
 def _route_total(g: GenusSpec, w: WeightSet, route: str):
     """The exact sum over fixed points of the chosen route's per-point value."""
-    return _exact(_route_sum(g, w, route))
+    if route == "pseries" or (route == "ab" and g.kind in B_SERIES_KINDS):
+        return _point_sums(g, w, route, [w.n])[0]
+    total = _route_sum(g, w, route)
+    return Fraction(*total) if isinstance(total, tuple) else total
 
 
 def genus_mod_p(g: GenusSpec, w: WeightSet, route: str = "pseries") -> ModP | GradedPolyModP:
     """The genus of the ambient manifold mod p, by the chosen route.
 
-    The exact per-point values are summed over Q (or Q[delta, eps]), each
-    distinct point once times its multiplicity, and only the total is reduced,
-    over Q from its integer numerator and denominator (:func:`reduce_value`); a
-    non-p-integral total raises NonIntegralAtP, which for the pseries route
-    flags non-realizable input data.
+    The per-point values are summed, each distinct point once times its
+    multiplicity, and only the total is reduced: from residues mod p^e on the
+    pseries and ab routes (:func:`_residues`), from (num, den) on the trace
+    route (:func:`reduce_value`).  A non-p-integral total raises
+    NonIntegralAtP, which for the pseries route flags non-realizable input data.
     """
     if route not in ROUTES:
         raise BadParams(f"route must be one of {ROUTES}, got {route!r}")
+    if route == "pseries" or (route == "ab" and g.kind in B_SERIES_KINDS):
+        (r,) = _residues(g, w, route, [w.n])
+        if isinstance(r, NonIntegralAtP):
+            raise r
+        return r
     return reduce_value(_route_sum(g, w, route), w.p)
 
 
@@ -537,13 +542,7 @@ def cf_residuals(g: GenusSpec, w: WeightSet) -> list:
     """
     if w.n < 1:
         raise BadParams("cf_residuals needs n >= 1")
-    out = []
-    for total in _point_totals(g, w, "pseries", range(w.n)):
-        try:
-            out.append(reduce_value(total, w.p))
-        except NonIntegralAtP as exc:
-            out.append(exc)
-    return out
+    return _residues(g, w, "pseries", range(w.n))
 
 
 # ---------------------------------------------------------------------------

@@ -327,9 +327,10 @@ def _route_inputs(draw):
 @settings(derandomize=True, max_examples=250, deadline=None)
 @given(_route_inputs())
 def test_packed_route_totals_equal_per_point_references(case):
-    # Each route sums packed per-point products over one denominator; the
-    # totals (and every pseries coefficient read) must equal the per-point
-    # series and group-ring references summed over all points.
+    # Each route takes a repeated point once, times its multiplicity (trace as
+    # packed products over one denominator); the totals (and every pseries
+    # coefficient read) must equal the per-point series and group-ring
+    # references summed over all points.
     kind, p, y, w = case
     n = w.n
     g = make_genus(kind, max(n + 1, 2), y)

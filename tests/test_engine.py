@@ -3,7 +3,6 @@ import json
 import random
 import time
 from fractions import Fraction as F
-from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -273,7 +272,7 @@ def test_routes_read_exact_values_of_wide_truncations():
 
 def _series_thm71_and_cf(g, w):
     """thm71_check's JSON report and cf_residuals' reprs from series products per point,
-    as computed before the integer numerators."""
+    summed over every point."""
     n, p = w.n, w.p
     pf = p_power_factor(g, p, n)
     points = w.distinct_points.items()
@@ -299,10 +298,10 @@ def _series_thm71_and_cf(g, w):
 
 
 def test_integer_routes_equal_series_products():
-    # Over QQ the pseries and ab routes convolve integer numerators; every exact
-    # per-point value and total must equal the series expressions
+    # Every exact per-point value and total must equal the series expressions
     # (p_power_factor * a_series)[n] and -(a_series * b_series)[d], and the
-    # cf_residuals and thm71_check reports must equal those built from them.
+    # cf_residuals (read from residues mod p^e) and thm71_check reports must
+    # equal those built from them.
     rng = random.Random(29)
     kinds = [("todd", None), ("euler", None), ("l_genus", None), ("chi_y", F(2)),
              ("chi_y", F(-1, 2)), ("a_hat", None), ("elliptic", None)]
@@ -436,8 +435,8 @@ def test_factor_cache_is_independent_of_fill_order(monkeypatch):
 def test_packed_tables_grow_with_new_weights(monkeypatch):
     # A route's packed table covers the weights queried so far (for the trace
     # route, up to its byte bound); a genus warmed with set A and then asked
-    # for set B (new weights, same p and n) must give the exact totals of a
-    # fresh genus on every route.
+    # for set B (new weights, same p and n) must give a fresh genus's residues
+    # and errors on every route and in cf_residuals.
     def fresh(kind, y):
         monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
         return make_genus(kind, 2, y)
@@ -449,14 +448,14 @@ def test_packed_tables_grow_with_new_weights(monkeypatch):
         high = WeightSet(p, n, ((p - 1, 2, 5)[:n], (p - 2, 1, p - 1)[:n], (1, 2, 3)[:n]))
         for kind, y in kinds:
             routes = ("pseries",) if kind == "elliptic" else ROUTES
-            want = {r: _route_total(fresh(kind, y), high, r) for r in routes}
+            want = {r: _outcome(genus_mod_p, fresh(kind, y), high, r) for r in routes}
             want_cf = [repr(r) for r in cf_residuals(fresh(kind, y), high)]
             g = fresh(kind, y)
             for r in routes:
-                _route_total(g, low, r)
+                _outcome(genus_mod_p, g, low, r)
             cf_residuals(g, low)
             for r in routes:
-                assert _route_total(g, high, r) == want[r], (kind, p, n, r)
+                assert _outcome(genus_mod_p, g, high, r) == want[r], (kind, p, n, r)
             assert [repr(r) for r in cf_residuals(g, high)] == want_cf, (kind, p, n)
             if kind != "elliptic":
                 # one series table per (p, n), holding the lead of each series route asked
@@ -472,33 +471,38 @@ def test_packed_tables_grow_with_new_weights(monkeypatch):
 def test_a_warm_call_packs_nothing_and_a_miss_packs_once(monkeypatch):
     # A call whose weights and lead the table holds reads it as it is; a lead it
     # lacks is added once, and a weight it lacks packs the call's weights once
-    # and runs the loop again, for both series routes at once.  The table's big,
-    # (lcm d_x)^n over every weight packed, changes only the denominator, so
-    # the totals equal a fresh genus's.
+    # and takes the products again, for both series routes at once.  The width
+    # is fixed by (p, n), so the residues equal a fresh genus's.
     calls = []
-    pack = engine_module._packed_table
-    monkeypatch.setattr(engine_module, "_packed_table", lambda *a: calls.append(a[3]) or pack(*a))
+    pack = engine_module._residue_table
+    monkeypatch.setattr(engine_module, "_residue_table", lambda *a: calls.append(a[3]) or pack(*a))
     p, n = 13, 3
     low = WeightSet(p, n, ((1, 2, 4), (2, 1, 2), (4, 4, 1)))
     high = WeightSet(p, n, ((12, 2, 5), (1, 2, 3), (11, 1, 12)))
+
+    def queries(g, w):
+        return [repr(genus_mod_p(g, w, r)) for r in ("pseries", "ab")] + [repr(r) for r in cf_residuals(g, w)]
+
     for kind, y in [("todd", None), ("chi_y", F(-1, 2)), ("a_hat", None)]:
         monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
         g = make_genus(kind, n + 1, y)
         calls.clear()
         for route in ("pseries", "ab"):
-            _route_total(g, low, route)
-            _route_total(g, WeightSet(p, n, low.points[::-1]), route)
+            genus_mod_p(g, low, route)
+            genus_mod_p(g, WeightSet(p, n, low.points[::-1]), route)
+        cf_residuals(g, low)
         assert calls == ["pseries", "ab"], kind  # the table, then the ab lead
-        got = {route: _route_total(g, high, route) for route in ("pseries", "ab")}
+        got = queries(g, high)
         assert calls == ["pseries", "ab", "pseries"], kind  # high's weights, once
+        assert queries(g, high) == got
+        queries(g, low)
+        assert calls == ["pseries", "ab", "pseries"], kind  # warm: nothing packed
         table = g._tables[p, n]
         assert set(table.packed) == {1, 2, 3, 4, 5, 11, 12}
         assert set(table.leads) == {"pseries", "ab"}
-        assert table.big == lcm(*[d for _, d in table.packed.values()]) ** n
+        assert table.width == (4**3 * 12**4).bit_length()  # (n + 1)^n (p - 1)^(n + 1), e = 1
         monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
-        fresh = make_genus(kind, n + 1, y)
-        for route in ("ab", "pseries"):
-            assert got[route] == _route_total(fresh, high, route), (kind, route)
+        assert got == queries(make_genus(kind, n + 1, y), high), kind
 
 
 _CATALOG = [("todd", None), ("euler", None), ("l_genus", None), ("chi_y", F(2)),
@@ -530,10 +534,10 @@ def _outcome(f, *args):
 @settings(derandomize=True, max_examples=250, deadline=None)
 @given(_catalog_inputs())
 def test_residues_reduce_the_exact_totals(case):
-    # genus_mod_p reduces each route's integer numerator and denominator with no
-    # Fraction unless p divides the denominator; it must give reduce_value of
-    # the exact total or raise the same error (NonIntegralAtP where the total is
-    # not p-integral), and so must cf_residuals slot by slot.
+    # genus_mod_p reads pseries and ab from residues mod p^e and trace from its
+    # integer numerator and denominator; it must give reduce_value of the exact
+    # total or raise the same error (NonIntegralAtP where the total is not
+    # p-integral), and so must cf_residuals slot by slot.
     kind, y, w = case
     g = make_genus(kind, 2, y)
     for route in ROUTES:
@@ -544,10 +548,44 @@ def test_residues_reduce_the_exact_totals(case):
         assert [repr(r) for r in cf_residuals(g, w)] == want, case
 
 
+@st.composite
+def _fallback_inputs(draw):
+    """chi_y with p in the denominator of y, n <= 4 (so v >= e at n = 1), and a
+    weight set with negative, >= p and repeated weights and points."""
+    y, p = draw(st.sampled_from(((F(7, 3), 3), (F(1, 5), 5))))
+    n = draw(st.integers(1, 4))
+    unit = st.integers(-2 * p, 3 * p).filter(lambda x: x % p)
+    points = draw(st.lists(st.tuples(*[unit] * n), max_size=4))
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=2))
+    return y, WeightSet(p, n, tuple(points))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_fallback_inputs())
+def test_residues_fall_back_to_the_exact_sums(case):
+    # With p in y's denominator the lead, and every factor but u/[u]_1, are
+    # not p-integral, so the residue table cannot read the sums; genus_mod_p
+    # and cf_residuals must then give reduce_value of the exact series sums,
+    # ModP or NonIntegralAtP with the same message.
+    y, w = case
+    p, n = w.p, w.n
+    g = make_genus("chi_y", n + 1, y)
+    pf = p_power_factor(g, p, n)
+    prods = [(k, pf * a_series(g, pt, n)) for pt, k in w.distinct_points.items()]
+    sums = [sum((a[m] * k for k, a in prods), F(0)) for m in range(n + 1)]
+    want = [_outcome(reduce_value, s, p) for s in sums]
+    assert _outcome(genus_mod_p, g, w, "pseries") == want[n], case
+    assert [repr(r) for r in cf_residuals(g, w)] == want[:n], case
+    assert g._tables[p, n].leads["pseries"] is None  # p^v F with v >= e
+    assert all(f is None for x, f in g._tables[p, n].packed.items() if x != 1)
+
+
 def test_packed_width_is_bounded_by_the_largest_factor():
-    # Each factor is packed over its own denominator, so the slot width follows
-    # the largest factor, not the number of weights seen: a stream of weight
-    # sets at large p keeps the width of its first query.
+    # The width holds the (n + 1)-fold product of residues mod p^e, so it is
+    # fixed by (p, n): a stream of weight sets at large p keeps the width of
+    # its first query however many weights the table holds, and another
+    # genus at the same (p, n) packs at the same width.
     rng = random.Random(31)
     p, n = 100003, 3
     g = make_genus("todd", n + 1)
@@ -558,7 +596,20 @@ def test_packed_width_is_bounded_by_the_largest_factor():
             genus_mod_p(g, w, route)
         widths.append(g._tables[p, n].width)
     assert len(g._tables[p, n].packed) > 400
-    assert max(widths) <= 2 * widths[0]
+    assert widths == [(4**3 * (p - 1) ** 4).bit_length()] * 40
+    other = make_genus("chi_y", n + 1, F(2))
+    genus_mod_p(other, w, "pseries")
+    assert other._tables[p, n].width == widths[0]
+    # at n >= p - 1 both leads have v = n // (p - 1) >= 1 powers of p in their
+    # denominators; M = p^(v + 1) lets the table hold them
+    for p, n in ((3, 4), (5, 8), (7, 6)):
+        g = make_genus("l_genus", n + 1)
+        w = _random_weight_set(rng, p, n, 3)
+        for route in ("pseries", "ab"):
+            _outcome(genus_mod_p, g, w, route)
+        t = g._tables[p, n]
+        assert t.M == p ** (n // (p - 1) + 1)
+        assert [t.leads[r][1] for r in ("pseries", "ab")] == [n // (p - 1)] * 2
 
 
 def test_large_p_ab_query_builds_factors_for_its_weights_only(monkeypatch, capsys):
@@ -584,8 +635,9 @@ def test_large_p_ab_query_builds_factors_for_its_weights_only(monkeypatch, capsy
 
 
 def test_series_routes_share_one_product_pass_per_weight_set(monkeypatch):
-    # pseries, ab, cf_residuals and thm71_check on one weight set multiply each
-    # point's factors once; an equal but distinct set multiplies them again.
+    # pseries, ab and cf_residuals on one weight set multiply each point's packed
+    # factors once, and thm71_check (exact series products) none; an equal but
+    # distinct set multiplies them again.
     calls = []
     products = engine_module._products
     monkeypatch.setattr(engine_module, "_products", lambda *a: calls.append(1) or products(*a))
@@ -604,36 +656,40 @@ def test_series_routes_share_one_product_pass_per_weight_set(monkeypatch):
 
 
 def test_packing_between_two_routes_of_one_set_gives_fresh_totals(monkeypatch):
-    # Packing new weights (a new big) or repacking (a wider lead or factor)
-    # drops the kept products, so the next route on the first set recomputes
-    # them and gives a fresh genus's totals; a lead added at the same width
-    # keeps them.
+    # Packing new weights between two routes of one set keeps the set's kept
+    # products, since the width is fixed by (p, n): the next route on the set
+    # multiplies no factor again and gives a fresh genus's residues.  A query
+    # on another set in between replaces them, and they are taken again.
     def fresh(kind, y):
         monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
         return make_genus(kind, n + 1, y)
 
+    calls = []
+    products = engine_module._products
+    monkeypatch.setattr(engine_module, "_products", lambda *a: calls.append(1) or products(*a))
     p, n = 13, 3
     w = WeightSet(p, n, ((1, 1, 1), (1, 2, 1), (2, 2, 2)))
     wide = WeightSet(p, n, ((12, 11, 6), (7, 5, 9)))
-    seen = set()
     for kind, y in [("todd", None), ("chi_y", F(-1, 2)), ("a_hat", None), ("l_genus", None)]:
-        want = {r: _route_total(fresh(kind, y), w, r) for r in ("pseries", "ab")}
-        for between in ((), (wide,)):
-            for first, then in (("pseries", "ab"), ("ab", "pseries")):
-                g = fresh(kind, y)
-                assert _route_total(g, w, first) == want[first]
-                t = g._tables[p, n]
-                top = t.top
-                for v in between:
-                    _route_total(g, v, first)
-                seen.add(("wider factor", t.top > top))
-                cap = t.cap
-                assert _route_total(g, w, then) == want[then], (kind, between, first)
-                seen.add(("wider lead", t.cap > cap))
-                assert _point_sums(g, w, first, [n]) == [want[first]]
-    # each kind of repack, and its absence, falls between two routes of w
-    whys = ("wider factor", "wider lead")
-    assert seen == {(why, grew) for why in whys for grew in (False, True)}
+        want = {r: genus_mod_p(fresh(kind, y), w, r) for r in ("pseries", "ab")}
+        want_cf = cf_residuals(fresh(kind, y), w)
+        for first, then in (("pseries", "ab"), ("ab", "pseries")):
+            g = fresh(kind, y)
+            assert genus_mod_p(g, w, first) == want[first]
+            t, calls[:] = g._tables[p, n], []
+            last = t.last
+            engine_module._residue_table(g, p, n, then, wide.distinct_points.items())
+            assert {12, 11, 6, 7, 5, 9} <= set(t.packed) and then in t.leads
+            assert genus_mod_p(g, w, then) == want[then], (kind, first)
+            assert cf_residuals(g, w) == want_cf, (kind, first)
+            assert t.last is last and calls == [], (kind, first)
+
+            g = fresh(kind, y)
+            genus_mod_p(g, w, first)
+            genus_mod_p(g, wide, first)
+            assert genus_mod_p(g, w, then) == want[then], (kind, first)
+            assert g._tables[p, n].last[0] is w
+            assert _point_sums(g, w, first, [n]) == [_route_total(fresh(kind, y), w, first)]
 
 
 def test_a_degenerate_chi_y_lead_leaves_pseries_working(monkeypatch):
@@ -827,7 +883,7 @@ def test_submanifold_json():
 
 
 def test_distinct_points_are_counted_once_per_weight_set(monkeypatch):
-    # The count of points up to weight order is cached on the frozen WeightSet:
+    # The count of points as given is cached on the frozen WeightSet:
     # all three routes read one count, and equality, hash and repr ignore it.
     counted = []
     prop = WeightSet.__dict__["distinct_points"]
@@ -838,6 +894,6 @@ def test_distinct_points_are_counted_once_per_weight_set(monkeypatch):
     g = make_genus("todd", 4)
     assert len({str(genus_mod_p(g, w, r)) for r in ROUTES}) == 1
     assert len(counted) == 1
-    assert w.distinct_points == {(2, 1): 3, (3, 4): 1}  # keyed by first occurrence
+    assert w.distinct_points == {(2, 1): 2, (1, 2): 1, (3, 4): 1}  # keyed as given
     assert w.distinct_points is w.distinct_points
     assert w == v and (hash(w), repr(w)) == before and hash(v) == before[0]
