@@ -64,7 +64,7 @@ from .rings import (
     poly_to_text,
     rational_reduce_mod_p,
 )
-from .series import Series, binomial_power, geometric
+from .series import Series, binomial_power
 
 __version__ = "0.1.0"
 

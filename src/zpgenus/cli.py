@@ -50,13 +50,18 @@ def _parse_int_list(text: str) -> tuple:
         raise BadParams(f"bad integer list {text!r}") from exc
 
 
+def _read_weights_file(path: str, record):
+    """record.from_json of the --weights file; BadParams if it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return record.from_json(fh.read())
+    except OSError as exc:
+        raise BadParams(f"cannot read weights file: {exc}") from exc
+
+
 def _load_weight_set(args) -> WeightSet:
     if args.weights:
-        try:
-            with open(args.weights, "r", encoding="utf-8") as fh:
-                w = WeightSet.from_json(fh.read())
-        except OSError as exc:
-            raise BadParams(f"cannot read weights file: {exc}") from exc
+        w = _read_weights_file(args.weights, WeightSet)
         if args.p is not None and args.p != w.p:
             raise BadParams(f"--p {args.p} contradicts p = {w.p} in the weights file")
         return w
@@ -245,11 +250,7 @@ def _run_thm71(args) -> int:
 def _run_submanifold(args) -> int:
     if not args.weights:
         raise BadParams("submanifold needs --weights FILE with submanifold data")
-    try:
-        with open(args.weights, "r", encoding="utf-8") as fh:
-            data = SubmanifoldData.from_json(fh.read())
-    except OSError as exc:
-        raise BadParams(f"cannot read weights file: {exc}") from exc
+    data = _read_weights_file(args.weights, SubmanifoldData)
     value = submanifold_genus(_genus_for(args), data)
     _emit(
         args,

@@ -11,13 +11,14 @@ module: its B-series is built from them.
 
 The theta elements attached to the genus catalog are
 
-* todd     theta = 1 - zeta
-* l_genus  theta = (1 - zeta)/(1 + zeta)
 * chi_y    theta = (1 - zeta)/(1 + y zeta)   (needs 1 + y a unit mod p)
+* todd     chi_y at y = 0: theta = 1 - zeta
+* l_genus  chi_y at y = 1: theta = (1 - zeta)/(1 + zeta)
+* euler    chi_y at y = -1: theta = 1, so its polynomial is (1 - u)^{p-1}
 * a_hat    theta = zeta^{(p+1)/2} - zeta^{(p-1)/2}
-* euler    theta = 1 (degenerate)
 
-and the trace-route factor of a weight x is theta^{-1} (-theta^{-1} for
+with y read from ``genus.CHI_Y_AT`` for todd, l_genus and euler, and the
+trace-route factor of a weight x is theta^{-1} (-theta^{-1} for
 a_hat) under zeta -> zeta^x.  Tr(theta^k) and the fixed-point contribution
 ab_trace = -Tr(prod_k factor(x_k)) share one kernel: each preimage is packed
 into one Python int, a weight costs one bigint product, and a sum over points
@@ -31,11 +32,9 @@ from math import comb
 
 from .errors import BadParams, UnsupportedKind, ZeroWeight
 from .genus import (
+    CHI_Y_AT,
     KIND_A_HAT,
-    KIND_CHI_Y,
     KIND_EULER,
-    KIND_L,
-    KIND_TODD,
     TRACE_KINDS,
     _kind_y,
 )
@@ -143,11 +142,11 @@ def _trace_preimage(kind: str, p: int, y: Rational | int | None, theta: bool = F
     """(vec, den) after checking p, y and kind: sum_j vec[j] t^j / den maps onto
     the factor of weight 1, or onto theta if asked, by t -> zeta.
 
-    With (a, b) = (0, 1) for todd, (1, 1) for l_genus and y = a/b for chi_y the
-    factor is (b + a t)/(b (1 - t)), from :func:`_todd_preimage`, and theta is
+    With y = a/b, for todd and l_genus from CHI_Y_AT, the factor is
+    (b + a t)/(b (1 - t)), from :func:`_todd_preimage`, and theta is
     b (1 - t) sum_{j<p} (-a)^j b^{p-1-j} t^j / (a^p + b^p), since that sum times
-    b + a t telescopes to b^p + a^p (p odd).  a_hat's are t^{(p+1)/2} times
-    todd's factor and times 1 - t^{-1}; euler's are 1.
+    b + a t telescopes to b^p + a^p (p odd).  Euler's are 1, as a^p + b^p = 0
+    at y = -1; a_hat's are t^{(p+1)/2} times todd's factor and times 1 - t^{-1}.
     """
     _require_trace_prime(p, "the trace route")
     y = _kind_param(kind, p, y)
@@ -159,7 +158,8 @@ def _trace_preimage(kind: str, p: int, y: Rational | int | None, theta: bool = F
         s = (p + 1) // 2  # vec[-s:] + vec[:-s] is t^s vec
         vec, den = ([1] + [0] * (p - 2) + [-1], 1) if theta else (_todd_preimage(p, 1), p)
         return vec[-s:] + vec[:-s], den
-    a, b = {KIND_TODD: (0, 1), KIND_L: (1, 1)}.get(kind) or (y.numerator, y.denominator)
+    y = CHI_Y_AT.get(kind, y)
+    a, b = y.numerator, y.denominator
     if theta:
         inv = [(-a) ** j * b ** (p - 1 - j) for j in range(p)]
         return [b * (c - d) for c, d in zip(inv, inv[-1:] + inv[:-1])], a**p + b**p
@@ -224,8 +224,9 @@ def _theta_polynomial(
 ) -> list:
     """The coefficients of u^0..u^min(top, p-1) of the minimal polynomial of theta.
 
-    For the chi_y family (todd y=0, l_genus y=1) it is
-    ((1+y u)^p - (1-u)^p)/((1+y) u).  For a_hat it is 2 sinh(pt)/u with
+    For the chi_y family, y from CHI_Y_AT for todd, l_genus and euler, it is
+    ((1+y u)^p - (1-u)^p)/((1+y) u), except that at y = -1 (theta = 1), where
+    that quotient is 0/0, it is (1-u)^{p-1}.  For a_hat it is 2 sinh(pt)/u with
     u = 2 sinh t, whose coefficient of u^{p-1-2j} is p/(p-j) C(p-j, j).
     Only the coefficients through u^top are built, since the ab route reads a
     few of them at any p.
@@ -238,12 +239,11 @@ def _theta_polynomial(
             j = (p - 1 - i) // 2
             out.append(Fraction(0) if i % 2 else Fraction(p * comb(p - j, j), p - j))
         return out
-    if kind == KIND_TODD:
-        y = Fraction(0)
-    elif kind == KIND_L:
-        y = Fraction(1)
-    elif kind != KIND_CHI_Y:
+    y = CHI_Y_AT.get(kind, y)
+    if y is None:
         raise UnsupportedKind(f"no minimal polynomial for genus kind {kind!r}")
+    if y == -1:
+        return [Fraction((-1) ** k * comb(p - 1, k)) for k in range(top + 1)]
     return [comb(p, k) * (y**k - (-1) ** k) / (1 + y) for k in range(1, top + 2)]
 
 

@@ -39,8 +39,6 @@ from .errors import (
     ZeroWeight,
 )
 from .genus import (
-    B_SERIES_KINDS,
-    KIND_EULER,
     TRACE_KINDS,
     GenusSpec,
     ensure_order,
@@ -96,6 +94,14 @@ def canonical_weights(weights: Iterable[int], p: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Weight data containers and their JSON forms.
 # ---------------------------------------------------------------------------
+
+
+def _json_loads(text: str):
+    """json.loads, with BadParams for text that is not JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise BadParams(f"bad JSON: {exc}") from exc
 
 
 class _Record:
@@ -188,11 +194,7 @@ class WeightSet(_Record):
 
     @classmethod
     def from_json(cls, text: str) -> "WeightSet":
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise BadParams(f"bad JSON: {exc}") from exc
-        return cls.from_json_dict(d)
+        return cls.from_json_dict(_json_loads(text))
 
 
 class ResidueTuple(_Record):
@@ -294,11 +296,7 @@ class SubmanifoldData(_Record):
 
     @classmethod
     def from_json(cls, text: str) -> "SubmanifoldData":
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise BadParams(f"bad JSON: {exc}") from exc
-        return cls.from_json_dict(d)
+        return cls.from_json_dict(_json_loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +339,11 @@ def b_series(
     B is the sum over the conjugates theta_i of 1/(1 - u/theta_i), which is
     ((p-1)P - uP')/P for the minimal polynomial P of theta; the coefficient
     of u^k in the numerator is (p-1-k) P_k, so P is read only through u^order.
-    Euler has no B-series (its trace contribution is the constant -(p-1)),
-    and elliptic/custom have no theta in Q(zeta_p) at all.
+    Euler's theta is 1, so its B is (p-1)/(1-u); elliptic and custom have no
+    theta in Q(zeta_p) at all.
     """
     require_odd_prime(p)
-    if kind not in B_SERIES_KINDS:
+    if kind not in TRACE_KINDS:
         raise UnsupportedKind(f"no B-series for genus kind {kind!r}")
     y = _kind_param(kind, p, y)
     key = (kind, y, p, order)
@@ -362,14 +360,12 @@ def ab_coefficient(g: GenusSpec, p: int, weights: Sequence[int]) -> Fraction:
 
     Exact over Q; its residue mod p equals the trace-route value.  Read from
     :func:`_point_sums` on a one-point weight set, so A and B go to order d.
-    For euler the value is the constant -(p-1) regardless of the weights.
+    For euler A has degree d and A(1) = 1, so the value is -(p-1) for any weights.
     """
     require_odd_prime(p)
     if g.kind not in TRACE_KINDS:
         raise UnsupportedKind(f"no coefficient route for genus kind {g.kind!r}")
     weights = canonical_weights(weights, p)
-    if g.kind == KIND_EULER:
-        return Fraction(-(p - 1))
     return _point_sums(g, WeightSet(p, len(weights), (weights,)), "ab", [len(weights)])[0]
 
 
@@ -389,8 +385,13 @@ def p_series_term(g: GenusSpec, p: int, weights: Sequence[int], m: int):
 
 
 def _lead(g: GenusSpec, p: int, n: int, route: str) -> Series:
-    """F, by which a series route multiplies each point's A: p u/[u]_p or -B."""
-    return b_series(g.kind, p, n, g.y).scale(-1) if route == "ab" else p_power_factor(g, p, n)
+    """F, by which a series route multiplies each point's A: p u/[u]_p or -B;
+    UnsupportedKind for -B of a kind without theta."""
+    if route == "pseries":
+        return p_power_factor(g, p, n)
+    if g.kind not in TRACE_KINDS:
+        raise UnsupportedKind(f"no coefficient route for genus kind {g.kind!r}")
+    return b_series(g.kind, p, n, g.y).scale(-1)
 
 
 def _point_sums(g: GenusSpec, w: WeightSet, route: str, ms: Iterable[int]) -> list:
@@ -398,8 +399,8 @@ def _point_sums(g: GenusSpec, w: WeightSet, route: str, ms: Iterable[int]) -> li
     ``w.distinct_points``, k_j is its multiplicity, A_j = prod u/[u]_x over its
     weights and F = :func:`_lead`.  Order n holds every coefficient read."""
     n = w.n
-    g = ensure_order(g, n + 1)
     lead = _lead(g, w.p, n, route)
+    g = ensure_order(g, n + 1)
     prods = [(k, lead * a_series(g, pt, n)) for pt, k in w.distinct_points.items()]
     return [sum((a[m] * k for k, a in prods), g.ring.zero) for m in ms]
 
@@ -458,10 +459,11 @@ def _residues(g: GenusSpec, w: WeightSet, route: str, ms: Sequence[int]) -> list
     Over QQ, s = sum_j k_j <p^v F A_j>_m mod M from the table is p^v S mod M:
     S is p-integral exactly when p^v divides s, and S ≡ s / p^v.  Where the
     table cannot tell (S or a factor not p-integral, or v >= e), and over
-    other rings, the exact sum is reduced."""
+    other rings, the exact sum is reduced; so is ab of a kind without theta,
+    for :func:`_lead` to refuse it before any order is checked."""
     n, p = w.n, w.p
     out = [None] * len(ms)
-    if g.ring is QQ:
+    if g.ring is QQ and (route == "pseries" or g.kind in TRACE_KINDS):
         g = ensure_order(g, n + 1)
         points = w.distinct_points.items()
         t = g._tables.get((p, n))
@@ -492,25 +494,20 @@ def _residues(g: GenusSpec, w: WeightSet, route: str, ms: Sequence[int]) -> list
     return out
 
 
-def _route_sum(g: GenusSpec, w: WeightSet, route: str):
-    """The trace route's sum over fixed points as (num, den) ints, or the ab
-    route's as a Fraction for a kind without B."""
-    points = w.distinct_points.items()
-    if route == "trace" and points:
-        if (w.p, w.n, route) not in g._tables:
-            g._tables[w.p, w.n, route] = _trace_table(*_trace_preimage(g.kind, w.p, g.y), w.n)
-        return _trace_total(w.p, g._tables[w.p, w.n, route], points)
-    # 0 for no points on any route and kind; else euler's constant -(p-1) per
-    # point, or UnsupportedKind for a kind without theta
-    return sum((ab_coefficient(g, w.p, pt) * k for pt, k in points), Fraction(0))
+def _trace_sum(g: GenusSpec, w: WeightSet) -> tuple[int, int]:
+    """The trace route's sum over fixed points as (num, den) ints, from the
+    genus's trace table for (p, n), built on first use."""
+    key = (w.p, w.n, "trace")
+    if key not in g._tables:
+        g._tables[key] = _trace_table(*_trace_preimage(g.kind, w.p, g.y), w.n)
+    return _trace_total(w.p, g._tables[key], w.distinct_points.items())
 
 
 def _route_total(g: GenusSpec, w: WeightSet, route: str):
     """The exact sum over fixed points of the chosen route's per-point value."""
-    if route == "pseries" or (route == "ab" and g.kind in B_SERIES_KINDS):
-        return _point_sums(g, w, route, [w.n])[0]
-    total = _route_sum(g, w, route)
-    return Fraction(*total) if isinstance(total, tuple) else total
+    if route == "trace":
+        return Fraction(*_trace_sum(g, w))
+    return _point_sums(g, w, route, [w.n])[0]
 
 
 def genus_mod_p(g: GenusSpec, w: WeightSet, route: str = "pseries") -> ModP | GradedPolyModP:
@@ -524,12 +521,12 @@ def genus_mod_p(g: GenusSpec, w: WeightSet, route: str = "pseries") -> ModP | Gr
     """
     if route not in ROUTES:
         raise BadParams(f"route must be one of {ROUTES}, got {route!r}")
-    if route == "pseries" or (route == "ab" and g.kind in B_SERIES_KINDS):
-        (r,) = _residues(g, w, route, [w.n])
-        if isinstance(r, NonIntegralAtP):
-            raise r
-        return r
-    return reduce_value(_route_sum(g, w, route), w.p)
+    if route == "trace":
+        return reduce_value(_trace_sum(g, w), w.p)
+    (r,) = _residues(g, w, route, [w.n])
+    if isinstance(r, NonIntegralAtP):
+        raise r
+    return r
 
 
 def cf_residuals(g: GenusSpec, w: WeightSet) -> list:
@@ -555,12 +552,12 @@ def h_series(
     """h(u) = p([u]_p - u)/(B(u)[u]_p) = p(1 - u/[u]_p)/B(u); h(0) = 1 and h is p-integral.
 
     u/[u]_p is the genus's cached :func:`power_factor`, so h costs one
-    division by B.  Known closed forms: 1-u (todd), 1-u^2 (l_genus),
-    (1-u)(1+yu) (chi_y), and for a_hat cosh(((p+1)/2)t) cosh(t)/cosh(((p-1)/2)t),
-    t = arcsinh(u/2).
+    division by B.  Known closed forms: (1-u)(1+yu) for chi_y, so 1-u (todd),
+    1-u^2 (l_genus) and (1-u)^2 (euler), and for a_hat
+    cosh(((p+1)/2)t) cosh(t)/cosh(((p-1)/2)t), t = arcsinh(u/2).
     """
     require_odd_prime(p)
-    if kind not in B_SERIES_KINDS:
+    if kind not in TRACE_KINDS:
         raise UnsupportedKind(f"no h-series for genus kind {kind!r}")
     yk = Fraction(y) if y is not None else None
     g = make_genus(kind, max(order + 1, 2), yk)
@@ -602,7 +599,7 @@ def thm71_check(g: GenusSpec, w: WeightSet, force: bool = False) -> Thm71Report:
     n <= p-2; beyond that a GuardViolation is raised unless force=True, in
     which case the reduction itself may legitimately fail NonIntegralAtP.
     """
-    if g.kind not in B_SERIES_KINDS:
+    if g.kind not in TRACE_KINDS:
         raise UnsupportedKind(f"thm71_check needs a B-series kind, got {g.kind!r}")
     n, p, q = w.n, w.p, w.q
     if n < 1:

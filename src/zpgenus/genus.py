@@ -8,10 +8,10 @@ series.  The catalog:
 ===========  ==========================================  =================
 kind         logarithm g(u)                              coefficient ring
 ===========  ==========================================  =================
-todd         -ln(1-u) = sum u^k/k                        Q
-euler        u/(1-u)                                     Q
-l_genus      arctanh(u) = (1/2) ln((1+u)/(1-u))          Q
 chi_y        integral of 1/((1-u)(1+y u))                Q
+todd         chi_y at y = 0: -ln(1-u)                    Q
+l_genus      chi_y at y = 1: arctanh(u)                  Q
+euler        chi_y at y = -1: u/(1-u)                    Q
 a_hat        2 arcsinh(u/2)                              Q
 elliptic     integral of (1-2 delta u^2 + eps u^4)^-1/2  Q[delta, eps]
 custom       caller supplied                             caller supplied
@@ -19,9 +19,9 @@ custom       caller supplied                             caller supplied
 
 All logarithms are normalized (g(0) = 0, g'(0) = 1).  For chi_y this fixes
 the scale so that the value on CP^n is (1 + (-1)^n y^{n+1})/(1+y); it also
-makes the construction polynomial in y, so y = -1 smoothly reproduces the
-euler logarithm.  The m-th power system is [u]_m = f(m·g(u)), the exact
-kernel of the mod-p fixed-point machinery.
+makes the construction polynomial in y, so todd, l_genus and euler are built
+as chi_y at the y of CHI_Y_AT.  The m-th power system is [u]_m = f(m·g(u)),
+the exact kernel of the mod-p fixed-point machinery.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedKind,
 )
 from .rings import DE, QQ, GradedPoly, Rational
-from .series import Series, binomial_power, geometric
+from .series import Series, binomial_power
 
 KIND_TODD = "todd"
 KIND_EULER = "euler"
@@ -48,8 +48,8 @@ CATALOG_KINDS = (KIND_TODD, KIND_EULER, KIND_L, KIND_CHI_Y, KIND_A_HAT, KIND_ELL
 
 # kinds whose theta lies in Q(zeta_p), so the trace and B-series routes apply
 TRACE_KINDS = (KIND_TODD, KIND_EULER, KIND_L, KIND_CHI_Y, KIND_A_HAT)
-# kinds with a B-series (euler's theta degenerates to 1 and is handled apart)
-B_SERIES_KINDS = (KIND_TODD, KIND_L, KIND_CHI_Y, KIND_A_HAT)
+# the kinds that are chi_y at a fixed y
+CHI_Y_AT = {KIND_TODD: Fraction(0), KIND_L: Fraction(1), KIND_EULER: Fraction(-1)}
 
 
 class GenusSpec:
@@ -82,17 +82,12 @@ class GenusSpec:
 
 
 def _build_logarithm(kind: str, order: int, y: Fraction | None) -> Series:
-    if kind == KIND_TODD:
-        return geometric(QQ, order - 1).integrate()
-    if kind == KIND_EULER:
-        return geometric(QQ, order).shift_up(1)
-    if kind == KIND_L:
-        one_minus_u2 = Series.from_fractions(QQ, [1, 0, -1], order - 1)
-        return one_minus_u2.invert().integrate()
-    if kind == KIND_CHI_Y:
-        lin1 = Series.from_fractions(QQ, [1, -1], order - 1)
-        lin2 = Series.from_fractions(QQ, [1, y], order - 1)
-        return (lin1 * lin2).invert().integrate()
+    y = CHI_Y_AT.get(kind, y)
+    if y is not None:  # 1/((1-u)(1+yu)) = sum c_k u^k: c_0 = 1, c_{k+1} = 1 - y c_k
+        coeffs = [Fraction(1)]
+        for _ in range(order - 1):
+            coeffs.append(1 - y * coeffs[-1])
+        return Series(QQ, coeffs).integrate()
     if kind == KIND_A_HAT:
         w = Series.from_fractions(QQ, [0, 0, Fraction(1, 4)], order - 1)
         return binomial_power(w, Fraction(-1, 2)).integrate()
@@ -203,18 +198,12 @@ def power_system_closed(
     """Closed-form [u]_m for the kinds that admit one (all but elliptic/custom)."""
     if not isinstance(m, int) or m < 1:
         raise BadParams(f"power system index must be an int >= 1, got {m!r}")
-    y = _kind_y(kind, y)
+    y = CHI_Y_AT.get(kind, _kind_y(kind, y))
     one = Series.one(QQ, order)
     u = Series.identity(QQ, order)
-    if kind == KIND_TODD:
-        return one - (one - u) ** m
-    if kind == KIND_EULER or (kind == KIND_CHI_Y and y == -1):
+    if y == -1:  # euler, where the chi_y quotient below is 0/0
         return u.scale(m) * (one + u.scale(m - 1)).invert()
-    if kind == KIND_L:
-        plus = (one + u) ** m
-        minus = (one - u) ** m
-        return (plus - minus).divide(plus + minus)
-    if kind == KIND_CHI_Y:
+    if y is not None:
         plus = (one + u.scale(y)) ** m
         minus = (one - u) ** m
         return (plus - minus).divide(plus + minus.scale(y))

@@ -227,16 +227,6 @@ class Series:
                 raise ZeroDivision(f"series is not divisible by u^{k}")
         return Series(self.ring, self.coeffs[k:])
 
-    def shift_up(self, k: int) -> "Series":
-        """Multiply by u^k, keeping the order (the top k coefficients fall off)."""
-        if k < 0:
-            raise BadParams(f"shift_up wants k >= 0, got {k}")
-        if k == 0:
-            return self
-        zero = self.ring.zero
-        kept = list(self.coeffs[: max(self.order + 1 - k, 0)])
-        return Series(self.ring, [zero] * k + kept, self.order)
-
     # -- composition and reversion ---------------------------------------------
     def compose(self, inner: "Series") -> "Series":
         """self(inner(u)); inner must vanish at 0."""
@@ -351,8 +341,3 @@ def binomial_power(w: Series, alpha: int | Fraction) -> "Series":
         if coef:
             acc = acc + term.scale(coef)
     return acc
-
-
-def geometric(ring: Ring, order: int) -> Series:
-    """1/(1-u) = 1 + u + u^2 + ... as an explicit polynomial-free construction."""
-    return Series(ring, [ring.one] * (order + 1))

@@ -151,6 +151,27 @@ def test_thm71_verb_and_guard(tmp_path, capsys):
     assert "equal" in _json_out(capsys)
 
 
+def test_thm71_serves_euler(capsys):
+    # euler's B is (p-1)/(1-u): each of the 4 points of CP^3 adds -(p-1) ≡ 1
+    argv = ["thm71", "--genus", "euler", "--p", "7", "--residues", "0,1,2,3", "--format", "json"]
+    assert main(argv) == 0
+    rep = _json_out(capsys)
+    assert rep["lhs_mod_p"] == rep["rhs_mod_p"] == 4 and rep["equal"] is True
+
+
+def test_compute_checks_an_empty_set_on_every_route(tmp_path, capsys):
+    # no fixed points: pseries sums to 0, while ab and trace refuse the
+    # elliptic genus as they would on any set
+    path = tmp_path / "empty.json"
+    path.write_text('{"p": 5, "n": 2, "fixed_points": []}')
+    rc = main(["compute", "--genus", "elliptic", "--weights", str(path), "--format", "json"])
+    assert rc == 0
+    report = _json_out(capsys)
+    assert report["results"] == {"pseries": "0", "ab": "unavailable (UnsupportedKind)",
+                                 "trace": "unavailable (UnsupportedKind)"}
+    assert report["agree"] is True and report["result"] == "0"
+
+
 def test_submanifold_verb(tmp_path, capsys):
     path = tmp_path / "sub.json"
     path.write_text(

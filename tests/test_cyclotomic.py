@@ -171,6 +171,8 @@ def test_minimal_polynomials_frozen():
     # chi family: coefficient of u^{k-1} is C(p,k) (y^k - (-1)^k)/(1+y);
     # expanded by hand for p = 5, y = 2 from ((1+2u)^5 - (1-u)^5)/(3u)
     assert theta_minimal_polynomial("chi_y", 5, 2) == (5, 10, 30, 25, 11)
+    # euler's theta is 1, where that quotient is 0/0: (1 - u)^(p-1)
+    assert theta_minimal_polynomial("euler", 5) == (1, -4, 6, -4, 1)
 
 
 def test_minimal_polynomials_annihilate():
@@ -372,7 +374,7 @@ def test_theta_functions_refuse_a_stray_y():
             trace_theta_power(kind, 5, 1, 7)
         with pytest.raises(BadParams, match="does not take a parameter y"):
             ab_trace(kind, 5, [1, 2], 7)
-    for kind in ("todd", "l_genus", "a_hat"):
+    for kind in ("todd", "l_genus", "a_hat", "euler"):
         with pytest.raises(BadParams, match="does not take a parameter y"):
             theta_minimal_polynomial(kind, 5, 7)
     assert ab_trace("todd", 5, [1, 2]) == _loop_ab_trace("todd", 5, [1, 2])

@@ -120,7 +120,8 @@ def test_p_series_frozen():
 
 def test_b_series_values():
     for p in (3, 5, 7):
-        for kind, y in [("todd", None), ("l_genus", None), ("a_hat", None), ("chi_y", F(2))]:
+        for kind, y in [("todd", None), ("euler", None), ("l_genus", None), ("a_hat", None),
+                        ("chi_y", F(2))]:
             if kind == "chi_y" and p == 3:
                 continue
             b = b_series(kind, p, 8, y)
@@ -132,8 +133,9 @@ def test_b_series_values():
 
 
 def test_b_series_validation():
-    with pytest.raises(UnsupportedKind):
-        b_series("euler", 5, 4)
+    # euler's theta is 1, so B = sum_s Tr(1) u^s = (p-1)/(1-u)
+    for p in (3, 5, 7):
+        assert b_series("euler", p, 9) == Series.from_fractions(QQ, [p - 1] * 10, 9)
     with pytest.raises(UnsupportedKind):
         b_series("elliptic", 5, 4)
     with pytest.raises(BadParams):
@@ -215,6 +217,31 @@ def test_genus_mod_p_elliptic():
         genus_mod_p(g, CP2_P5, "trace")
 
 
+def test_empty_weight_sets_are_checked_like_any_other():
+    # A set with no points sums to 0 on every route that serves its kind and y,
+    # and a route that refuses a kind or y on a non-empty set refuses it on an
+    # empty one too, the exact totals included.
+    for p, n in ((3, 0), (3, 2), (7, 3)):
+        empty = WeightSet(p, n, ())
+        for kind in TRACE_KINDS:
+            if kind != "chi_y":
+                for route in ROUTES:
+                    assert genus_mod_p(make_genus(kind, 2), empty, route) == ModP(0, p)
+        elliptic = make_genus("elliptic", 2)
+        assert genus_mod_p(elliptic, empty, "pseries") == poly_reduce_mod_p(GradedPoly.zero(), p)
+        for route in ("ab", "trace"):
+            for f in (genus_mod_p, _route_total):
+                with pytest.raises(UnsupportedKind):
+                    f(elliptic, empty, route)
+    chi = make_genus("chi_y", 2, F(7, 3))
+    empty = WeightSet(3, 2, ())
+    assert genus_mod_p(chi, empty, "pseries") == ModP(0, 3)
+    for route in ("ab", "trace"):
+        for f in (genus_mod_p, _route_total):
+            with pytest.raises(BadParams, match="not p-integral at p = 3"):
+                f(chi, empty, route)
+
+
 def test_cf_residuals_vanish_on_projective_data():
     for kind in ("todd", "l_genus", "a_hat", "euler"):
         g = make_genus(kind, 10)
@@ -255,7 +282,7 @@ def test_routes_read_exact_values_of_wide_truncations():
                 continue  # the wide elliptic genus at order 17 is too slow
             lean = make_genus(kind, 2, y)
             wide = make_genus(kind, p + 6, y)
-            has_b = kind not in ("euler", "elliptic") and (kind, y, p) != ("chi_y", F(2), 3)
+            has_b = kind != "elliptic" and (kind, y, p) != ("chi_y", F(2), 3)
             for w in sets:
                 order = w.n + p + 2
                 pf = p_power_factor(wide, p, order)
@@ -312,7 +339,7 @@ def test_integer_routes_equal_series_products():
             if kind == "elliptic" and p > 7:
                 continue  # the elliptic genus keeps the series path; p <= 7 shows it
             g = make_genus(kind, 2, y)
-            has_b = kind not in ("euler", "elliptic") and (kind, y, p) != ("chi_y", F(2), 3)
+            has_b = kind != "elliptic" and (kind, y, p) != ("chi_y", F(2), 3)
             for w in sets:
                 n = w.n
                 pf = p_power_factor(g, p, n)
@@ -463,8 +490,7 @@ def test_packed_tables_grow_with_new_weights(monkeypatch):
                 used = {x for w in (low, high) for pt in w.points for x in pt}
                 assert set(lean._tables) == {(p, n)}
                 assert set(lean._tables[p, n].packed) == used
-                leads = {"pseries", "ab"} if kind != "euler" else {"pseries"}
-                assert set(lean._tables[p, n].leads) == leads
+                assert set(lean._tables[p, n].leads) == {"pseries", "ab"}
                 assert set(g._tables[p, n, "trace"][4]) == used
 
 
@@ -714,10 +740,10 @@ _SERIES_OPS = ("pseries", "ab", "cf", "thm71", "sums")
 
 @st.composite
 def _interleaved_queries(draw):
-    """A B-series catalog kind at p <= 13, weight sets at one or two n (the last
+    """A catalog kind with theta at p <= 13, weight sets at one or two n (the last
     equal to the first but a distinct object), and a drawn sequence of (set,
     series query)."""
-    kind, y = draw(st.sampled_from([c for c in _CATALOG if c[0] not in ("euler", "elliptic")]))
+    kind, y = draw(st.sampled_from([c for c in _CATALOG if c[0] != "elliptic"]))
     p = draw(st.sampled_from((3, 5, 7, 11, 13)))
     unit = st.integers(1, p - 1)
     sets = []
@@ -773,6 +799,7 @@ def test_h_series_closed_forms():
         assert h_series("l_genus", p, 12) == Series.from_fractions(QQ, [1, 0, -1], 12)
         if p != 3:
             assert h_series("chi_y", p, 12, 2) == Series.from_fractions(QQ, [1, 1, -2], 12)
+        assert h_series("euler", p, 12) == Series.from_fractions(QQ, [1, -2, 1], 12)
         # a_hat: cosh(((p+1)/2) t) cosh(t) / cosh(((p-1)/2) t), t = arcsinh(u/2)
         t = arcsinh_u_over_2(13)
         ch = cosh_series(QQ, 13)
@@ -785,12 +812,13 @@ def test_h_series_closed_forms():
     # p = 3 a_hat specializes to cosh(2t) = 1 + u^2/2
     assert h_series("a_hat", 3, 6) == Series.from_fractions(QQ, [1, 0, F(1, 2)], 6)
     with pytest.raises(UnsupportedKind):
-        h_series("euler", 5, 6)
+        h_series("elliptic", 5, 6)
 
 
 def test_h_series_p_integral():
     for p in (3, 5, 7):
-        for kind, y in [("todd", None), ("l_genus", None), ("a_hat", None), ("chi_y", F(2))]:
+        for kind, y in [("todd", None), ("euler", None), ("l_genus", None), ("a_hat", None),
+                        ("chi_y", F(2))]:
             if kind == "chi_y" and p == 3:
                 continue
             h = h_series(kind, p, 12, y)
@@ -814,7 +842,7 @@ def test_thm71_cp1_todd_report():
 
 def test_thm71_random_weight_sets():
     rng = random.Random(23)
-    cases = [("todd", None), ("l_genus", None), ("a_hat", None), ("chi_y", F(2))]
+    cases = [("todd", None), ("euler", None), ("l_genus", None), ("a_hat", None), ("chi_y", F(2))]
     for kind, y in cases:
         for _ in range(6):
             p = rng.choice((5, 7))
@@ -834,7 +862,10 @@ def test_thm71_guard():
     with pytest.raises(BadParams):
         thm71_check(g, WeightSet(p=5, n=0, points=()))
     with pytest.raises(UnsupportedKind):
-        thm71_check(make_genus("euler", 8), CP1_P3)
+        thm71_check(make_genus("elliptic", 8), CP1_P3)
+    # euler: every point's ab value is -(p-1), so both sides are q mod p
+    rep = thm71_check(make_genus("euler", 8), CP1_P3)
+    assert rep.equal and rep.ab_sum == -4 and rep.lhs == ModP(2, 3)
 
 
 def test_submanifold_isolated_points_match_ab_route():
