@@ -180,16 +180,10 @@ def _run_ab(args) -> int:
     }
     coeff = ab_coefficient(g, args.p, weights)
     trace = ab_trace(g.kind, args.p, weights, g.y)
-    payload["coefficient_route"] = {
-        "exact": str(coeff),
-        "mod_p": str(rational_reduce_mod_p(coeff, args.p)),
-    }
-    payload["trace_route"] = {
-        "exact": str(trace),
-        "mod_p": str(rational_reduce_mod_p(trace, args.p)),
-    }
-    agree = rational_reduce_mod_p(coeff, args.p) == rational_reduce_mod_p(trace, args.p)
-    payload["agree"] = agree
+    mods = [rational_reduce_mod_p(v, args.p) for v in (coeff, trace)]
+    payload["coefficient_route"] = {"exact": str(coeff), "mod_p": str(mods[0])}
+    payload["trace_route"] = {"exact": str(trace), "mod_p": str(mods[1])}
+    agree = payload["agree"] = mods[0] == mods[1]
     _emit(args, payload)
     return 0 if agree else 1
 
@@ -318,17 +312,12 @@ def _routes_agree(name: str, p: int, n: int, expected: str) -> bool:
 
 def _run_selftest(args) -> int:
     results = []
-    all_ok = True
     for name, check in _selftest_checks():
         try:
-            ok = bool(check())
+            results.append({"check": name, "ok": bool(check())})
         except EngineError as exc:
-            ok = False
             results.append({"check": name, "ok": False, "error": str(exc)})
-            all_ok = False
-            continue
-        results.append({"check": name, "ok": ok})
-        all_ok = all_ok and ok
+    all_ok = all(r["ok"] for r in results)
     _emit(args, {"verb": "selftest", "checks": results, "all_ok": all_ok})
     return 0 if all_ok else 1
 

@@ -11,7 +11,7 @@ module: its B-series is built from them.
 
 The theta elements attached to the genus catalog are
 
-* chi_y    theta = (1 - zeta)/(1 + y zeta)   (needs 1 + y a unit mod p)
+* chi_y    theta = (1 - zeta)/(1 + y zeta)   (needs 1 + y a unit mod p, or y = -1)
 * todd     chi_y at y = 0: theta = 1 - zeta
 * l_genus  chi_y at y = 1: theta = (1 - zeta)/(1 + zeta)
 * euler    chi_y at y = -1: theta = 1, so its polynomial is (1 - u)^{p-1}
@@ -34,7 +34,6 @@ from .errors import BadParams, UnsupportedKind, ZeroWeight
 from .genus import (
     CHI_Y_AT,
     KIND_A_HAT,
-    KIND_EULER,
     TRACE_KINDS,
     _kind_y,
 )
@@ -65,13 +64,13 @@ def _require_trace_prime(p: int, what: str) -> None:
 
 
 def _kind_param(kind: str, p: int, y: Rational | int | None):
-    """y as a Fraction for chi_y (p-integral, 1 + y a unit mod p); other kinds take none."""
+    """y as a Fraction for chi_y (p-integral; 1 + y a unit mod p or y = -1); other kinds none."""
     y = _kind_y(kind, y)
     if y is None:
         return None
     if y.denominator % p == 0:
         raise BadParams(f"chi_y parameter {y} is not p-integral at p = {p}")
-    if (1 + y).numerator % p == 0:
+    if y != -1 and (1 + y).numerator % p == 0:
         raise BadParams(
             f"chi_y parameter {y} has 1 + y ≡ 0 mod {p}; theta degenerates"
         )
@@ -145,20 +144,20 @@ def _trace_preimage(kind: str, p: int, y: Rational | int | None, theta: bool = F
     With y = a/b, for todd and l_genus from CHI_Y_AT, the factor is
     (b + a t)/(b (1 - t)), from :func:`_todd_preimage`, and theta is
     b (1 - t) sum_{j<p} (-a)^j b^{p-1-j} t^j / (a^p + b^p), since that sum times
-    b + a t telescopes to b^p + a^p (p odd).  Euler's are 1, as a^p + b^p = 0
-    at y = -1; a_hat's are t^{(p+1)/2} times todd's factor and times 1 - t^{-1}.
+    b + a t telescopes to b^p + a^p (p odd).  At y = -1 (euler) both are 1, as
+    a^p + b^p = 0 there; a_hat's are t^{(p+1)/2} times todd's factor and times 1 - t^{-1}.
     """
     _require_trace_prime(p, "the trace route")
     y = _kind_param(kind, p, y)
     if kind not in TRACE_KINDS:
         raise UnsupportedKind(f"no trace route for genus kind {kind!r}")
-    if kind == KIND_EULER:
+    y = CHI_Y_AT.get(kind, y)
+    if y == -1:  # euler, or chi_y at y = -1
         return [1] + [0] * (p - 1), 1
     if kind == KIND_A_HAT:
         s = (p + 1) // 2  # vec[-s:] + vec[:-s] is t^s vec
         vec, den = ([1] + [0] * (p - 2) + [-1], 1) if theta else (_todd_preimage(p, 1), p)
         return vec[-s:] + vec[:-s], den
-    y = CHI_Y_AT.get(kind, y)
     a, b = y.numerator, y.denominator
     if theta:
         inv = [(-a) ** j * b ** (p - 1 - j) for j in range(p)]

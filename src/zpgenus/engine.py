@@ -14,8 +14,9 @@ repeated fixed point once, times its multiplicity):
   Z[t]/(t^p - 1), sharing no series arithmetic with the other two routes.
 
 Over Q, pseries and ab read the sum mod p from one table per (p, n) of
-residues mod p^e, which also keeps the last set's products; every exact value,
-and every sum the table cannot reduce, comes from series products.
+residues mod p^e, which also keeps the last set's products.  Every exact value,
+and every sum the table cannot reduce, is the lead times the sum of the distinct
+points' products, S = sum_j k_j A_j; :func:`thm71_check` forms S once for both.
 
 Realizable weight sets also satisfy the vanishing of the lower p-series
 coefficients (m = 0..n-1), exposed by :func:`cf_residuals`, and the exact
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Sequence
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -46,6 +47,7 @@ from .genus import (
     power_factor,
 )
 from .rings import (
+    MEMO_SIZE,
     QQ,
     GradedPoly,
     GradedPolyModP,
@@ -328,9 +330,6 @@ def p_power_factor(g: GenusSpec, p: int, order: int) -> Series:
     return power_factor(g, p, order).scale(p)
 
 
-_B_CACHE: dict = {}
-
-
 def b_series(
     kind: str, p: int, order: int, y: Rational | int | None = None
 ) -> Series:
@@ -340,19 +339,19 @@ def b_series(
     ((p-1)P - uP')/P for the minimal polynomial P of theta; the coefficient
     of u^k in the numerator is (p-1-k) P_k, so P is read only through u^order.
     Euler's theta is 1, so its B is (p-1)/(1-u); elliptic and custom have no
-    theta in Q(zeta_p) at all.
+    theta in Q(zeta_p) at all.  Memoized in an lru_cache of MEMO_SIZE entries.
     """
     require_odd_prime(p)
     if kind not in TRACE_KINDS:
         raise UnsupportedKind(f"no B-series for genus kind {kind!r}")
-    y = _kind_param(kind, p, y)
-    key = (kind, y, p, order)
-    cached = _B_CACHE.get(key)
-    if cached is None:
-        poly = Series(QQ, _theta_polynomial(kind, p, y, order), order)
-        num = Series(QQ, [(p - 1 - k) * c for k, c in enumerate(poly.coeffs)])
-        cached = _B_CACHE[key] = num.divide(poly)
-    return cached
+    return _b_series(kind, _kind_param(kind, p, y), p, order)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _b_series(kind: str, y: Fraction | None, p: int, order: int) -> Series:
+    poly = Series(QQ, _theta_polynomial(kind, p, y, order), order)
+    num = Series(QQ, [(p - 1 - k) * c for k, c in enumerate(poly.coeffs)])
+    return num.divide(poly)
 
 
 def ab_coefficient(g: GenusSpec, p: int, weights: Sequence[int]) -> Fraction:
@@ -394,15 +393,21 @@ def _lead(g: GenusSpec, p: int, n: int, route: str) -> Series:
     return b_series(g.kind, p, n, g.y).scale(-1)
 
 
-def _point_sums(g: GenusSpec, w: WeightSet, route: str, ms: Iterable[int]) -> list:
-    """sum_j k_j <F A_j>_m for m in ms, exact in the coefficient ring; j runs over
-    ``w.distinct_points``, k_j is its multiplicity, A_j = prod u/[u]_x over its
-    weights and F = :func:`_lead`.  Order n holds every coefficient read."""
-    n = w.n
-    lead = _lead(g, w.p, n, route)
-    g = ensure_order(g, n + 1)
-    prods = [(k, lead * a_series(g, pt, n)) for pt, k in w.distinct_points.items()]
-    return [sum((a[m] * k for k, a in prods), g.ring.zero) for m in ms]
+def _a_sum(g: GenusSpec, w: WeightSet) -> Series:
+    """S = sum_j k_j A_j through u^n: j runs over ``w.distinct_points``, k_j is
+    its multiplicity and A_j = prod u/[u]_x over its weights."""
+    g, n = ensure_order(g, w.n + 1), w.n
+    return sum((a_series(g, pt, n).scale(k) for pt, k in w.distinct_points.items()),
+               Series.zero(g.ring, n))
+
+
+def _point_sums(g: GenusSpec, w: WeightSet, route: str, ms: Iterable[int], total=None) -> list:
+    """sum_j k_j <F A_j>_m for m in ms, exact in the coefficient ring, read off
+    the one product F S = sum_j k_j F A_j: F = :func:`_lead` and S = :func:`_a_sum`,
+    or ``total`` if the caller has formed S already.  Order n holds every m."""
+    lead = _lead(g, w.p, w.n, route)
+    prod = lead * (_a_sum(g, w) if total is None else total)
+    return [prod[m] for m in ms]
 
 
 def _packed_residues(series: Series, t: SimpleNamespace) -> tuple:
@@ -595,9 +600,10 @@ class Thm71Report(_Record):
 def thm71_check(g: GenusSpec, w: WeightSet, force: bool = False) -> Thm71Report:
     """Check sum_j ab_coefficient ≡ pseries_n + sum_{m<n} H_{n-m} cf_m (mod p).
 
-    H_i are the coefficients of 1/h(u).  The congruence is guaranteed for
-    n <= p-2; beyond that a GuardViolation is raised unless force=True, in
-    which case the reduction itself may legitimately fail NonIntegralAtP.
+    H_i are the coefficients of 1/h(u).  Both sides are read off one sum S of the
+    points' products (:func:`_a_sum`).  The congruence is guaranteed for n <= p-2;
+    beyond that a GuardViolation is raised unless force=True, in which case the
+    reduction itself may legitimately fail NonIntegralAtP.
     """
     if g.kind not in TRACE_KINDS:
         raise UnsupportedKind(f"thm71_check needs a B-series kind, got {g.kind!r}")
@@ -609,8 +615,9 @@ def thm71_check(g: GenusSpec, w: WeightSet, force: bool = False) -> Thm71Report:
             f"n = {n} exceeds p-2 = {p - 2}; pass force=True to check anyway"
         )
 
-    ab_sum = _route_total(g, w, "ab")
-    sums = _point_sums(g, w, "pseries", range(n + 1))
+    total = _a_sum(g, w)  # shared by both leads
+    (ab_sum,) = _point_sums(g, w, "ab", [n], total)
+    sums = _point_sums(g, w, "pseries", range(n + 1), total)
 
     h_inv = h_series(g.kind, p, n, g.y).invert()
     rhs_exact = sums[n]

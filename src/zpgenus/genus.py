@@ -26,6 +26,7 @@ the exact kernel of the mod-p fixed-point machinery.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     BadParams,
@@ -33,7 +34,7 @@ from .errors import (
     UnsupportedClosedForm,
     UnsupportedKind,
 )
-from .rings import DE, QQ, GradedPoly, Rational
+from .rings import DE, MEMO_SIZE, QQ, GradedPoly, Rational
 from .series import Series, binomial_power
 
 KIND_TODD = "todd"
@@ -118,16 +119,14 @@ def _kind_y(kind: str, y: Rational | int | None) -> Fraction | None:
     return Fraction(y)
 
 
-_GENUS_CACHE: dict = {}
-
-
 def make_genus(
     kind: str,
     order: int,
     y: Rational | int | None = None,
     logarithm: Series | None = None,
 ) -> GenusSpec:
-    """Construct (and cache) a genus from the catalog.
+    """Construct a genus; catalog kinds are memoized per (kind, y, order) in an
+    lru_cache of MEMO_SIZE entries, custom ones are built anew on every call.
 
     ``y`` is required for (and only allowed with) chi_y.  ``logarithm`` is
     required for (and only allowed with) kind 'custom'; it must satisfy
@@ -148,13 +147,12 @@ def make_genus(
         raise BadParams("an explicit logarithm is only allowed with kind='custom'")
     if kind not in CATALOG_KINDS:
         raise UnsupportedKind(f"unknown genus kind {kind!r}")
+    return _catalog_genus(kind, y, order)
 
-    key = (kind, y, order)
-    g = _GENUS_CACHE.get(key)
-    if g is None:
-        g = GenusSpec(kind, y, _build_logarithm(kind, order, y))
-        _GENUS_CACHE[key] = g
-    return g
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _catalog_genus(kind: str, y: Fraction | None, order: int) -> GenusSpec:
+    return GenusSpec(kind, y, _build_logarithm(kind, order, y))
 
 
 def ensure_order(g: GenusSpec, order: int) -> GenusSpec:

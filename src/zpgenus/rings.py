@@ -31,10 +31,10 @@ Rational = Fraction
 # to all of them (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases").
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
-_PRIME_CACHE_SIZE = 256  # answers kept; a stream of distinct p must not grow it without end
+MEMO_SIZE = 256  # entries per lru memo; a stream of distinct keys must not grow one without end
 
 
-@lru_cache(maxsize=_PRIME_CACHE_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def is_odd_prime(p: int) -> bool:
     """Deterministic Miller-Rabin; BadParams at or above the exact bound."""
     if not isinstance(p, int) or p < 3 or p % 2 == 0:

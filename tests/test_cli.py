@@ -159,6 +159,25 @@ def test_thm71_serves_euler(capsys):
     assert rep["lhs_mod_p"] == rep["rhs_mod_p"] == 4 and rep["equal"] is True
 
 
+def test_chi_y_at_minus_one_is_served_as_euler(capsys):
+    # chi_y at y = -1 is the euler genus (theta = 1), so every route and thm71
+    # serve it with euler's values; y = 4 ≡ -1 mod 5 is degenerate and refused
+    args = ["--p", "5", "--residues", "0,1,2", "--format", "json"]
+    assert main(["compute", "--genus", "chi_y:-1", *args]) == 0
+    assert _json_out(capsys)["results"] == {"pseries": "3", "ab": "3", "trace": "3"}
+    reports = []
+    for name in ("chi_y:-1", "euler"):
+        assert main(["thm71", "--genus", name, *args]) == 0
+        reports.append({k: v for k, v in _json_out(capsys).items() if k != "genus"})
+    assert reports[0] == reports[1]
+    assert reports[0]["ab_sum"] == "-12" and reports[0]["lhs_mod_p"] == reports[0]["rhs_mod_p"] == 3
+    assert main(["compute", "--genus", "chi_y:4", *args]) == 0
+    assert _json_out(capsys)["results"] == {"pseries": "3", "ab": "unavailable (BadParams)",
+                                            "trace": "unavailable (BadParams)"}
+    assert main(["thm71", "--genus", "chi_y:4", *args]) == 2
+    assert "theta degenerates" in capsys.readouterr().err
+
+
 def test_compute_checks_an_empty_set_on_every_route(tmp_path, capsys):
     # no fixed points: pseries sums to 0, while ab and trace refuse the
     # elliptic genus as they would on any set

@@ -161,6 +161,13 @@ def test_chi_y_degeneration_guard():
         trace_theta_power("chi_y", 5, k, 2)
         with pytest.raises(UnsupportedKind):
             trace_theta_power("elliptic", 5, k)
+    # y = -1 exactly is euler's theta = 1, while y = 4 ≡ -1 mod 5 degenerates
+    for p in (3, 5, 7):
+        for k in (-2, 1, 3):
+            assert trace_theta_power("chi_y", p, k, -1) == trace_theta_power("euler", p, k) == p - 1
+        assert ab_trace("chi_y", p, (1, 2), -1) == ab_trace("euler", p, (1, 2)) == 1 - p
+    with pytest.raises(BadParams, match="theta degenerates"):
+        ab_trace("chi_y", 5, (1, 2), 4)
 
 
 def test_minimal_polynomials_frozen():

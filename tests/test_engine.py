@@ -43,8 +43,16 @@ from zpgenus.errors import (
     UnsupportedKind,
     ZeroWeight,
 )
-from zpgenus.genus import TRACE_KINDS, cpn_genus, make_genus, power_system
-from zpgenus.rings import QQ, GradedPoly, ModP, poly_reduce_mod_p, rational_reduce_mod_p
+from zpgenus.genus import TRACE_KINDS, cpn_genus, ensure_order, make_genus, power_system
+from zpgenus.rings import (
+    MEMO_SIZE,
+    QQ,
+    GradedPoly,
+    ModP,
+    is_odd_prime,
+    poly_reduce_mod_p,
+    rational_reduce_mod_p,
+)
 from zpgenus.series import Series
 
 CP1_P3 = WeightSet(p=3, n=1, points=((1,), (2,)))
@@ -146,6 +154,10 @@ def test_b_series_validation():
         b_series("chi_y", 5, 4)
     with pytest.raises(BadParams):
         b_series("todd", 5, 4, 1)
+    # chi_y at y = -1 is euler; y = 4 ≡ -1 mod 5 is not, and stays degenerate
+    assert b_series("chi_y", 5, 9, -1) == b_series("euler", 5, 9)
+    with pytest.raises(BadParams, match="theta degenerates"):
+        b_series("chi_y", 5, 4, 4)
 
 
 def test_ab_coefficient_frozen():
@@ -411,7 +423,7 @@ def test_factor_cache_is_independent_of_fill_order(monkeypatch):
     # u/[u]_m is cached per genus at the highest order asked and truncated on
     # read: the exact route totals must not depend on which query filled it.
     def fresh(kind, order, y):
-        monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
+        genus_module._catalog_genus.cache_clear()
         return make_genus(kind, order, y)
 
     rng = random.Random(28)
@@ -459,13 +471,13 @@ def test_factor_cache_is_independent_of_fill_order(monkeypatch):
     assert calls == []
 
 
-def test_packed_tables_grow_with_new_weights(monkeypatch):
+def test_packed_tables_grow_with_new_weights():
     # A route's packed table covers the weights queried so far (for the trace
     # route, up to its byte bound); a genus warmed with set A and then asked
     # for set B (new weights, same p and n) must give a fresh genus's residues
     # and errors on every route and in cf_residuals.
     def fresh(kind, y):
-        monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
+        genus_module._catalog_genus.cache_clear()
         return make_genus(kind, 2, y)
 
     kinds = [("todd", None), ("euler", None), ("l_genus", None), ("chi_y", F(-1, 2)),
@@ -510,7 +522,7 @@ def test_a_warm_call_packs_nothing_and_a_miss_packs_once(monkeypatch):
         return [repr(genus_mod_p(g, w, r)) for r in ("pseries", "ab")] + [repr(r) for r in cf_residuals(g, w)]
 
     for kind, y in [("todd", None), ("chi_y", F(-1, 2)), ("a_hat", None)]:
-        monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
+        genus_module._catalog_genus.cache_clear()
         g = make_genus(kind, n + 1, y)
         calls.clear()
         for route in ("pseries", "ab"):
@@ -527,7 +539,7 @@ def test_a_warm_call_packs_nothing_and_a_miss_packs_once(monkeypatch):
         assert set(table.packed) == {1, 2, 3, 4, 5, 11, 12}
         assert set(table.leads) == {"pseries", "ab"}
         assert table.width == (4**3 * 12**4).bit_length()  # (n + 1)^n (p - 1)^(n + 1), e = 1
-        monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
+        genus_module._catalog_genus.cache_clear()
         assert got == queries(make_genus(kind, n + 1, y), high), kind
 
 
@@ -638,11 +650,12 @@ def test_packed_width_is_bounded_by_the_largest_factor():
         assert [t.leads[r][1] for r in ("pseries", "ab")] == [n // (p - 1)] * 2
 
 
-def test_large_p_ab_query_builds_factors_for_its_weights_only(monkeypatch, capsys):
+def test_large_p_ab_query_builds_factors_for_its_weights_only(capsys):
     # At p = 100003 the ab route must touch only the query's weights: no
     # factor u/[u]_m for the other p - 5 residues, and no p u/[u]_p either,
-    # so its one series table holds the ab lead only.
-    monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
+    # so its one series table holds the ab lead only.  From an empty memo the
+    # query builds two genera: the CLI's at order 2, and the route's at n + 1.
+    genus_module._catalog_genus.cache_clear()
     argv = ["compute", "--genus", "chi_y:2", "--p", "100003", "--residues", "0,1,2",
             "--route", "ab", "--format", "json"]
     start = time.perf_counter()
@@ -652,7 +665,8 @@ def test_large_p_ab_query_builds_factors_for_its_weights_only(monkeypatch, capsy
     weights = {1, 2, 100001, 100002}
     built = set()
     tables = []
-    for g in genus_module._GENUS_CACHE.values():
+    assert genus_module._catalog_genus.cache_info().currsize == 2
+    for g in (make_genus("chi_y", 2, F(2)), make_genus("chi_y", 3, F(2))):
         built |= set(g._factors)
         tables += g._tables.items()
     assert [key for key, _ in tables] == [(100003, 2)]
@@ -667,7 +681,7 @@ def test_series_routes_share_one_product_pass_per_weight_set(monkeypatch):
     calls = []
     products = engine_module._products
     monkeypatch.setattr(engine_module, "_products", lambda *a: calls.append(1) or products(*a))
-    monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
+    genus_module._catalog_genus.cache_clear()
     p, n = 11, 3
     w = WeightSet(p, n, ((1, 2, 4), (3, 5, 9), (2, 1, 4), (10, 10, 6)))
     g = make_genus("l_genus", n + 1)
@@ -687,7 +701,7 @@ def test_packing_between_two_routes_of_one_set_gives_fresh_totals(monkeypatch):
     # multiplies no factor again and gives a fresh genus's residues.  A query
     # on another set in between replaces them, and they are taken again.
     def fresh(kind, y):
-        monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
+        genus_module._catalog_genus.cache_clear()
         return make_genus(kind, n + 1, y)
 
     calls = []
@@ -718,13 +732,13 @@ def test_packing_between_two_routes_of_one_set_gives_fresh_totals(monkeypatch):
             assert _point_sums(g, w, first, [n]) == [_route_total(fresh(kind, y), w, first)]
 
 
-def test_a_degenerate_chi_y_lead_leaves_pseries_working(monkeypatch):
+def test_a_degenerate_chi_y_lead_leaves_pseries_working():
     # chi_y with 1 + y ≡ 0 mod p has no B: the ab route raises, in either
     # order, and the shared table keeps the pseries lead alone.
     w = WeightSet(3, 2, ((1, 2), (2, 1), (1, 1)))
     want = reduce_value(_route_total(make_genus("chi_y", 5, F(2)), w, "pseries"), 3)
     for routes in (("pseries", "ab", "pseries"), ("ab", "pseries", "ab")):
-        monkeypatch.setattr(genus_module, "_GENUS_CACHE", {})
+        genus_module._catalog_genus.cache_clear()
         g = make_genus("chi_y", 3, F(2))
         for route in routes:
             if route == "ab":
@@ -781,6 +795,93 @@ def test_series_queries_in_any_order_give_fresh_totals(case):
     for i, query in queries:
         ref._tables.clear()
         assert _series_query(g, sets[i], query) == _series_query(ref, sets[i], query), (i, query)
+
+
+def _per_point_sums(g, w, route, ms):
+    """sum_j k_j <F A_j>_m with one lead product per distinct point, F the route's
+    lead: the reference the one-pass sums must reproduce exactly."""
+    n = w.n
+    lead = engine_module._lead(g, w.p, n, route)
+    g = ensure_order(g, n + 1)
+    prods = [(k, lead * a_series(g, pt, n)) for pt, k in w.distinct_points.items()]
+    return [sum((a[m] * k for k, a in prods), g.ring.zero) for m in ms]
+
+
+def _per_point_thm71(g, w):
+    """thm71_check(g, w, force=True).to_json_dict() from the per-point sums."""
+    n, p = w.n, w.p
+    (ab_sum,) = _per_point_sums(g, w, "ab", [n])
+    sums = _per_point_sums(g, w, "pseries", range(n + 1))
+    h_inv = h_series(g.kind, p, n, g.y).invert()
+    rhs = sums[n] + sum((h_inv[n - m] * sums[m] for m in range(n)), F(0))
+    return {"p": p, "n": n, "q": w.q, "ab_sum": str(ab_sum), "pseries_n": str(sums[n]),
+            "cf_sums": [str(c) for c in sums[:n]],
+            "h_inverse_coeffs": [str(h_inv[k]) for k in range(n + 1)],
+            "lhs_mod_p": rational_reduce_mod_p(ab_sum, p).value,
+            "rhs_mod_p": rational_reduce_mod_p(rhs, p).value,
+            "equal": rational_reduce_mod_p(ab_sum, p) == rational_reduce_mod_p(rhs, p)}
+
+
+_CUSTOM = make_genus(
+    "custom", 2, logarithm=Series.from_fractions(QQ, [0, 1, F(1, 2), F(2, 3), F(-1, 4)], 12)
+)
+_DIFFERENTIAL_KINDS = [("todd", None), ("euler", None), ("l_genus", None), ("chi_y", F(2)),
+                       ("chi_y", F(-1, 2)), ("chi_y", F(7, 3)), ("a_hat", None),
+                       ("elliptic", None), ("custom", None)]
+
+
+@st.composite
+def _differential_inputs(draw):
+    """A kind of _DIFFERENTIAL_KINDS, p in 3..13 (elliptic p <= 7, n <= 4), n in
+    0..8 with n >= p - 1 drawn often, and points as drawn (negative and >= p
+    weights) with repeats and reorderings of them; the set may be empty."""
+    kind, y = draw(st.sampled_from(_DIFFERENTIAL_KINDS))
+    p = draw(st.sampled_from((3, 5, 7) if kind == "elliptic" else (3, 5, 7, 11, 13)))
+    top = 4 if kind == "elliptic" else 8
+    n = draw(st.one_of(st.integers(0, top), st.integers(min(p - 1, top), top)))
+    unit = st.integers(-2 * p, 3 * p).filter(lambda x: x % p)
+    points = draw(st.lists(st.tuples(*[unit] * n), max_size=4))
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=2))
+        points += [draw(st.permutations(pt)) for pt in draw(st.lists(st.sampled_from(points),
+                                                                      max_size=2))]
+    return kind, y, points, WeightSet(p, n, tuple(points))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_differential_inputs())
+def test_one_pass_sums_equal_the_per_point_sums(case):
+    # The exact sums multiply each lead once by S = sum_j k_j A_j; every reader
+    # of them must give exactly the per-point sums, or the same EngineError.
+    kind, y, points, w = case
+    p, n = w.p, w.n
+    g = _CUSTOM if kind == "custom" else make_genus(kind, 2, y)
+    for route in ("pseries", "ab"):
+        want = _outcome(_per_point_sums, g, w, route, range(n + 1))
+        assert _outcome(_point_sums, g, w, route, range(n + 1)) == want, (case, route)
+        want = _outcome(lambda: _per_point_sums(g, w, route, [n])[0])
+        assert _outcome(_route_total, g, w, route) == want, (case, route)
+    for pt in points:
+        want = _outcome(lambda: _per_point_sums(g, WeightSet(p, n, (pt,)), "ab", [n])[0])
+        assert _outcome(ab_coefficient, g, p, pt) == want, (case, pt)
+    if n:
+        sums = _per_point_sums(g, w, "pseries", range(n))
+        assert [repr(r) for r in cf_residuals(g, w)] == [_outcome(reduce_value, s, p) for s in sums]
+    if n and kind in TRACE_KINDS:
+        got = _outcome(lambda: thm71_check(g, w, force=True).to_json_dict())
+        assert got == _outcome(_per_point_thm71, g, w), case
+
+
+def test_b_series_memo_is_bounded():
+    # A stream of distinct p keeps the last MEMO_SIZE B-series, no more, and
+    # one still held is returned again.
+    primes = [q for q in range(3, 4000, 2) if is_odd_prime(q)][: 2 * MEMO_SIZE]
+    assert len(primes) == 2 * MEMO_SIZE
+    for q in primes:
+        b_series("todd", q, 2)
+    info = engine_module._b_series.cache_info()
+    assert info.maxsize == info.currsize == MEMO_SIZE
+    assert b_series("todd", primes[-1], 2) is b_series("todd", primes[-1], 2)
 
 
 def test_custom_logarithm_needs_only_order_n_plus_1():

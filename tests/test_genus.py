@@ -11,6 +11,7 @@ from zpgenus.errors import (
     UnsupportedClosedForm,
     UnsupportedKind,
 )
+from zpgenus import genus as genus_module
 from zpgenus.genus import (
     CATALOG_KINDS,
     cpn_genus,
@@ -19,7 +20,7 @@ from zpgenus.genus import (
     power_system,
     power_system_closed,
 )
-from zpgenus.rings import DE, QQ, GradedPoly
+from zpgenus.rings import DE, MEMO_SIZE, QQ, GradedPoly
 from zpgenus.series import Series, binomial_power
 
 D = GradedPoly.delta()
@@ -244,6 +245,26 @@ def test_make_genus_validation():
     with pytest.raises(UnsupportedKind):
         make_genus("signature", 6)
     assert make_genus("todd", 6) is make_genus("todd", 6)
+
+
+def test_genus_memo_is_bounded():
+    # make_genus returns the genus it built before for every catalog kind, so
+    # factors and tables cached on it are reused; a stream of distinct chi_y
+    # keeps the last MEMO_SIZE genera, no more.  A custom genus is built anew.
+    for kind in CATALOG_KINDS:
+        y = F(3) if kind == "chi_y" else None
+        assert make_genus(kind, 5, y) is make_genus(kind, 5, y)
+    log = Series.from_fractions(QQ, [0, 1, 0, F(1, 3)], 5)
+    assert make_genus("custom", 5, logarithm=log) is not make_genus("custom", 5, logarithm=log)
+    ys = [F(y, 11) for y in range(1000, 1000 + 2 * MEMO_SIZE)]
+    for y in ys:
+        make_genus("chi_y", 2, y)
+    info = genus_module._catalog_genus.cache_info()
+    assert info.maxsize == info.currsize == MEMO_SIZE
+    assert make_genus("chi_y", 2, ys[-1]) is make_genus("chi_y", 2, ys[-1])
+    misses = genus_module._catalog_genus.cache_info().misses
+    make_genus("chi_y", 2, ys[0])  # evicted, so built again
+    assert genus_module._catalog_genus.cache_info().misses == misses + 1
 
 
 def test_genus_names():

@@ -7,7 +7,7 @@ import pytest
 
 from zpgenus.errors import BadParams, NonIntegralAtP
 from zpgenus.rings import (
-    _PRIME_CACHE_SIZE,
+    MEMO_SIZE,
     GradedPoly,
     GradedPolyModP,
     ModP,
@@ -57,11 +57,11 @@ def test_odd_prime_gate_matches_sieve():
 
 
 def test_odd_prime_cache_is_bounded():
-    # A stream of distinct p keeps the last _PRIME_CACHE_SIZE answers, no more.
-    for q in range(10**6 + 1, 10**6 + 1 + 4 * _PRIME_CACHE_SIZE, 2):
+    # A stream of distinct p keeps the last MEMO_SIZE answers, no more.
+    for q in range(10**6 + 1, 10**6 + 1 + 4 * MEMO_SIZE, 2):
         is_odd_prime(q)
     info = is_odd_prime.cache_info()
-    assert info.maxsize == info.currsize == _PRIME_CACHE_SIZE
+    assert info.maxsize == info.currsize == MEMO_SIZE
     assert is_odd_prime(10**6 + 3) and not is_odd_prime(10**6 + 1)
 
 
