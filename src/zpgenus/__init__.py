@@ -8,26 +8,35 @@ style vanishing that realizable weight data must satisfy, and carries a
 laboratory of linear actions on complex projective spaces where every value
 has a closed form.
 """
+# Code that only some queries run loads on first use of one of its names, so
+# that a query which does not run it does not compile it (PEP 562): name ->
+# module.  zpgenus.rings and zpgenus.engine serve the names that lived there,
+# so this comes before the imports: an import asks them for __path__.
+_ON_DEMAND = {
+    **dict.fromkeys(("DE", "GradedPoly", "GradedPolyModP", "poly_reduce_mod_p", "poly_to_text"),
+                    "graded"),
+    **dict.fromkeys(("SubmanifoldComponent", "SubmanifoldData", "Thm71Report", "ab_coefficient",
+                     "h_series", "p_series_term", "submanifold_genus", "thm71_check"), "checks"),
+    **dict.fromkeys(("Eq45Report", "Eq46Report", "check_eq45", "check_eq46",
+                     "homogenized_legendre", "legendre_coeffs", "legendre_value"), "cpn"),
+}
+
+
+def _load_on_demand(namespace: dict, name: str, modules=("graded", "checks", "cpn")):
+    """The body of a module's __getattr__: the on-demand ``name`` if one of
+    ``modules`` holds it, then kept in ``namespace`` as a plain attribute."""
+    module = _ON_DEMAND.get(name)
+    if module not in modules:
+        raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    namespace[name] = value = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
 from .cyclotomic import ab_trace, theta_minimal_polynomial, trace_theta_power
-from .engine import (
-    ResidueTuple,
-    SubmanifoldComponent,
-    SubmanifoldData,
-    Thm71Report,
-    WeightSet,
-    a_series,
-    ab_coefficient,
-    b_series,
-    canonical_residues,
-    cf_residuals,
-    cpn_weight_set,
-    genus_mod_p,
-    h_series,
-    p_series_term,
-    reduce_value,
-    submanifold_genus,
-    thm71_check,
-)
+from .engine import (ResidueTuple, WeightSet, a_series, b_series, canonical_residues, cf_residuals,
+                     cpn_weight_set, genus_mod_p, reduce_value)
 from .errors import (
     BadParams,
     DuplicateResidues,
@@ -53,35 +62,15 @@ from .genus import (
     power_system,
     power_system_closed,
 )
-from .rings import (
-    DE,
-    QQ,
-    GradedPoly,
-    GradedPolyModP,
-    ModP,
-    Rational,
-    poly_reduce_mod_p,
-    poly_to_text,
-    rational_reduce_mod_p,
-)
+from .rings import QQ, ModP, Rational, rational_reduce_mod_p
 from .series import Series, binomial_power
 
 __version__ = "0.1.0"
 
-# The Legendre checks load on first use, so that a query that does not run them
-# does not compile them (PEP 562).
-_CPN_NAMES = ("Eq45Report", "Eq46Report", "check_eq45", "check_eq46",
-              "homogenized_legendre", "legendre_coeffs", "legendre_value")
-
 
 def __getattr__(name):
-    if name not in _CPN_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import cpn
-
-    globals()[name] = value = getattr(cpn, name)
-    return value
+    return _load_on_demand(globals(), name)
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_CPN_NAMES))
+    return sorted(set(globals()) | set(_ON_DEMAND))

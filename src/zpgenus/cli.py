@@ -19,25 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .cyclotomic import ab_trace, theta_minimal_polynomial, trace_theta_power
-from .engine import (
-    ROUTES,
-    ResidueTuple,
-    SubmanifoldData,
-    WeightSet,
-    ab_coefficient,
-    b_series,
-    canonical_residues,
-    cf_residuals,
-    cpn_weight_set,
-    genus_mod_p,
-    h_series,
-    submanifold_genus,
-    thm71_check,
-)
+from .cyclotomic import ab_trace
+from .engine import (ROUTES, ResidueTuple, WeightSet, canonical_residues, cf_residuals,
+                     cpn_weight_set, genus_mod_p)
 from .errors import BadParams, EngineError
 from .genus import make_genus, parse_genus_name
 from .rings import rational_reduce_mod_p
@@ -166,6 +152,8 @@ def _run_cf_check(args) -> int:
 
 
 def _run_ab(args) -> int:
+    from .checks import ab_coefficient
+
     if args.p is None:
         raise BadParams("ab needs --p")
     if args.residues is None:
@@ -212,7 +200,7 @@ def _run_cpn(args) -> int:
 
 
 def _run_legendre(args) -> int:
-    from .cpn import check_eq45, check_eq46  # only this verb and selftest compile the checks
+    from .cpn import check_eq45, check_eq46
 
     if args.p is None:
         raise BadParams("legendre needs --p")
@@ -235,6 +223,8 @@ def _run_legendre(args) -> int:
 
 
 def _run_thm71(args) -> int:
+    from .checks import thm71_check
+
     w = _load_weight_set(args)
     report = thm71_check(_genus_for(args), w, force=args.force)
     _emit(args, {"verb": "thm71", "genus": args.genus, **report.to_json_dict()})
@@ -242,6 +232,8 @@ def _run_thm71(args) -> int:
 
 
 def _run_submanifold(args) -> int:
+    from .checks import SubmanifoldData, submanifold_genus
+
     if not args.weights:
         raise BadParams("submanifold needs --weights FILE with submanifold data")
     data = _read_weights_file(args.weights, SubmanifoldData)
@@ -259,60 +251,11 @@ def _run_submanifold(args) -> int:
     return 0
 
 
-def _selftest_checks():
-    from .cpn import check_eq45, check_eq46
-    from .genus import power_system, power_system_closed
-
-    yield "todd_cp2_p5_routes_agree", lambda: _routes_agree("td", 5, 2, "1")
-    yield "euler_cp3_p7_value", lambda: _routes_agree("euler", 7, 3, "4")
-    yield "l_genus_cp3_p7_zero", lambda: _routes_agree("L", 7, 3, "0")
-    yield "chi2_cp2_p7_value", lambda: _routes_agree(
-        "chi_y:2", 7, 2, str(rational_reduce_mod_p(Fraction(1 + 2**3, 3), 7))
-    )
-    yield "ahat_bseries_matches_traces_p5", lambda: all(
-        b_series("a_hat", 5, 6)[s] == trace_theta_power("a_hat", 5, -s)
-        for s in range(5)
-    )
-    yield "ahat_minimal_polynomial_p5", _ahat_p5_minimal_polynomial_vanishes
-    yield "h_todd_p5_is_1_minus_u", lambda: h_series("todd", 5, 6).to_text() == "1 + (-1)*u"
-    yield "elliptic_cp2_p5_delta", lambda: str(
-        genus_mod_p(
-            make_genus("elliptic", 9),
-            cpn_weight_set(canonical_residues(5, 2)),
-            "pseries",
-        )
-    ) == "1*delta"
-    yield "power_system_closed_matches_generic", lambda: all(
-        power_system(make_genus(kind, 8, y), m)
-        == power_system_closed(kind, m, 8, y)
-        for kind, y in [("todd", None), ("l_genus", None), ("a_hat", None)]
-        for m in (2, 3)
-    )
-    yield "eq45_p5_m1", lambda: check_eq45(5, m=1).equal
-    yield "eq46_p5", lambda: check_eq46(5).equal
-
-
-def _ahat_p5_minimal_polynomial_vanishes() -> bool:
-    # theta generates Q(zeta_5) and the trace form is nondegenerate, so P(theta) = 0
-    # iff Tr(P(theta) theta^j) = 0 for j < 4
-    P = theta_minimal_polynomial("a_hat", 5)
-    return all(
-        sum(c * trace_theta_power("a_hat", 5, i + j) for i, c in enumerate(P)) == 0
-        for j in range(4)
-    )
-
-
-def _routes_agree(name: str, p: int, n: int, expected: str) -> bool:
-    w = cpn_weight_set(canonical_residues(p, n))
-    kind, y = parse_genus_name(name)
-    g = make_genus(kind, 2, y)
-    vals = [str(genus_mod_p(g, w, route=r)) for r in ROUTES]
-    return all(v == expected for v in vals)
-
-
 def _run_selftest(args) -> int:
+    from .selftest import battery
+
     results = []
-    for name, check in _selftest_checks():
+    for name, check in battery():
         try:
             results.append({"check": name, "ok": bool(check())})
         except EngineError as exc:
@@ -359,14 +302,18 @@ _VERBS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser, with only the subparser of the verb argv starts with, if any;
+    the metavar keeps the usage line that all of them give."""
     parser = argparse.ArgumentParser(
         prog="zpgenus",
         description="Exact genera of Z/p fixed-point data, three ways.",
     )
     parser.add_argument("--version", action="version", version=f"zpgenus {__version__}")
-    subs = parser.add_subparsers(dest="verb", required=True)
-    for verb, handler, help_text, flags in _VERBS:
+    verbs = [v for v in _VERBS if argv and v[0] == argv[0]] or _VERBS
+    metavar = "{" + ",".join(v[0] for v in _VERBS) + "}" if len(verbs) == 1 else None
+    subs = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
+    for verb, handler, help_text, flags in verbs:
         sub = subs.add_parser(verb, help=help_text)
         for flag in flags:
             sub.add_argument(f"--{flag}", **_FLAGS[flag])
@@ -375,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.handler(args)
     except EngineError as exc:

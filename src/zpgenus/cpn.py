@@ -25,15 +25,9 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
 
-from .engine import (
-    ResidueTuple,
-    _Record,
-    canonical_residues,
-    cpn_weight_set,
-    genus_mod_p,
-    p_series_term,
-    reduce_value,
-)
+from .checks import p_series_term
+from .engine import (ResidueTuple, _Record, canonical_residues, cpn_weight_set, genus_mod_p,
+                     reduce_value)
 from .errors import BadParams
 from .genus import (
     KIND_ELLIPTIC,
@@ -41,7 +35,8 @@ from .genus import (
     make_genus,
     power_factor,
 )
-from .rings import GradedPoly, GradedPolyModP, poly_reduce_mod_p, require_odd_prime
+from .graded import GradedPoly, GradedPolyModP, poly_reduce_mod_p
+from .rings import require_odd_prime
 
 
 # ---------------------------------------------------------------------------

@@ -20,43 +20,22 @@ points' products, S = sum_j k_j A_j; :func:`thm71_check` forms S once for both.
 
 Realizable weight sets also satisfy the vanishing of the lower p-series
 coefficients (m = 0..n-1), exposed by :func:`cf_residuals`, and the exact
-congruence of :func:`thm71_check` ties all of it together.
+congruence of :func:`~zpgenus.checks.thm71_check` ties all of it together.
+That and the other exact checks live in :mod:`zpgenus.checks`, which loads on
+first use of one of its names, here too.
 """
 from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Sequence
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from fractions import Fraction
 from types import SimpleNamespace
 
 from .cyclotomic import _kind_param, _theta_polynomial, _trace_preimage, _trace_table, _trace_total
-from .errors import (
-    BadParams,
-    DuplicateResidues,
-    GuardViolation,
-    NonIntegralAtP,
-    UnsupportedKind,
-    ZeroWeight,
-)
-from .genus import (
-    TRACE_KINDS,
-    GenusSpec,
-    ensure_order,
-    make_genus,
-    power_factor,
-)
-from .rings import (
-    MEMO_SIZE,
-    QQ,
-    GradedPoly,
-    GradedPolyModP,
-    ModP,
-    Rational,
-    poly_reduce_mod_p,
-    rational_reduce_mod_p,
-    require_odd_prime,
-)
+from .errors import BadParams, DuplicateResidues, NonIntegralAtP, UnsupportedKind, ZeroWeight
+from .genus import TRACE_KINDS, GenusSpec, ensure_order, power_factor
+from .rings import MEMO_SIZE, QQ, ModP, Rational, rational_reduce_mod_p, require_odd_prime
 from .series import Series, integer_numerators
 
 
@@ -67,10 +46,12 @@ def reduce_value(x, p: int) -> ModP | GradedPolyModP:
     """Reduce an exact route value (Fraction or GradedPoly) mod p, or a sum given
     as ints (num, den): p is cancelled from both as far as it goes, and only if
     it still divides den is a Fraction built, to raise NonIntegralAtP on it."""
-    if isinstance(x, GradedPoly):
-        return poly_reduce_mod_p(x, p)
-    if not isinstance(x, tuple):
+    if isinstance(x, (int, Fraction)):
         return rational_reduce_mod_p(x, p)
+    if not isinstance(x, tuple):
+        from .graded import poly_reduce_mod_p
+
+        return poly_reduce_mod_p(x, p)
     num, den = x
     while not den % p:
         if num % p:
@@ -111,13 +92,16 @@ class _Record:
     ==, hash and repr of a frozen dataclass over them, so that a query loads
     no ``dataclasses`` (nor the ``inspect`` and ``ast`` it imports)."""
 
+    __slots__ = ()  # a subclass keeps its __dict__ unless it names its own slots
+
     def __init_subclass__(cls):
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
 
     def _fill(self, values: dict) -> None:
         """Set every field from the constructor's ``locals()``."""
-        self.__dict__.update((f, values[f]) for f in self._fields)
+        for f in self._fields:
+            object.__setattr__(self, f, values[f])
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
@@ -142,37 +126,53 @@ class _Record:
 
 
 class WeightSet(_Record):
-    """Fixed-point data: q points, each carrying n weights in [1, p-1]."""
+    """Fixed-point data: q points, each carrying n weights in [1, p-1].
+
+    A point that is a plain tuple of n plain ints in [1, p-1] is kept as
+    given, any other is canonicalized, and equal points share one tuple.
+    """
+
+    __slots__ = ("p", "n", "points", "_counts")
 
     def __init__(self, p: int, n: int, points: tuple[tuple[int, ...], ...]):
         require_odd_prime(p)
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise BadParams(f"n must be an int >= 0, got {n!r}")
-        pts = []
+        pts, shared = [], {}
         for pt in points:
-            pt = canonical_weights(pt, p)
-            if len(pt) != n:
-                raise BadParams(
-                    f"each fixed point needs exactly n = {n} weights, got {len(pt)}"
-                )
-            pts.append(pt)
-        self.__dict__.update(p=p, n=n, points=tuple(pts))
+            if not (type(pt) is tuple and len(pt) == n
+                    and all(type(x) is int and 0 < x < p for x in pt)):
+                pt = canonical_weights(pt, p)
+                if len(pt) != n:
+                    raise BadParams(
+                        f"each fixed point needs exactly n = {n} weights, got {len(pt)}"
+                    )
+            pts.append(shared.setdefault(pt, pt))
+        points = tuple(pts)
+        self._fill(locals())
+        object.__setattr__(self, "_counts", None)
+
+    def __reduce__(self):  # slots under a frozen __setattr__: rebuild from the fields
+        return self.__class__, self._values()
 
     @property
     def q(self) -> int:
         return len(self.points)
 
-    @cached_property
+    @property
     def distinct_points(self) -> dict:
         """Multiplicity per distinct fixed point, keyed by the point as given.
         Reorderings of one point's weights count apart: every route value is
-        symmetric in them, so a sort per point would buy nothing.  Built once
-        per set, read-only.  A plain dict counted with get, not a Counter, skips
-        a __missing__ call per point.
+        symmetric in them, so a sort per point would buy nothing.  Built on
+        first use, once per set, read-only.  A plain dict counted with get, not
+        a Counter, skips a __missing__ call per point.
         """
-        counts = {}
-        for pt in self.points:
-            counts[pt] = counts.get(pt, 0) + 1
+        counts = self._counts
+        if counts is None:
+            counts = {}
+            for pt in self.points:
+                counts[pt] = counts.get(pt, 0) + 1
+            object.__setattr__(self, "_counts", counts)
         return counts
 
     def to_json_dict(self) -> dict:
@@ -243,64 +243,6 @@ def canonical_residues(p: int, n: int) -> ResidueTuple:
     return ResidueTuple(p, tuple(range(n + 1)))
 
 
-def _genus_value(gv) -> Fraction:
-    """A component's genus value, given as an int, a Fraction or a rational string."""
-    if isinstance(gv, str):
-        try:
-            return Fraction(gv)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise BadParams(f"bad genus_value {gv!r}") from exc
-    if isinstance(gv, (int, Fraction)) and not isinstance(gv, bool):
-        return Fraction(gv)
-    raise BadParams(f"genus_value must be an int or a rational string, got {gv!r}")
-
-
-class SubmanifoldComponent(_Record):
-    def __init__(self, normal_weights: tuple[int, ...], genus_value: Fraction):
-        self._fill(locals())
-
-
-class SubmanifoldData(_Record):
-    """Fixed submanifold data: per component, normal weights and the genus value."""
-
-    def __init__(self, p: int, components: tuple[SubmanifoldComponent, ...]):
-        require_odd_prime(p)
-        comps = tuple(
-            SubmanifoldComponent(
-                canonical_weights(c.normal_weights, p), _genus_value(c.genus_value)
-            )
-            for c in components
-        )
-        self.__dict__.update(p=p, components=comps)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SubmanifoldData":
-        try:
-            p = d["p"]
-            comps = d["components"]
-        except (KeyError, TypeError) as exc:
-            raise BadParams(f"submanifold JSON needs keys p, components: {exc}") from exc
-        if not isinstance(comps, list):
-            raise BadParams("components must be a list")
-        built = []
-        for c in comps:
-            try:
-                nw = c["normal_weights"]
-                gv = c["genus_value"]
-            except (KeyError, TypeError) as exc:
-                raise BadParams(
-                    f"each component needs normal_weights and genus_value: {exc}"
-                ) from exc
-            if not isinstance(nw, list):
-                raise BadParams(f"normal_weights must be a list of ints, got {nw!r}")
-            built.append(SubmanifoldComponent(tuple(nw), _genus_value(gv)))
-        return cls(p=p, components=tuple(built))
-
-    @classmethod
-    def from_json(cls, text: str) -> "SubmanifoldData":
-        return cls.from_json_dict(_json_loads(text))
-
-
 # ---------------------------------------------------------------------------
 # The series building blocks shared by the routes.
 # ---------------------------------------------------------------------------
@@ -310,17 +252,19 @@ def a_series(g: GenusSpec, weights: Sequence[int], order: int) -> Series:
     """A(u) = prod_k u/[u]_{x_k} at the given order; empty product is 1.
 
     Each factor comes from the genus's cache (:func:`power_factor`), so a
-    weight costs one product.  Weights are used literally as power-system
+    weight other than 1 costs one product, bar the first.  Weights are used literally as power-system
     indices (positive integers); congruent representatives give mod-p
     congruent final answers, which the tests pin against the trace route.
     """
     g = ensure_order(g, order + 1)
-    acc = Series.one(g.ring, order)
+    acc = None
     for x in weights:
         if not isinstance(x, int) or x < 1:
             raise BadParams(f"a_series weights must be ints >= 1, got {x!r}")
-        acc = acc * power_factor(g, x, order)
-    return acc
+        if x != 1:  # u/[u]_1 is exactly 1
+            factor = power_factor(g, x, order)
+            acc = factor if acc is None else acc * factor
+    return Series.one(g.ring, order) if acc is None else acc
 
 
 def p_power_factor(g: GenusSpec, p: int, order: int) -> Series:
@@ -353,29 +297,6 @@ def _b_series(kind: str, y: Fraction | None, p: int, order: int) -> Series:
     num = Series(QQ, [(p - 1 - k) * c for k, c in enumerate(poly.coeffs)])
     return num.divide(poly)
 
-
-def ab_coefficient(g: GenusSpec, p: int, weights: Sequence[int]) -> Fraction:
-    """Per-point coefficient-route value -<A(u) B(u)>_d, d = len(weights).
-
-    Exact over Q; its residue mod p equals the trace-route value.  Read from
-    :func:`_point_sums` on a one-point weight set, so A and B go to order d.
-    For euler A has degree d and A(1) = 1, so the value is -(p-1) for any weights.
-    """
-    require_odd_prime(p)
-    if g.kind not in TRACE_KINDS:
-        raise UnsupportedKind(f"no coefficient route for genus kind {g.kind!r}")
-    weights = canonical_weights(weights, p)
-    return _point_sums(g, WeightSet(p, len(weights), (weights,)), "ab", [len(weights)])[0]
-
-
-def p_series_term(g: GenusSpec, p: int, weights: Sequence[int], m: int):
-    """<(p u/[u]_p) prod_k u/[u]_{x_k}>_m, exact in the coefficient ring."""
-    require_odd_prime(p)
-    if not isinstance(m, int) or m < 0:
-        raise BadParams(f"coefficient index must be an int >= 0, got {m!r}")
-    g = ensure_order(g, m + 1)
-    prod = p_power_factor(g, p, m) * a_series(g, weights, m)
-    return prod[m]
 
 
 # ---------------------------------------------------------------------------
@@ -547,115 +468,7 @@ def cf_residuals(g: GenusSpec, w: WeightSet) -> list:
     return _residues(g, w, "pseries", range(w.n))
 
 
-# ---------------------------------------------------------------------------
-# The h-series and the combined congruence check.
-# ---------------------------------------------------------------------------
+def __getattr__(name):  # the exact checks, from zpgenus.checks; Q[delta, eps] names (PEP 562)
+    from . import _load_on_demand
 
-def h_series(
-    kind: str, p: int, order: int, y: Rational | int | None = None
-) -> Series:
-    """h(u) = p([u]_p - u)/(B(u)[u]_p) = p(1 - u/[u]_p)/B(u); h(0) = 1 and h is p-integral.
-
-    u/[u]_p is the genus's cached :func:`power_factor`, so h costs one
-    division by B.  Known closed forms: (1-u)(1+yu) for chi_y, so 1-u (todd),
-    1-u^2 (l_genus) and (1-u)^2 (euler), and for a_hat
-    cosh(((p+1)/2)t) cosh(t)/cosh(((p-1)/2)t), t = arcsinh(u/2).
-    """
-    require_odd_prime(p)
-    if kind not in TRACE_KINDS:
-        raise UnsupportedKind(f"no h-series for genus kind {kind!r}")
-    yk = Fraction(y) if y is not None else None
-    g = make_genus(kind, max(order + 1, 2), yk)
-    num = (Series.one(QQ, order) - power_factor(g, p, order)).scale(p)
-    return num.divide(b_series(kind, p, order, yk))
-
-
-class Thm71Report(_Record):
-    """Exact data behind the congruence: sum_j ab ≡ pseries_n + sum H*cf (mod p)."""
-
-    def __init__(self, p: int, n: int, q: int, ab_sum: Fraction, pseries_n: Fraction,
-                 cf_sums: tuple[Fraction, ...], h_inverse_coeffs: tuple[Fraction, ...],
-                 lhs: ModP, rhs: ModP):
-        self._fill(locals())
-
-    @property
-    def equal(self) -> bool:
-        return self.lhs == self.rhs
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "q": self.q,
-            "ab_sum": str(self.ab_sum),
-            "pseries_n": str(self.pseries_n),
-            "cf_sums": [str(c) for c in self.cf_sums],
-            "h_inverse_coeffs": [str(c) for c in self.h_inverse_coeffs],
-            "lhs_mod_p": self.lhs.value,
-            "rhs_mod_p": self.rhs.value,
-            "equal": self.equal,
-        }
-
-
-def thm71_check(g: GenusSpec, w: WeightSet, force: bool = False) -> Thm71Report:
-    """Check sum_j ab_coefficient ≡ pseries_n + sum_{m<n} H_{n-m} cf_m (mod p).
-
-    H_i are the coefficients of 1/h(u).  Both sides are read off one sum S of the
-    points' products (:func:`_a_sum`).  The congruence is guaranteed for n <= p-2;
-    beyond that a GuardViolation is raised unless force=True, in which case the
-    reduction itself may legitimately fail NonIntegralAtP.
-    """
-    if g.kind not in TRACE_KINDS:
-        raise UnsupportedKind(f"thm71_check needs a B-series kind, got {g.kind!r}")
-    n, p, q = w.n, w.p, w.q
-    if n < 1:
-        raise BadParams("thm71_check needs n >= 1")
-    if n > p - 2 and not force:
-        raise GuardViolation(
-            f"n = {n} exceeds p-2 = {p - 2}; pass force=True to check anyway"
-        )
-
-    total = _a_sum(g, w)  # shared by both leads
-    (ab_sum,) = _point_sums(g, w, "ab", [n], total)
-    sums = _point_sums(g, w, "pseries", range(n + 1), total)
-
-    h_inv = h_series(g.kind, p, n, g.y).invert()
-    rhs_exact = sums[n]
-    for m in range(n):
-        rhs_exact += h_inv[n - m] * sums[m]
-
-    lhs = rational_reduce_mod_p(ab_sum, p)
-    rhs = rational_reduce_mod_p(rhs_exact, p)
-    return Thm71Report(
-        p=p,
-        n=n,
-        q=q,
-        ab_sum=ab_sum,
-        pseries_n=sums[n],
-        cf_sums=tuple(sums[:n]),
-        h_inverse_coeffs=tuple(h_inv[k] for k in range(n + 1)),
-        lhs=lhs,
-        rhs=rhs,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Genus from fixed submanifold data.
-# ---------------------------------------------------------------------------
-
-
-def submanifold_genus(g: GenusSpec, data: SubmanifoldData) -> ModP | GradedPolyModP:
-    """phi(M) ≡ sum_nu ab_coefficient(normal weights of nu) * phi(M_nu) (mod p).
-
-    Isolated fixed points have n normal weights and genus value 1, recovering
-    the ab route; a trivial action (one component, no normal weights, value
-    phi(M)) returns phi(M) mod p since ab(empty) = -(p-1) ≡ 1.
-    """
-    if g.kind not in TRACE_KINDS:
-        raise UnsupportedKind(
-            f"submanifold reduction needs the coefficient route; kind {g.kind!r} has none"
-        )
-    total = Fraction(0)
-    for comp in data.components:
-        total += ab_coefficient(g, data.p, comp.normal_weights) * comp.genus_value
-    return rational_reduce_mod_p(total, data.p)
+    return _load_on_demand(globals(), name, ("checks", "graded"))

@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedClosedForm,
     UnsupportedKind,
 )
-from .rings import DE, MEMO_SIZE, QQ, GradedPoly, Rational
+from .rings import MEMO_SIZE, QQ, Rational
 from .series import Series, binomial_power
 
 KIND_TODD = "todd"
@@ -93,6 +93,8 @@ def _build_logarithm(kind: str, order: int, y: Fraction | None) -> Series:
         w = Series.from_fractions(QQ, [0, 0, Fraction(1, 4)], order - 1)
         return binomial_power(w, Fraction(-1, 2)).integrate()
     if kind == KIND_ELLIPTIC:
+        from .graded import DE, GradedPoly
+
         w = Series(
             DE,
             [

@@ -1,0 +1,261 @@
+"""The graded ring Q[delta, eps] of the elliptic genus, and its image F_p[delta, eps].
+
+:class:`GradedPoly` is Q[delta, eps] with the weighted grading deg(delta) = 2,
+deg(eps) = 4, where the elliptic genus takes its values; it reduces to
+:class:`GradedPolyModP`, i.e. F_p[delta, eps], by :func:`poly_reduce_mod_p`,
+which raises :class:`~zpgenus.errors.NonIntegralAtP` on a coefficient with p
+in its denominator.  :data:`DE` names the ring for the series layer.  Only the
+elliptic genus and the Legendre checks use this module, so it loads on demand;
+``zpgenus.rings`` still serves its names.
+"""
+from __future__ import annotations
+
+from collections.abc import Mapping
+from fractions import Fraction
+
+from .errors import BadParams, NonIntegralAtP, ZeroDivision
+from .rings import Rational, require_odd_prime
+
+
+# ---------------------------------------------------------------------------
+# The graded ring Q[delta, eps], deg(delta) = 2, deg(eps) = 4.
+# ---------------------------------------------------------------------------
+
+Monomial = tuple  # (a, b) meaning delta^a * eps^b
+
+
+def _monomial_degree(m: Monomial) -> int:
+    return 2 * m[0] + 4 * m[1]
+
+
+def _term_sort_key(m: Monomial):
+    # descending weighted degree, then descending delta exponent
+    return (-_monomial_degree(m), -m[0])
+
+
+class GradedPoly:
+    """An element of Q[delta, eps], stored sparsely as {(a, b): coefficient}.
+
+    Canonical form: no zero coefficients are stored, every coefficient is a
+    Fraction.  Instances are immutable; all operations return new objects.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping[Monomial, Rational | int] = ()):
+        canon = {}
+        for (a, b), c in dict(terms).items():
+            if not isinstance(a, int) or not isinstance(b, int) or a < 0 or b < 0:
+                raise BadParams(f"bad monomial exponents ({a!r}, {b!r})")
+            c = Fraction(c)
+            if c:
+                canon[(a, b)] = c
+        object.__setattr__(self, "terms", canon)
+
+    def __setattr__(self, name, val):
+        raise AttributeError("GradedPoly is immutable")
+
+    # -- constructors -------------------------------------------------------
+    @classmethod
+    def zero(cls) -> "GradedPoly":
+        return cls({})
+
+    @classmethod
+    def one(cls) -> "GradedPoly":
+        return cls({(0, 0): 1})
+
+    @classmethod
+    def const(cls, q: Rational | int) -> "GradedPoly":
+        return cls({(0, 0): Fraction(q)})
+
+    @classmethod
+    def delta(cls) -> "GradedPoly":
+        return cls({(1, 0): 1})
+
+    @classmethod
+    def eps(cls) -> "GradedPoly":
+        return cls({(0, 1): 1})
+
+    # -- predicates ---------------------------------------------------------
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def is_constant(self) -> bool:
+        return not self.terms or set(self.terms) == {(0, 0)}
+
+    def constant_value(self) -> Rational:
+        return self.terms.get((0, 0), Fraction(0))
+
+    # -- arithmetic ---------------------------------------------------------
+    def __add__(self, other):
+        if not isinstance(other, GradedPoly):
+            return NotImplemented
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, Fraction(0)) + c
+        return GradedPoly(out)
+
+    def __sub__(self, other):
+        if not isinstance(other, GradedPoly):
+            return NotImplemented
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, Fraction(0)) - c
+        return GradedPoly(out)
+
+    def __neg__(self):
+        return GradedPoly({m: -c for m, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            q = Fraction(other)
+            return GradedPoly({m: c * q for m, c in self.terms.items()})
+        if not isinstance(other, GradedPoly):
+            return NotImplemented
+        out = {}
+        for (a1, b1), c1 in self.terms.items():
+            for (a2, b2), c2 in other.terms.items():
+                m = (a1 + a2, b1 + b2)
+                out[m] = out.get(m, Fraction(0)) + c1 * c2
+        return GradedPoly(out)
+
+    __rmul__ = __mul__
+
+    def substitute(self, delta_val: Rational | int, eps_val: Rational | int) -> Rational:
+        """Evaluate at delta = delta_val, eps = eps_val."""
+        dv, ev = Fraction(delta_val), Fraction(eps_val)
+        total = Fraction(0)
+        for (a, b), c in self.terms.items():
+            total += c * dv**a * ev**b
+        return total
+
+    def substitute_eps(self, eps_val: Rational | int) -> "GradedPoly":
+        """Partial evaluation eps = eps_val; the result lives in Q[delta]."""
+        ev = Fraction(eps_val)
+        out = {}
+        for (a, b), c in self.terms.items():
+            m = (a, 0)
+            out[m] = out.get(m, Fraction(0)) + c * ev**b
+        return GradedPoly(out)
+
+    # -- structure ----------------------------------------------------------
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GradedPoly) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0]))
+
+    def __repr__(self):
+        return f"GradedPoly({poly_to_text(self)!r})"
+
+    def __str__(self):
+        return poly_to_text(self)
+
+
+class GradedPolyModP:
+    """An element of F_p[delta, eps]: integer coefficients in [1, p-1], sparse."""
+
+    __slots__ = ("terms", "p")
+
+    def __init__(self, terms: Mapping[Monomial, int], p: int):
+        require_odd_prime(p)
+        canon = {}
+        for m, c in dict(terms).items():
+            c = c % p
+            if c:
+                canon[m] = c
+        object.__setattr__(self, "terms", canon)
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, name, val):
+        raise AttributeError("GradedPolyModP is immutable")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, GradedPolyModP)
+            and self.p == other.p
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((frozenset(self.terms.items()), self.p))
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0]))
+
+    def __repr__(self):
+        return f"GradedPolyModP({poly_to_text(self)!r}, p={self.p})"
+
+    def __str__(self):
+        return poly_to_text(self)
+
+
+def poly_reduce_mod_p(q: GradedPoly, p: int) -> GradedPolyModP:
+    """Reduce every coefficient mod p; NonIntegralAtP if any denominator has p."""
+    require_odd_prime(p)
+    out = {}
+    for m, c in q.terms.items():
+        if c.denominator % p == 0:
+            raise NonIntegralAtP(
+                f"coefficient {c} of delta^{m[0]}*eps^{m[1]} is not p-integral at p = {p}"
+            )
+        out[m] = c.numerator * pow(c.denominator, -1, p)
+    return GradedPolyModP(out, p)
+
+
+# ---------------------------------------------------------------------------
+# Text form: "c", "c*delta^a", "c*eps^b", "c*delta^a*eps^b" joined by " + ",
+# exponent 1 omitted, terms in descending weighted degree then descending
+# delta exponent.
+# ---------------------------------------------------------------------------
+
+
+def _term_to_text(m: Monomial, c) -> str:
+    a, b = m
+    parts = [str(c)]
+    if a:
+        parts.append("delta" if a == 1 else f"delta^{a}")
+    if b:
+        parts.append("eps" if b == 1 else f"eps^{b}")
+    return "*".join(parts)
+
+
+def poly_to_text(q: GradedPoly | GradedPolyModP) -> str:
+    if q.is_zero():
+        return "0"
+    return " + ".join(_term_to_text(m, c) for m, c in q.sorted_terms())
+
+
+class _GradedRing:
+    """The ring descriptor of Q[delta, eps] for the series layer (see rings.QQ)."""
+
+    zero, one = GradedPoly.zero(), GradedPoly.one()
+
+    def from_fraction(self, q: Rational):
+        return GradedPoly.const(q)
+
+    def is_unit(self, x) -> bool:
+        return x.is_constant() and not x.is_zero()
+
+    def invert(self, x):
+        if not self.is_unit(x):
+            raise ZeroDivision(f"{x!r} is not a unit in {self!r}")
+        return GradedPoly.const(1 / x.constant_value())
+
+    def __repr__(self):
+        return "Q[delta,eps]"
+
+
+DE = _GradedRing()

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from zpgenus.cli import main
+from zpgenus.cli import _VERBS, build_parser, main
 
 
 def _json_out(capsys):
@@ -256,12 +256,14 @@ def test_bad_input_exits_2(tmp_path, capsys):
         "compute": [
             '{"p": 5, "n": true, "fixed_points": [[1]]}',
             '{"p": 5, "n": 1, "fixed_points": [[true]]}',
+            '{"p": [7], "n": 1, "fixed_points": [[1]]}',
         ],
         "submanifold": [
             '{"p": 5, "components": [{"normal_weights": 5, "genus_value": 1}]}',
             '{"p": 5, "components": [{"normal_weights": null, "genus_value": 1}]}',
             '{"p": 5, "components": [{"normal_weights": [true], "genus_value": 1}]}',
             '{"p": 5, "components": [{"normal_weights": [1], "genus_value": true}]}',
+            '{"p": {}, "components": []}',
         ],
     }
     for verb, docs in bad_docs.items():
@@ -357,6 +359,19 @@ def test_selftest(capsys):
     assert rep["all_ok"] is True
     assert len(rep["checks"]) == 11
     assert all(c["ok"] for c in rep["checks"])
+
+
+def test_a_one_verb_parser_keeps_the_usage_line(capsys):
+    # only the named verb's subparser is built, under the usage all of them give
+    usage = build_parser([]).format_usage()
+    assert "{compute,cf-check,ab,cpn,legendre,thm71,submanifold,selftest}" in usage
+    for verb, *_ in _VERBS:
+        parser = build_parser([verb, "--help"])
+        assert parser.format_usage() == usage
+        assert list(parser._subparsers._group_actions[0].choices) == [verb]
+    with pytest.raises(SystemExit):
+        main(["compute", "--genus", "td", "--p", "5", "--residues", "0,1", "extra"])
+    assert capsys.readouterr().err.startswith(usage)
 
 
 def test_version_flag(capsys):

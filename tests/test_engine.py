@@ -1,7 +1,10 @@
 """The fixed-point engine: weight data, the three routes, and the congruences."""
+import copy
 import json
+import pickle
 import random
 import time
+from collections import namedtuple
 from fractions import Fraction as F
 
 import pytest
@@ -84,6 +87,52 @@ def test_weight_set_construction():
         WeightSet(p=5, n=2, points=((1,),))
     with pytest.raises(ZeroWeight):
         WeightSet(p=5, n=1, points=((5,),))
+    with pytest.raises(BadParams):
+        WeightSet([7], 1, ((1,),))
+
+
+def test_weight_sets_keep_canonical_points_and_share_equal_ones():
+    a, b = (1, 2), (3, 4)
+    again = tuple([1, 2])
+    assert again == a and again is not a
+    w = WeightSet(5, 2, (a, b, again, a))
+    assert w.points == ((1, 2), (3, 4), (1, 2), (1, 2))
+    assert w.points[0] is a and w.points[1] is b
+    assert all(pt is a for pt in w.points[2:])  # equal points share one tuple
+    # a point that is not a plain tuple of ints in [1, p-1] is canonicalized
+    Pt = namedtuple("Pt", "x y")
+    for point in (Pt(1, 2), [1, 2], (6, 2), (-4, 7), (11, 12), iter((1, 2))):
+        v = WeightSet(5, 2, (point, (1, 2)))
+        assert type(v.points[0]) is tuple and v.points[0] is v.points[1]
+    named = WeightSet(5, 2, (Pt(1, 2), Pt(3, 4), [1, 2], (6, 7)))
+    assert named == w and hash(named) == hash(w) and repr(named) == repr(w)
+    assert repr(w) == "WeightSet(p=5, n=2, points=((1, 2), (3, 4), (1, 2), (1, 2)))"
+    assert not hasattr(w, "__dict__")  # a slotted record
+
+
+@pytest.mark.parametrize("points, error, message", [
+    (((True,),), BadParams, "weights must be ints, got True"),
+    (((1.0,),), BadParams, "weights must be ints, got 1.0"),
+    (((0,),), ZeroWeight, "weight ≡ 0 mod p = 5 is not allowed"),
+    (((10,),), ZeroWeight, "weight ≡ 0 mod p = 5 is not allowed"),
+    (((-5,),), ZeroWeight, "weight ≡ 0 mod p = 5 is not allowed"),
+    (((1, 2),), BadParams, "each fixed point needs exactly n = 1 weights, got 2"),
+    (((),), BadParams, "each fixed point needs exactly n = 1 weights, got 0"),
+    (((1,), (2.0, 3)), BadParams, "weights must be ints, got 2.0"),  # type before length
+    ((namedtuple("Pt", "x y")(1, 2),), BadParams, "each fixed point needs exactly n = 1 weights, got 2"),
+])
+def test_weight_set_errors_are_unchanged(points, error, message):
+    with pytest.raises(error) as exc:
+        WeightSet(5, 1, points)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_weight_sets_survive_pickle_and_copy():
+    w = WeightSet(7, 2, ((2, 1), (1, 9), (2, 1)))
+    w.distinct_points
+    for twin in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+        assert type(twin) is WeightSet and twin == w and hash(twin) == hash(w)
+        assert repr(twin) == repr(w) and twin.distinct_points == {(2, 1): 2, (1, 2): 1}
 
 
 def test_weight_set_json_roundtrip():
@@ -941,6 +990,34 @@ def test_thm71_cp1_todd_report():
     assert d["equal"] is True and d["ab_sum"] == "-2" and d["lhs_mod_p"] == 1
 
 
+def test_a_series_starts_from_its_first_factor_and_skips_weight_1(monkeypatch):
+    # u/[u]_1 is exactly 1, so a weight 1 costs no product, nor does the first factor
+    def from_one(g, weights, order):  # the product as taken before: 1 times every factor
+        g = ensure_order(g, order + 1)
+        acc = Series.one(g.ring, order)
+        for x in weights:
+            acc = acc * genus_module.power_factor(g, x, order)
+        return acc
+
+    g = make_genus("todd", 5)
+    for weights in ((), (1,), (1, 1, 1), (3,), (1, 3, 1), (2, 5, 1, 4)):
+        assert a_series(g, weights, 4).coeffs == from_one(g, weights, 4).coeffs
+    rng = random.Random(42)
+    w = _random_weight_set(rng, 11, 3, 200)
+    reports, products = {}, {}
+    thm71_check(make_genus("todd", 5), w)  # builds the factors, which takes products too
+    mul = Series.__mul__
+    for name, build in (("from_one", from_one), ("a_series", a_series)):
+        calls = []
+        monkeypatch.setattr(engine_module, "a_series", build)
+        monkeypatch.setattr(Series, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        reports[name] = thm71_check(make_genus("todd", 5), w)
+        products[name] = len(calls)
+    saved = sum(3 - max(2 - pt.count(1), 0) for pt in w.distinct_points)  # per point
+    assert products["a_series"] == products["from_one"] - saved
+    assert reports["a_series"] == reports["from_one"]
+
+
 def test_thm71_random_weight_sets():
     rng = random.Random(23)
     cases = [("todd", None), ("euler", None), ("l_genus", None), ("a_hat", None), ("chi_y", F(2))]
@@ -1015,13 +1092,22 @@ def test_submanifold_json():
 
 
 def test_distinct_points_are_counted_once_per_weight_set(monkeypatch):
-    # The count of points as given is cached on the frozen WeightSet:
+    # The count of points as given is cached in a slot of the frozen WeightSet:
     # all three routes read one count, and equality, hash and repr ignore it.
     counted = []
-    prop = WeightSet.__dict__["distinct_points"]
-    monkeypatch.setattr(prop, "func", lambda w, build=prop.func: counted.append(1) or build(w))
+    slot = WeightSet._counts
+
+    class CountedSlot:  # the slot's descriptor, counting the counts stored
+        def __get__(self, obj, cls):
+            return slot.__get__(obj, cls)
+
+        def __set__(self, obj, value):
+            counted.append(1)
+            slot.__set__(obj, value)
+
     points = ((2, 1), (1, 2), (3, 4), (2, 1))
     w, v = WeightSet(7, 2, points), WeightSet(7, 2, points)
+    monkeypatch.setattr(WeightSet, "_counts", CountedSlot())
     before = (hash(w), repr(w))
     g = make_genus("todd", 4)
     assert len({str(genus_mod_p(g, w, r)) for r in ROUTES}) == 1

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from zpgenus import rings
 from zpgenus.errors import BadParams, NonIntegralAtP
 from zpgenus.rings import (
     MEMO_SIZE,
@@ -25,7 +26,7 @@ ONE = GradedPoly.one()
 
 def test_odd_prime_gate():
     assert is_odd_prime(3) and is_odd_prime(11) and is_odd_prime(97)
-    for bad in (2, 1, 0, -3, 9, 15, 21):
+    for bad in (2, 1, 0, -3, 9, 15, 21, 7.0, "7", [7], {}):  # non-ints before the memo hashes
         assert not is_odd_prime(bad)
     with pytest.raises(BadParams):
         require_odd_prime(2)
@@ -51,7 +52,7 @@ def test_odd_prime_gate_matches_sieve():
     for d in range(2, int(limit**0.5) + 1):
         if sieve[d]:
             sieve[d * d :: d] = bytearray(len(range(d * d, limit, d)))
-    gate = is_odd_prime.__wrapped__  # bypass the cache, which would keep every n
+    gate = rings._is_odd_prime.__wrapped__  # bypass the cache, which would keep every n
     for n in range(limit):
         assert gate(n) == (bool(sieve[n]) and n != 2), n
 
@@ -60,7 +61,7 @@ def test_odd_prime_cache_is_bounded():
     # A stream of distinct p keeps the last MEMO_SIZE answers, no more.
     for q in range(10**6 + 1, 10**6 + 1 + 4 * MEMO_SIZE, 2):
         is_odd_prime(q)
-    info = is_odd_prime.cache_info()
+    info = rings._is_odd_prime.cache_info()
     assert info.maxsize == info.currsize == MEMO_SIZE
     assert is_odd_prime(10**6 + 3) and not is_odd_prime(10**6 + 1)
 
