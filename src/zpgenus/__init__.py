@@ -35,7 +35,7 @@ def _load_on_demand(namespace: dict, name: str, modules=("graded", "checks", "cp
 
 
 from .cyclotomic import ab_trace, theta_minimal_polynomial, trace_theta_power
-from .engine import (ResidueTuple, WeightSet, a_series, b_series, canonical_residues, cf_residuals,
+from .engine import (ResidueTuple, WeightSet, b_series, canonical_residues, cf_residuals,
                      cpn_weight_set, genus_mod_p, reduce_value)
 from .errors import (
     BadParams,

@@ -6,19 +6,19 @@
   sum_j ab ≡ pseries_n + sum_{m<n} H_{n-m} cf_m (mod p).
 * :func:`submanifold_genus`: the genus mod p from fixed-submanifold data.
 
-They are read off the same series products as the routes of
-:mod:`zpgenus.engine`, which loads this module on first use of one of its
-names and still serves them.
+They are read, in the coordinate u = f(z), off the same series products as
+the routes of :mod:`zpgenus.engine`, which loads this module on first use of
+one of its names and still serves them.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .engine import (WeightSet, _a_sum, _json_loads, _point_sums, _Record, a_series, b_series,
-                     canonical_weights, p_power_factor)
+from .engine import (WeightSet, _a_sum, _json_loads, _leads, _point_sums, _Record, b_series,
+                     canonical_weights)
 from .errors import BadParams, GuardViolation, UnsupportedKind
-from .genus import TRACE_KINDS, GenusSpec, ensure_order, make_genus, power_factor
+from .genus import TRACE_KINDS, GenusSpec, ensure_order, make_genus, power_system
 from .rings import QQ, ModP, Rational, rational_reduce_mod_p, require_odd_prime
 from .series import Series
 
@@ -43,13 +43,19 @@ def ab_coefficient(g: GenusSpec, p: int, weights: Sequence[int]) -> Fraction:
 
 
 def p_series_term(g: GenusSpec, p: int, weights: Sequence[int], m: int):
-    """<(p u/[u]_p) prod_k u/[u]_{x_k}>_m, exact in the coefficient ring."""
+    """<(p u/[u]_p) prod_k u/[u]_{x_k}>_m, exact in the coefficient ring, with
+    weights used literally (ints >= 1), read in the coordinate u = f(z) like the
+    routes; for m beyond the number of weights, weights 1 are added, whose
+    factor is 1 in u and q(z) in z.
+    """
     require_odd_prime(p)
     if not isinstance(m, int) or m < 0:
         raise BadParams(f"coefficient index must be an int >= 0, got {m!r}")
-    g = ensure_order(g, m + 1)
-    prod = p_power_factor(g, p, m) * a_series(g, weights, m)
-    return prod[m]
+    if not all(isinstance(x, int) and x >= 1 for x in weights):
+        raise BadParams(f"p_series_term weights must be ints >= 1, got {tuple(weights)!r}")
+    weights = tuple(weights) + (1,) * (m - len(weights))
+    (lead,) = _leads(ensure_order(g, m + 1), p, len(weights), "pseries", [m])
+    return (lead * _a_sum(g, [(weights, 1)], m))[m]
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +68,9 @@ def h_series(
 ) -> Series:
     """h(u) = p([u]_p - u)/(B(u)[u]_p) = p(1 - u/[u]_p)/B(u); h(0) = 1 and h is p-integral.
 
-    u/[u]_p is the genus's cached :func:`power_factor`, so h costs one
-    division by B.  Known closed forms: (1-u)(1+yu) for chi_y, so 1-u (todd),
+    u/[u]_p is built once per call from the power system [u]_p, which is one
+    compose and one inversion, and h costs one division by B more.  Known
+    closed forms: (1-u)(1+yu) for chi_y, so 1-u (todd),
     1-u^2 (l_genus) and (1-u)^2 (euler), and for a_hat
     cosh(((p+1)/2)t) cosh(t)/cosh(((p-1)/2)t), t = arcsinh(u/2).
     """
@@ -72,7 +79,8 @@ def h_series(
         raise UnsupportedKind(f"no h-series for genus kind {kind!r}")
     yk = Fraction(y) if y is not None else None
     g = make_genus(kind, max(order + 1, 2), yk)
-    num = (Series.one(QQ, order) - power_factor(g, p, order)).scale(p)
+    factor = power_system(g, p, order + 1).shift_down(1).invert()
+    num = (Series.one(QQ, order) - factor).scale(p)
     return num.divide(b_series(kind, p, order, yk))
 
 
@@ -121,7 +129,7 @@ def thm71_check(g: GenusSpec, w: WeightSet, force: bool = False) -> Thm71Report:
             f"n = {n} exceeds p-2 = {p - 2}; pass force=True to check anyway"
         )
 
-    total = _a_sum(g, w)  # shared by both leads
+    total = _a_sum(g, w.distinct_points.items(), n)  # shared by both leads
     (ab_sum,) = _point_sums(g, w, "ab", [n], total)
     sums = _point_sums(g, w, "pseries", range(n + 1), total)
 

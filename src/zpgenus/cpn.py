@@ -29,12 +29,7 @@ from .checks import p_series_term
 from .engine import (ResidueTuple, _Record, canonical_residues, cpn_weight_set, genus_mod_p,
                      reduce_value)
 from .errors import BadParams
-from .genus import (
-    KIND_ELLIPTIC,
-    cpn_genus,
-    make_genus,
-    power_factor,
-)
+from .genus import KIND_ELLIPTIC, cpn_genus, make_genus, power_system
 from .graded import GradedPoly, GradedPolyModP, poly_reduce_mod_p
 from .rings import require_odd_prime
 
@@ -171,8 +166,10 @@ class Eq46Report(_Record):
 
 
 # The largest p of check_eq46, whose elliptic series run through the generic
-# Q[delta, eps] loop at order p: 4.4 s at p = 23, 17.5 s at 29 (3.11, Xeon).
-EQ46_MAX_P = 23
+# Q[delta, eps] loop at order p: 2.8-3.5 s at p = 37 and 4.1-5.0 s at 41, where
+# composing a factor u/[u]_x per weight took 3.3-4.0 s at p = 23 (Python 3.11,
+# one core of a shared x86-64 host, fresh processes).
+EQ46_MAX_P = 37
 
 
 def check_eq46(p: int) -> Eq46Report:
@@ -183,9 +180,9 @@ def check_eq46(p: int) -> Eq46Report:
     Legendre polynomial P_{(p-1)/2}.  Equivalently the coefficient of u^p in
     [u]_p reduces to the same polynomial while the coefficients of
     u^1..u^{p-1} reduce to zero; both the fully homogenized comparison and
-    its eps = 1 specialization are reported.  [u]_p/u through u^{p-1} is the
-    inverse of the factor u/[u]_p that X has already cached, so the genus is
-    built to order p and [u]_p is composed once.
+    its eps = 1 specialization are reported.  X is read in the coordinate
+    u = f(z), which composes no series, and [u]_p/u through u^{p-1} from [u]_p
+    composed once, so the genus is built to order p.
     """
     require_odd_prime(p)
     if p > EQ46_MAX_P:
@@ -196,7 +193,7 @@ def check_eq46(p: int) -> Eq46Report:
     scaled = poly_reduce_mod_p(x * p, p)
     rhs = poly_reduce_mod_p(homogenized_legendre(m), p)
 
-    ps_over_u = power_factor(g, p, p - 1).invert()  # coefficient k is that of u^{k+1} in [u]_p
+    ps_over_u = power_system(g, p, p).shift_down(1)  # coefficient k is that of u^{k+1} in [u]_p
     u_p = poly_reduce_mod_p(ps_over_u[p - 1], p)
     low_ok = all(poly_reduce_mod_p(ps_over_u[k], p).is_zero() for k in range(p - 1))
 

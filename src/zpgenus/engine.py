@@ -13,10 +13,13 @@ repeated fixed point once, times its multiplicity):
   Q(zeta_p), as packed products of integer preimages in the group ring
   Z[t]/(t^p - 1), sharing no series arithmetic with the other two routes.
 
-Over Q, pseries and ab read the sum mod p from one table per (p, n) of
-residues mod p^e, which also keeps the last set's products.  Every exact value,
-and every sum the table cannot reduce, is the lead times the sum of the distinct
-points' products, S = sum_j k_j A_j; :func:`thm71_check` forms S once for both.
+pseries and ab are read, exactly, in the coordinate u = f(z), as Res_u F du =
+Res_z F(f(z)) f'(z) dz: with q(z) = z/f(z), u/[u]_x is q(xz)/(x q(z)), so for
+S = sum_j k_j A_j over the distinct points, A_j = prod_k q(x_k z)/x_k, pseries
+slot m is [z^m] f'(z) q(pz) (f(z)/z)^(n-m) S and ab is -[z^n] B(f(z)) f'(z) q(z) S.
+Over Q the sums mod p are read from one table per (p, n) of residues mod p,
+which also keeps the last set's products; the exact sums (a lead times S, which
+:func:`thm71_check` forms once for both) serve the rest.
 
 Realizable weight sets also satisfy the vanishing of the lower p-series
 coefficients (m = 0..n-1), exposed by :func:`cf_residuals`, and the exact
@@ -34,7 +37,7 @@ from types import SimpleNamespace
 
 from .cyclotomic import _kind_param, _theta_polynomial, _trace_preimage, _trace_table, _trace_total
 from .errors import BadParams, DuplicateResidues, NonIntegralAtP, UnsupportedKind, ZeroWeight
-from .genus import TRACE_KINDS, GenusSpec, ensure_order, power_factor
+from .genus import TRACE_KINDS, GenusSpec, ensure_order
 from .rings import MEMO_SIZE, QQ, ModP, Rational, rational_reduce_mod_p, require_odd_prime
 from .series import Series, integer_numerators
 
@@ -248,32 +251,6 @@ def canonical_residues(p: int, n: int) -> ResidueTuple:
 # ---------------------------------------------------------------------------
 
 
-def a_series(g: GenusSpec, weights: Sequence[int], order: int) -> Series:
-    """A(u) = prod_k u/[u]_{x_k} at the given order; empty product is 1.
-
-    Each factor comes from the genus's cache (:func:`power_factor`), so a
-    weight other than 1 costs one product, bar the first.  Weights are used literally as power-system
-    indices (positive integers); congruent representatives give mod-p
-    congruent final answers, which the tests pin against the trace route.
-    """
-    g = ensure_order(g, order + 1)
-    acc = None
-    for x in weights:
-        if not isinstance(x, int) or x < 1:
-            raise BadParams(f"a_series weights must be ints >= 1, got {x!r}")
-        if x != 1:  # u/[u]_1 is exactly 1
-            factor = power_factor(g, x, order)
-            acc = factor if acc is None else acc * factor
-    return Series.one(g.ring, order) if acc is None else acc
-
-
-def p_power_factor(g: GenusSpec, p: int, order: int) -> Series:
-    """p*u/[u]_p at the given order; its constant term is 1."""
-    require_odd_prime(p)
-    g = ensure_order(g, order + 1)
-    return power_factor(g, p, order).scale(p)
-
-
 def b_series(
     kind: str, p: int, order: int, y: Rational | int | None = None
 ) -> Series:
@@ -298,75 +275,98 @@ def _b_series(kind: str, y: Fraction | None, p: int, order: int) -> Series:
     return num.divide(poly)
 
 
+def _q(g: GenusSpec, n: int) -> Series:
+    """q(z) = z/f(z) through z^n; the genus needs order n + 1."""
+    return g.f_series.truncate(n + 1).shift_down(1).invert()
+
+
+def _factor(q: Series, x: int) -> Series:
+    """q(xz)/x, which is q(z) u/[u]_x at u = f(z): coefficient j is q_j x^(j-1)."""
+    c0, *rest = q.coeffs
+    return Series(q.ring, [c0 * Fraction(1, x)] + [c * x**j for j, c in enumerate(rest)])
+
 
 # ---------------------------------------------------------------------------
 # The three routes and the Conner-Floyd residuals.
 # ---------------------------------------------------------------------------
 
 
-def _lead(g: GenusSpec, p: int, n: int, route: str) -> Series:
-    """F, by which a series route multiplies each point's A: p u/[u]_p or -B;
-    UnsupportedKind for -B of a kind without theta."""
-    if route == "pseries":
-        return p_power_factor(g, p, n)
-    if g.kind not in TRACE_KINDS:
+def _leads(g: GenusSpec, p: int, n: int, route: str, ms: Sequence[int]) -> list:
+    """[L_m for m in ms], m <= n, through z^max(ms): slot m of a series route is
+    [z^m] L_m S, S of :func:`_a_sum`, with L_m = base f'(z) (f(z)/z)^(n-m) and
+    base q(pz) for pseries, -B(f(z)) q(z) for ab (one compose per call).
+    UnsupportedKind for ab of a kind without theta, before any order is checked."""
+    if route != "pseries" and g.kind not in TRACE_KINDS:
         raise UnsupportedKind(f"no coefficient route for genus kind {g.kind!r}")
-    return b_series(g.kind, p, n, g.y).scale(-1)
+    order = max(ms, default=0)
+    f = ensure_order(g, order + 1).f_series.truncate(order + 1)
+    f_z = f.shift_down(1)
+    q = f_z.invert()
+    if route == "pseries":
+        base = _factor(q, p).scale(p)
+    else:
+        base = -(b_series(g.kind, p, order, g.y).compose(f) * q)
+    leads = {n: base * f.differentiate()}
+    for m in range(n - 1, min(ms, default=n) - 1, -1):
+        leads[m] = leads[m + 1] * f_z
+    return [leads[m] for m in ms]
 
 
-def _a_sum(g: GenusSpec, w: WeightSet) -> Series:
-    """S = sum_j k_j A_j through u^n: j runs over ``w.distinct_points``, k_j is
-    its multiplicity and A_j = prod u/[u]_x over its weights."""
-    g, n = ensure_order(g, w.n + 1), w.n
-    return sum((a_series(g, pt, n).scale(k) for pt, k in w.distinct_points.items()),
-               Series.zero(g.ring, n))
+def _a_sum(g: GenusSpec, points, n: int) -> Series:
+    """S = sum_j k_j A_j through z^n over ``points``, pairs of a point j (its
+    weights, used literally) and its multiplicity k_j: A_j = prod q(xz)/x over
+    its weights, started from its first factor; each factor is built once."""
+    q = _q(ensure_order(g, n + 1), n)
+    factors = {x: _factor(q, x) for x in {x for pt, _ in points for x in pt}}
+    total = Series.zero(q.ring, n)
+    for pt, k in points:
+        acc = factors[pt[0]] if pt else Series.one(q.ring, n)
+        for x in pt[1:]:
+            acc = acc * factors[x]
+        total = total + acc.scale(k)
+    return total
 
 
-def _point_sums(g: GenusSpec, w: WeightSet, route: str, ms: Iterable[int], total=None) -> list:
-    """sum_j k_j <F A_j>_m for m in ms, exact in the coefficient ring, read off
-    the one product F S = sum_j k_j F A_j: F = :func:`_lead` and S = :func:`_a_sum`,
-    or ``total`` if the caller has formed S already.  Order n holds every m."""
-    lead = _lead(g, w.p, w.n, route)
-    prod = lead * (_a_sum(g, w) if total is None else total)
-    return [prod[m] for m in ms]
+def _point_sums(g: GenusSpec, w: WeightSet, route: str, ms: Sequence[int], total=None) -> list:
+    """Each slot m in ms of a series route, [z^m] L_m S exact in the coefficient
+    ring: L_m of :func:`_leads`, and S = :func:`_a_sum` or ``total``."""
+    leads = _leads(g, w.p, w.n, route, ms)
+    total = _a_sum(g, w.distinct_points.items(), w.n) if total is None else total
+    return [(lead * total)[m] for lead, m in zip(leads, ms)]
 
 
-def _packed_residues(series: Series, t: SimpleNamespace) -> tuple:
-    """(p^v series mod M, v), v = v_p of the series' denominator, packed by the
-    ring map u -> 2^width of Z[u]/(u^(n+1)) onto Z with each slot in [0, M)."""
+def _packed(series: Series, t: SimpleNamespace, x: int = 1) -> int | None:
+    """series(xz)/x over QQ mod p as one int, by the ring map z -> 2^width with
+    each slot in [0, p); None if a coefficient is not p-integral."""
     nums, d = integer_numerators(series.coeffs)
-    v = 0
-    while not d % t.p:
-        d, v = d // t.p, v + 1
-    inv = pow(d, -1, t.M)
-    return sum(c * inv % t.M << t.width * i for i, c in enumerate(nums)), v
+    if not d % t.p:
+        return None
+    inv = pow(d * x, -1, t.p)
+    return sum(c * inv * pow(x, j, t.p) % t.p << t.width * j for j, c in enumerate(nums))
 
 
 def _residue_table(g: GenusSpec, p: int, n: int, route: str, points) -> SimpleNamespace:
-    """g._tables[p, n], shared by pseries and ab, now with route's lead and the
-    weights of points, through u^n mod M = p^e, e = 1 + n // (p - 1):
-    packed[x] = u/[u]_x and leads[r] = (p^v F, v), F = :func:`_lead`; None
-    where a factor is not p-integral or v >= e.  The width holds an n + 1 fold
-    product of slots, so it is fixed by (p, n) and last, one set's
-    :func:`_products`, outlives any packing."""
+    """g._tables[p, n], shared by pseries and ab, now with route's leads and the
+    weights of points, mod p through z^n: packed[x] = q(xz)/x and leads[r] =
+    [L_0, ..., L_n] of :func:`_leads`, None where not p-integral (n >= p - 1, or
+    p in y's denominator).  The width holds an n + 1 fold product of slots, so
+    it is fixed by (p, n) and last, one set's :func:`_products`, outlives any
+    packing."""
     t = g._tables.get((p, n))
     if t is None:
-        M = p ** (1 + n // (p - 1))
-        width = ((n + 1) ** n * (M - 1) ** (n + 1)).bit_length()
-        t = g._tables[p, n] = SimpleNamespace(p=p, M=M, width=width, slot=(1 << width) - 1,
-                                              mask=(1 << width * (n + 1)) - 1, packed={},
-                                              leads={}, last=None)
+        width = ((n + 1) ** n * (p - 1) ** (n + 1)).bit_length()
+        t = g._tables[p, n] = SimpleNamespace(p=p, width=width, slot=(1 << width) - 1,
+                                              mask=(1 << width * (n + 1)) - 1, q=_q(g, n),
+                                              packed={}, leads={}, last=None)
     for x in {x for pt, _ in points for x in pt} - t.packed.keys():
-        f, v = _packed_residues(power_factor(g, x, n), t)
-        t.packed[x] = None if v else f
+        t.packed[x] = _packed(t.q, t, x)
     if route not in t.leads:
-        lead = _packed_residues(_lead(g, p, n, route), t)
-        t.leads[route] = lead if p ** lead[1] < t.M else None
+        t.leads[route] = [_packed(lead, t) for lead in _leads(g, p, n, route, range(n + 1))]
     return t
 
 
 def _products(t: SimpleNamespace, points) -> list | None:
-    """[(A_j mod M, k_j)] over points, A_j a point's packed factor product; None
+    """[(A_j mod p, k_j)] over points, A_j a point's packed factor product; None
     if a factor is not p-integral, KeyError on a weight the table t lacks."""
     packed, mask, prods = t.packed, t.mask, []
     for pt, k in points:
@@ -381,12 +381,10 @@ def _products(t: SimpleNamespace, points) -> list | None:
 
 
 def _residues(g: GenusSpec, w: WeightSet, route: str, ms: Sequence[int]) -> list:
-    """Each sum S of :func:`_point_sums` mod p, or the NonIntegralAtP it raises.
-    Over QQ, s = sum_j k_j <p^v F A_j>_m mod M from the table is p^v S mod M:
-    S is p-integral exactly when p^v divides s, and S ≡ s / p^v.  Where the
-    table cannot tell (S or a factor not p-integral, or v >= e), and over
-    other rings, the exact sum is reduced; so is ab of a kind without theta,
-    for :func:`_lead` to refuse it before any order is checked."""
+    """Each sum of :func:`_point_sums` mod p, or the NonIntegralAtP it raises:
+    over QQ read off the table where its entries are p-integral; elsewhere,
+    over other rings, and for ab of a kind without theta (for :func:`_leads`
+    to refuse it before any order is checked) the exact sum is reduced."""
     n, p = w.n, w.p
     out = [None] * len(ms)
     if g.ring is QQ and (route == "pseries" or g.kind in TRACE_KINDS):
@@ -400,15 +398,13 @@ def _residues(g: GenusSpec, w: WeightSet, route: str, ms: Sequence[int]) -> list
                 t.last = (w, _products(t, points))
             except KeyError:
                 t.last = (w, _products(_residue_table(g, p, n, route, points), points))
-        lead, prods = t.leads[route], t.last[1]
-        if lead is not None and prods is not None:
-            (F, v), slot = lead, t.slot
-            pv = p**v
+        leads, prods, slot = t.leads[route], t.last[1], t.slot
+        if prods is not None:
             for i, m in enumerate(ms):  # one m on every genus_mod_p call
-                shift = t.width * m
-                s = sum(k * (F * acc >> shift & slot) for acc, k in prods) % t.M
-                if not s % pv:
-                    out[i] = ModP._of(s // pv, p)
+                lead, shift = leads[m], t.width * m
+                if lead is not None:
+                    out[i] = ModP._of(sum(k * (lead * acc >> shift & slot)
+                                          for acc, k in prods), p)
     if None in out:
         exact = _point_sums(g, w, route, ms)
         for i, r in enumerate(out):
@@ -440,7 +436,7 @@ def genus_mod_p(g: GenusSpec, w: WeightSet, route: str = "pseries") -> ModP | Gr
     """The genus of the ambient manifold mod p, by the chosen route.
 
     The per-point values are summed, each distinct point once times its
-    multiplicity, and only the total is reduced: from residues mod p^e on the
+    multiplicity, and only the total is reduced: from residues mod p on the
     pseries and ab routes (:func:`_residues`), from (num, den) on the trace
     route (:func:`reduce_value`).  A non-p-integral total raises
     NonIntegralAtP, which for the pseries route flags non-realizable input data.

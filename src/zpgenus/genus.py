@@ -20,8 +20,9 @@ custom       caller supplied                             caller supplied
 All logarithms are normalized (g(0) = 0, g'(0) = 1).  For chi_y this fixes
 the scale so that the value on CP^n is (1 + (-1)^n y^{n+1})/(1+y); it also
 makes the construction polynomial in y, so todd, l_genus and euler are built
-as chi_y at the y of CHI_Y_AT.  The m-th power system is [u]_m = f(m·g(u)),
-the exact kernel of the mod-p fixed-point machinery.
+as chi_y at the y of CHI_Y_AT.  The m-th power system is [u]_m = f(m·g(u)).
+The fixed-point routes read its factor u/[u]_m in the coordinate u = f(z),
+where it is q(mz)/(m q(z)) with q(z) = z/f(z), so they compose none.
 """
 from __future__ import annotations
 
@@ -56,10 +57,10 @@ CHI_Y_AT = {KIND_TODD: Fraction(0), KIND_L: Fraction(1), KIND_EULER: Fraction(-1
 class GenusSpec:
     """A genus, pinned by its normalized logarithm and f = revert(logarithm).
 
-    Immutable apart from its caches of the factors u/[u]_m and the route tables.
+    Immutable apart from its route tables, one per (p, n) and route family.
     """
 
-    __slots__ = ("kind", "y", "ring", "logarithm", "f_series", "_factors", "_tables")
+    __slots__ = ("kind", "y", "ring", "logarithm", "f_series", "_tables")
 
     def __init__(self, kind: str, y: Rational | None, logarithm: Series):
         object.__setattr__(self, "kind", kind)
@@ -67,7 +68,6 @@ class GenusSpec:
         object.__setattr__(self, "ring", logarithm.ring)
         object.__setattr__(self, "logarithm", logarithm)
         object.__setattr__(self, "f_series", logarithm.revert())
-        object.__setattr__(self, "_factors", {})
         object.__setattr__(self, "_tables", {})
 
     def __setattr__(self, name, val):
@@ -171,7 +171,8 @@ def ensure_order(g: GenusSpec, order: int) -> GenusSpec:
 def power_system(g: GenusSpec, m: int, order: int | None = None) -> Series:
     """The m-th power system [u]_m = f(m·g(u)), composed only through u^order.
 
-    The order defaults to the genus's own.  Not cached (see power_factor).
+    The order defaults to the genus's own.  Not cached: the routes read the
+    factors u/[u]_m in the coordinate u = f(z) instead (see zpgenus.engine).
     """
     if not isinstance(m, int) or m < 1:
         raise BadParams(f"power system index must be an int >= 1, got {m!r}")
@@ -179,17 +180,6 @@ def power_system(g: GenusSpec, m: int, order: int | None = None) -> Series:
     if m == 1:
         return Series.identity(g.ring, order)
     return g.f_series.compose(g.logarithm.truncate(order).scale(m))
-
-
-def power_factor(g: GenusSpec, m: int, order: int) -> Series:
-    """u/[u]_m through u^order (the genus needs order + 1), built once per m.
-
-    Cached on the genus at the highest order asked for and truncated on read.
-    """
-    cached = g._factors.get(m)
-    if cached is None or cached.order < order:
-        cached = g._factors[m] = power_system(g, m, order + 1).shift_down(1).invert()
-    return cached.truncate(order)
 
 
 def power_system_closed(

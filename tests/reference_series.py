@@ -1,16 +1,52 @@
 """Series references that the package no longer builds: the hyperbolic series
-behind the a_hat closed forms, and the Legendre polynomials expanded from their
-generating function over Q[delta, eps].  Tests compare the package's closed
-formulas against them.
+behind the a_hat closed forms, the Legendre polynomials expanded from their
+generating function over Q[delta, eps], and the fixed-point factors u/[u]_m in
+the coordinate u, each from its power system [u]_m = f(m g(u)).  Tests compare
+the package's closed formulas, and its routes in the coordinate u = f(z),
+against them.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
-from typing import Tuple
+from typing import Sequence, Tuple
 
-from zpgenus.rings import DE, QQ, GradedPoly
+from zpgenus.errors import BadParams
+from zpgenus.genus import GenusSpec, ensure_order, power_system
+from zpgenus.rings import DE, QQ, GradedPoly, require_odd_prime
 from zpgenus.series import Series, binomial_power
+
+
+@lru_cache(maxsize=4096)
+def power_factor(g: GenusSpec, m: int, order: int) -> Series:
+    """u/[u]_m through u^order (the genus needs order + 1), one compose and one
+    inversion, memoized per (genus, m, order) in a bounded lru_cache."""
+    return power_system(g, m, order + 1).shift_down(1).invert()
+
+
+def a_series(g: GenusSpec, weights: Sequence[int], order: int) -> Series:
+    """A(u) = prod_k u/[u]_{x_k} at the given order; empty product is 1.
+
+    Weights are used literally as power-system indices (positive integers);
+    congruent representatives give mod-p congruent final answers.
+    """
+    g = ensure_order(g, order + 1)
+    acc = None
+    for x in weights:
+        if not isinstance(x, int) or x < 1:
+            raise BadParams(f"a_series weights must be ints >= 1, got {x!r}")
+        if x != 1:  # u/[u]_1 is exactly 1
+            factor = power_factor(g, x, order)
+            acc = factor if acc is None else acc * factor
+    return Series.one(g.ring, order) if acc is None else acc
+
+
+def p_power_factor(g: GenusSpec, p: int, order: int) -> Series:
+    """p*u/[u]_p at the given order; its constant term is 1."""
+    require_odd_prime(p)
+    g = ensure_order(g, order + 1)
+    return power_factor(g, p, order).scale(p)
 
 
 def sinh_series(ring, order: int) -> Series:

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from reference_series import legendre_coeffs_by_expansion
 
+from zpgenus import cpn as cpn_module
 from zpgenus.cpn import (
     EQ46_MAX_P,
     Eq45Report,
@@ -131,16 +132,20 @@ def test_eq46():
     assert d["equal"] is True and d["low_coeffs_vanish"] is True
 
 
-def test_eq46_refuses_p_above_bound():
+def test_eq46_refuses_p_above_bound(monkeypatch):
     # the check's cost grows about as p^4; above EQ46_MAX_P it must refuse
-    # before building any series
+    # before building any genus or series
     assert EQ46_MAX_P >= 11  # the primes the tests and the benchmark use
+    assert is_odd_prime(EQ46_MAX_P)
     above = next(q for q in range(EQ46_MAX_P + 1, 2 * EQ46_MAX_P) if is_odd_prime(q))
+    built = []
+    monkeypatch.setattr(cpn_module, "make_genus", lambda *a, **k: built.append(a))
     for p in (above, 10007, 2**61 - 1):
         start = time.perf_counter()
-        with pytest.raises(BadParams, match="EQ46_MAX_P"):
+        with pytest.raises(BadParams, match=f"EQ46_MAX_P = {EQ46_MAX_P}, got {p}"):
             check_eq46(p)
         assert time.perf_counter() - start < 0.1
+    assert built == []
 
 
 def test_pseries_matches_cpn_genus_all_kinds():

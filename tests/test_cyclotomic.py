@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_cyclotomic import CycloElem, evaluate_at_theta, theta_of
+from reference_series import a_series, p_power_factor
 from zpgenus.cyclotomic import (
     TRACE_CACHE_BYTES,
     TRACE_MAX_P,
@@ -26,10 +27,8 @@ from zpgenus.engine import (
     WeightSet,
     _point_sums,
     _route_total,
-    a_series,
     b_series,
     genus_mod_p,
-    p_power_factor,
 )
 from zpgenus.errors import BadParams, UnsupportedKind, ZeroDivision, ZeroWeight
 from zpgenus.genus import make_genus
