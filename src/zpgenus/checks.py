@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import lru_cache
 
-from .engine import (WeightSet, _a_sum, _json_loads, _leads, _point_sums, _Record, b_series,
+from .engine import (WeightSet, _a_sum, _json_loads, _point_sums, _Record, b_series,
                      canonical_weights)
 from .errors import BadParams, GuardViolation, UnsupportedKind
-from .genus import TRACE_KINDS, GenusSpec, ensure_order, make_genus, power_system
-from .rings import QQ, ModP, Rational, rational_reduce_mod_p, require_odd_prime
+from .genus import TRACE_KINDS, GenusSpec, make_genus, power_system
+from .rings import MEMO_SIZE, QQ, ModP, Rational, rational_reduce_mod_p, require_odd_prime
 from .series import Series
 
 
@@ -32,14 +33,14 @@ def ab_coefficient(g: GenusSpec, p: int, weights: Sequence[int]) -> Fraction:
     """Per-point coefficient-route value -<A(u) B(u)>_d, d = len(weights).
 
     Exact over Q; its residue mod p equals the trace-route value.  Read from
-    :func:`_point_sums` on a one-point weight set, so A and B go to order d.
+    :func:`_point_sums` on the one point, so A and B go to order d.
     For euler A has degree d and A(1) = 1, so the value is -(p-1) for any weights.
     """
     require_odd_prime(p)
     if g.kind not in TRACE_KINDS:
         raise UnsupportedKind(f"no coefficient route for genus kind {g.kind!r}")
     weights = canonical_weights(weights, p)
-    return _point_sums(g, WeightSet(p, len(weights), (weights,)), "ab", [len(weights)])[0]
+    return _point_sums(g, p, len(weights), "ab", (len(weights),), [(weights, 1)])[0]
 
 
 def p_series_term(g: GenusSpec, p: int, weights: Sequence[int], m: int):
@@ -54,8 +55,7 @@ def p_series_term(g: GenusSpec, p: int, weights: Sequence[int], m: int):
     if not all(isinstance(x, int) and x >= 1 for x in weights):
         raise BadParams(f"p_series_term weights must be ints >= 1, got {tuple(weights)!r}")
     weights = tuple(weights) + (1,) * (m - len(weights))
-    (lead,) = _leads(ensure_order(g, m + 1), p, len(weights), "pseries", [m])
-    return (lead * _a_sum(g, [(weights, 1)], m))[m]
+    return _point_sums(g, p, len(weights), "pseries", (m,), [(weights, 1)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +68,8 @@ def h_series(
 ) -> Series:
     """h(u) = p([u]_p - u)/(B(u)[u]_p) = p(1 - u/[u]_p)/B(u); h(0) = 1 and h is p-integral.
 
-    u/[u]_p is built once per call from the power system [u]_p, which is one
-    compose and one inversion, and h costs one division by B more.  Known
+    u/[u]_p is built on every call from the power system [u]_p (one compose and
+    one inversion), and h costs one division by B more; thm71_check memoizes 1/h.  Known
     closed forms: (1-u)(1+yu) for chi_y, so 1-u (todd),
     1-u^2 (l_genus) and (1-u)^2 (euler), and for a_hat
     cosh(((p+1)/2)t) cosh(t)/cosh(((p-1)/2)t), t = arcsinh(u/2).
@@ -82,6 +82,12 @@ def h_series(
     factor = power_system(g, p, order + 1).shift_down(1).invert()
     num = (Series.one(QQ, order) - factor).scale(p)
     return num.divide(b_series(kind, p, order, yk))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _h_inverse(kind: str, y: Fraction | None, p: int, order: int) -> Series:
+    """1/h(u) through u^order, memoized per (kind, y, p, order)."""
+    return h_series(kind, p, order, y).invert()
 
 
 class Thm71Report(_Record):
@@ -130,10 +136,10 @@ def thm71_check(g: GenusSpec, w: WeightSet, force: bool = False) -> Thm71Report:
         )
 
     total = _a_sum(g, w.distinct_points.items(), n)  # shared by both leads
-    (ab_sum,) = _point_sums(g, w, "ab", [n], total)
-    sums = _point_sums(g, w, "pseries", range(n + 1), total)
+    (ab_sum,) = _point_sums(g, p, n, "ab", (n,), None, total)
+    sums = _point_sums(g, p, n, "pseries", range(n + 1), None, total)
 
-    h_inv = h_series(g.kind, p, n, g.y).invert()
+    h_inv = _h_inverse(g.kind, g.y, p, n)
     rhs_exact = sums[n]
     for m in range(n):
         rhs_exact += h_inv[n - m] * sums[m]
@@ -231,7 +237,8 @@ def submanifold_genus(g: GenusSpec, data: SubmanifoldData) -> ModP:
         raise UnsupportedKind(
             f"submanifold reduction needs the coefficient route; kind {g.kind!r} has none"
         )
-    total = Fraction(0)
-    for comp in data.components:
-        total += ab_coefficient(g, data.p, comp.normal_weights) * comp.genus_value
+    by_count = {}  # one ab sum per count of normal weights, the genus values as multiplicities
+    for c in data.components:
+        by_count.setdefault(len(c.normal_weights), []).append((c.normal_weights, c.genus_value))
+    total = sum(_point_sums(g, data.p, d, "ab", (d,), pts)[0] for d, pts in by_count.items())
     return rational_reduce_mod_p(total, data.p)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .errors import BadParams, UnsupportedKind, ZeroWeight
@@ -37,7 +38,7 @@ from .genus import (
     TRACE_KINDS,
     _kind_y,
 )
-from .rings import Rational, require_odd_prime
+from .rings import MEMO_SIZE, Rational, require_odd_prime
 
 # The largest p of the trace route, which packs vectors of length p into one int
 # per weight: 3 weights took 0.016 s at p = 2003, 0.05 s at 4001 (3.11, Xeon).
@@ -127,14 +128,30 @@ def ab_trace(
     The factor for a weight x is the theta-machinery analogue of u/[u]_x:
     todd 1/(1-zeta^x), l_genus (1+zeta^x)/(1-zeta^x), chi_y
     (1+y zeta^x)/(1-zeta^x), a_hat zeta^{x(p+1)/2}/(1-zeta^x), euler 1.
-    A one-point call of :func:`_trace_total` on a fresh table.
+    A one-point call of :func:`_trace_total` on the table of :func:`_route_table`.
     """
     weights = tuple(weights)
-    table = _trace_table(*_trace_preimage(kind, p, y), len(weights))
+    table = _route_table(kind, _trace_params(kind, p, y), p, len(weights))
     weights = [x % p for x in weights]
     if not all(weights):
         raise ZeroWeight(f"weight divisible by p = {p}")
     return Fraction(*_trace_total(p, table, [(weights, 1)]))
+
+
+def _trace_params(kind: str, p: int, y: Rational | int | None) -> Fraction | None:
+    """y as :func:`_kind_param` gives it, after checking p, y and kind, so a memo may hash them."""
+    _require_trace_prime(p, "the trace route")
+    y = _kind_param(kind, p, y)
+    if kind not in TRACE_KINDS:
+        raise UnsupportedKind(f"no trace route for genus kind {kind!r}")
+    return y
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _route_table(kind: str, y: Fraction | None, p: int, n: int):
+    """The :func:`_trace_table` of n-fold trace-route products of the genus (kind, y)
+    at p, memoized; :func:`_trace_preimage` checks p, y and kind, and raises on a bad one."""
+    return _trace_table(*_trace_preimage(kind, p, y), n)
 
 
 def _trace_preimage(kind: str, p: int, y: Rational | int | None, theta: bool = False):
@@ -147,11 +164,7 @@ def _trace_preimage(kind: str, p: int, y: Rational | int | None, theta: bool = F
     b + a t telescopes to b^p + a^p (p odd).  At y = -1 (euler) both are 1, as
     a^p + b^p = 0 there; a_hat's are t^{(p+1)/2} times todd's factor and times 1 - t^{-1}.
     """
-    _require_trace_prime(p, "the trace route")
-    y = _kind_param(kind, p, y)
-    if kind not in TRACE_KINDS:
-        raise UnsupportedKind(f"no trace route for genus kind {kind!r}")
-    y = CHI_Y_AT.get(kind, y)
+    y = CHI_Y_AT.get(kind, _trace_params(kind, p, y))
     if y == -1:  # euler, or chi_y at y = -1
         return [1] + [0] * (p - 1), 1
     if kind == KIND_A_HAT:
@@ -193,8 +206,8 @@ def _trace_total(p: int, table, points) -> tuple[int, int]:
     num/den, den the table's.
 
     The factor of x, that of 1 under t -> t^x, is read from the table's packed
-    factors and packed there on a miss, so a table kept on the genus packs a
-    weight once across calls; a call that starts with more than
+    factors and packed there on a miss, so a memoized table packs a weight
+    once across calls; a call that starts with more than
     TRACE_CACHE_BYTES of them drops them first.  A weight then costs one
     bigint product and a fold of t^{p+i} onto t^i.
     """

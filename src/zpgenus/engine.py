@@ -17,9 +17,9 @@ pseries and ab are read, exactly, in the coordinate u = f(z), as Res_u F du =
 Res_z F(f(z)) f'(z) dz: with q(z) = z/f(z), u/[u]_x is q(xz)/(x q(z)), so for
 S = sum_j k_j A_j over the distinct points, A_j = prod_k q(x_k z)/x_k, pseries
 slot m is [z^m] f'(z) q(pz) (f(z)/z)^(n-m) S and ab is -[z^n] B(f(z)) f'(z) q(z) S.
-Over Q the sums mod p are read from one table per (p, n) of residues mod p,
-which also keeps the last set's products; the exact sums (a lead times S, which
-:func:`thm71_check` forms once for both) serve the rest.
+Over Q the sums mod p are read from a memoized table of residues mod p per
+(genus, p, n), which also keeps the last set's products; the exact sums (a lead
+times S, all through :func:`_point_sums`) serve the rest.
 
 Realizable weight sets also satisfy the vanishing of the lower p-series
 coefficients (m = 0..n-1), exposed by :func:`cf_residuals`, and the exact
@@ -30,12 +30,12 @@ first use of one of its names, here too.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from functools import lru_cache
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .cyclotomic import _kind_param, _theta_polynomial, _trace_preimage, _trace_table, _trace_total
+from .cyclotomic import _kind_param, _route_table, _theta_polynomial, _trace_total
 from .errors import BadParams, DuplicateResidues, NonIntegralAtP, UnsupportedKind, ZeroWeight
 from .genus import TRACE_KINDS, GenusSpec, ensure_order
 from .rings import MEMO_SIZE, QQ, ModP, Rational, rational_reduce_mod_p, require_odd_prime
@@ -275,9 +275,10 @@ def _b_series(kind: str, y: Fraction | None, p: int, order: int) -> Series:
     return num.divide(poly)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def _q(g: GenusSpec, n: int) -> Series:
-    """q(z) = z/f(z) through z^n; the genus needs order n + 1."""
-    return g.f_series.truncate(n + 1).shift_down(1).invert()
+    """q(z) = z/f(z) through z^n, from g at order n + 1, memoized per (g, n)."""
+    return ensure_order(g, n + 1).f_series.truncate(n + 1).shift_down(1).invert()
 
 
 def _factor(q: Series, x: int) -> Series:
@@ -291,17 +292,18 @@ def _factor(q: Series, x: int) -> Series:
 # ---------------------------------------------------------------------------
 
 
-def _leads(g: GenusSpec, p: int, n: int, route: str, ms: Sequence[int]) -> list:
-    """[L_m for m in ms], m <= n, through z^max(ms): slot m of a series route is
-    [z^m] L_m S, S of :func:`_a_sum`, with L_m = base f'(z) (f(z)/z)^(n-m) and
-    base q(pz) for pseries, -B(f(z)) q(z) for ab (one compose per call).
+@lru_cache(maxsize=MEMO_SIZE)
+def _leads(g: GenusSpec, p: int, n: int, route: str, ms: tuple | range) -> tuple:
+    """(L_m for m in ms), m <= n, through z^max(ms), memoized: slot m of a series
+    route is [z^m] L_m S, S of :func:`_a_sum`, with L_m = base f'(z) (f(z)/z)^(n-m)
+    and base q(pz) for pseries, -B(f(z)) q(z) for ab (one compose).
     UnsupportedKind for ab of a kind without theta, before any order is checked."""
     if route != "pseries" and g.kind not in TRACE_KINDS:
         raise UnsupportedKind(f"no coefficient route for genus kind {g.kind!r}")
     order = max(ms, default=0)
     f = ensure_order(g, order + 1).f_series.truncate(order + 1)
     f_z = f.shift_down(1)
-    q = f_z.invert()
+    q = _q(g, order)
     if route == "pseries":
         base = _factor(q, p).scale(p)
     else:
@@ -309,14 +311,14 @@ def _leads(g: GenusSpec, p: int, n: int, route: str, ms: Sequence[int]) -> list:
     leads = {n: base * f.differentiate()}
     for m in range(n - 1, min(ms, default=n) - 1, -1):
         leads[m] = leads[m + 1] * f_z
-    return [leads[m] for m in ms]
+    return tuple(leads[m] for m in ms)
 
 
 def _a_sum(g: GenusSpec, points, n: int) -> Series:
     """S = sum_j k_j A_j through z^n over ``points``, pairs of a point j (its
     weights, used literally) and its multiplicity k_j: A_j = prod q(xz)/x over
     its weights, started from its first factor; each factor is built once."""
-    q = _q(ensure_order(g, n + 1), n)
+    q = _q(g, n)
     factors = {x: _factor(q, x) for x in {x for pt, _ in points for x in pt}}
     total = Series.zero(q.ring, n)
     for pt, k in points:
@@ -327,11 +329,11 @@ def _a_sum(g: GenusSpec, points, n: int) -> Series:
     return total
 
 
-def _point_sums(g: GenusSpec, w: WeightSet, route: str, ms: Sequence[int], total=None) -> list:
-    """Each slot m in ms of a series route, [z^m] L_m S exact in the coefficient
-    ring: L_m of :func:`_leads`, and S = :func:`_a_sum` or ``total``."""
-    leads = _leads(g, w.p, w.n, route, ms)
-    total = _a_sum(g, w.distinct_points.items(), w.n) if total is None else total
+def _point_sums(g: GenusSpec, p: int, n: int, route: str, ms: tuple | range, points, total=None):
+    """The one exact entry point: each slot m <= n in ms of a series route, [z^m] L_m S
+    exact, with L_m of :func:`_leads` and S = ``total`` or :func:`_a_sum` of ``points``."""
+    leads = _leads(g, p, n, route, ms)
+    total = _a_sum(g, points, max(ms, default=0)) if total is None else total
     return [(lead * total)[m] for lead, m in zip(leads, ms)]
 
 
@@ -345,34 +347,29 @@ def _packed(series: Series, t: SimpleNamespace, x: int = 1) -> int | None:
     return sum(c * inv * pow(x, j, t.p) % t.p << t.width * j for j, c in enumerate(nums))
 
 
-def _residue_table(g: GenusSpec, p: int, n: int, route: str, points) -> SimpleNamespace:
-    """g._tables[p, n], shared by pseries and ab, now with route's leads and the
-    weights of points, mod p through z^n: packed[x] = q(xz)/x and leads[r] =
-    [L_0, ..., L_n] of :func:`_leads`, None where not p-integral (n >= p - 1, or
-    p in y's denominator).  The width holds an n + 1 fold product of slots, so
-    it is fixed by (p, n) and last, one set's :func:`_products`, outlives any
-    packing."""
-    t = g._tables.get((p, n))
-    if t is None:
-        width = ((n + 1) ** n * (p - 1) ** (n + 1)).bit_length()
-        t = g._tables[p, n] = SimpleNamespace(p=p, width=width, slot=(1 << width) - 1,
-                                              mask=(1 << width * (n + 1)) - 1, q=_q(g, n),
-                                              packed={}, leads={}, last=None)
-    for x in {x for pt, _ in points for x in pt} - t.packed.keys():
-        t.packed[x] = _packed(t.q, t, x)
-    if route not in t.leads:
-        t.leads[route] = [_packed(lead, t) for lead in _leads(g, p, n, route, range(n + 1))]
-    return t
+@lru_cache(maxsize=MEMO_SIZE)
+def _residue_table(g: GenusSpec, p: int, n: int) -> SimpleNamespace:
+    """The residues mod p through z^n of pseries and ab, memoized: packed[x] = q(xz)/x
+    on first use of x (:func:`_products`) and leads[route] = [L_0, ..., L_n] on first
+    use of route (:func:`_residues`), None where not p-integral (n >= p - 1, or p in
+    y's denominator).  The width holds an n + 1 fold product of slots, so it is
+    fixed by (p, n) and last, one set's :func:`_products`, outlives any packing."""
+    width = ((n + 1) ** n * (p - 1) ** (n + 1)).bit_length()
+    return SimpleNamespace(p=p, width=width, slot=(1 << width) - 1, mask=(1 << width * (n + 1)) - 1,
+                           q=_q(g, n), packed={}, leads={}, last=None)
 
 
 def _products(t: SimpleNamespace, points) -> list | None:
-    """[(A_j mod p, k_j)] over points, A_j a point's packed factor product; None
-    if a factor is not p-integral, KeyError on a weight the table t lacks."""
+    """[(A_j mod p, k_j)] over points, A_j a point's packed factor product, with
+    a weight t lacks packed first; None if a factor is not p-integral."""
     packed, mask, prods = t.packed, t.mask, []
     for pt, k in points:
         acc = 1
         for x in pt:
-            f = packed[x]
+            try:
+                f = packed[x]
+            except KeyError:
+                f = packed[x] = _packed(t.q, t, x)
             if f is None:
                 return None
             acc = acc * f & mask
@@ -380,7 +377,7 @@ def _products(t: SimpleNamespace, points) -> list | None:
     return prods
 
 
-def _residues(g: GenusSpec, w: WeightSet, route: str, ms: Sequence[int]) -> list:
+def _residues(g: GenusSpec, w: WeightSet, route: str, ms: tuple | range) -> list:
     """Each sum of :func:`_point_sums` mod p, or the NonIntegralAtP it raises:
     over QQ read off the table where its entries are p-integral; elsewhere,
     over other rings, and for ab of a kind without theta (for :func:`_leads`
@@ -388,17 +385,13 @@ def _residues(g: GenusSpec, w: WeightSet, route: str, ms: Sequence[int]) -> list
     n, p = w.n, w.p
     out = [None] * len(ms)
     if g.ring is QQ and (route == "pseries" or g.kind in TRACE_KINDS):
-        g = ensure_order(g, n + 1)
-        points = w.distinct_points.items()
-        t = g._tables.get((p, n))
-        if t is None or route not in t.leads:
-            t = _residue_table(g, p, n, route, points)
+        t = _residue_table(g, p, n)
+        leads = t.leads.get(route)
+        if leads is None:
+            leads = t.leads[route] = [_packed(s, t) for s in _leads(g, p, n, route, range(n + 1))]
         if t.last is None or t.last[0] is not w:
-            try:
-                t.last = (w, _products(t, points))
-            except KeyError:
-                t.last = (w, _products(_residue_table(g, p, n, route, points), points))
-        leads, prods, slot = t.leads[route], t.last[1], t.slot
+            t.last = (w, _products(t, w.distinct_points.items()))
+        prods, slot = t.last[1], t.slot
         if prods is not None:
             for i, m in enumerate(ms):  # one m on every genus_mod_p call
                 lead, shift = leads[m], t.width * m
@@ -406,7 +399,7 @@ def _residues(g: GenusSpec, w: WeightSet, route: str, ms: Sequence[int]) -> list
                     out[i] = ModP._of(sum(k * (lead * acc >> shift & slot)
                                           for acc, k in prods), p)
     if None in out:
-        exact = _point_sums(g, w, route, ms)
+        exact = _point_sums(g, p, n, route, ms, w.distinct_points.items())
         for i, r in enumerate(out):
             if r is None:
                 try:
@@ -417,19 +410,15 @@ def _residues(g: GenusSpec, w: WeightSet, route: str, ms: Sequence[int]) -> list
 
 
 def _trace_sum(g: GenusSpec, w: WeightSet) -> tuple[int, int]:
-    """The trace route's sum over fixed points as (num, den) ints, from the
-    genus's trace table for (p, n), built on first use."""
-    key = (w.p, w.n, "trace")
-    if key not in g._tables:
-        g._tables[key] = _trace_table(*_trace_preimage(g.kind, w.p, g.y), w.n)
-    return _trace_total(w.p, g._tables[key], w.distinct_points.items())
+    """The trace route's sum over fixed points as (num, den) ints, off its memoized table."""
+    return _trace_total(w.p, _route_table(g.kind, g.y, w.p, w.n), w.distinct_points.items())
 
 
 def _route_total(g: GenusSpec, w: WeightSet, route: str):
     """The exact sum over fixed points of the chosen route's per-point value."""
     if route == "trace":
         return Fraction(*_trace_sum(g, w))
-    return _point_sums(g, w, route, [w.n])[0]
+    return _point_sums(g, w.p, w.n, route, (w.n,), w.distinct_points.items())[0]
 
 
 def genus_mod_p(g: GenusSpec, w: WeightSet, route: str = "pseries") -> ModP | GradedPolyModP:
@@ -445,7 +434,7 @@ def genus_mod_p(g: GenusSpec, w: WeightSet, route: str = "pseries") -> ModP | Gr
         raise BadParams(f"route must be one of {ROUTES}, got {route!r}")
     if route == "trace":
         return reduce_value(_trace_sum(g, w), w.p)
-    (r,) = _residues(g, w, route, [w.n])
+    (r,) = _residues(g, w, route, (w.n,))
     if isinstance(r, NonIntegralAtP):
         raise r
     return r

@@ -55,12 +55,9 @@ CHI_Y_AT = {KIND_TODD: Fraction(0), KIND_L: Fraction(1), KIND_EULER: Fraction(-1
 
 
 class GenusSpec:
-    """A genus, pinned by its normalized logarithm and f = revert(logarithm).
+    """An immutable genus, pinned by its normalized logarithm and f = revert(logarithm)."""
 
-    Immutable apart from its route tables, one per (p, n) and route family.
-    """
-
-    __slots__ = ("kind", "y", "ring", "logarithm", "f_series", "_tables")
+    __slots__ = ("kind", "y", "ring", "logarithm", "f_series")
 
     def __init__(self, kind: str, y: Rational | None, logarithm: Series):
         object.__setattr__(self, "kind", kind)
@@ -68,7 +65,6 @@ class GenusSpec:
         object.__setattr__(self, "ring", logarithm.ring)
         object.__setattr__(self, "logarithm", logarithm)
         object.__setattr__(self, "f_series", logarithm.revert())
-        object.__setattr__(self, "_tables", {})
 
     def __setattr__(self, name, val):
         raise AttributeError("GenusSpec is immutable")

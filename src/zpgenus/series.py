@@ -293,8 +293,8 @@ class Series:
         n = min(self.order, other.order)
         return self.coeffs[: n + 1] == other.coeffs[: n + 1]
 
-    def __hash__(self):
-        return hash((id(self.ring), self.coeffs))
+    def __hash__(self):  # equality fixes only the ring and the constant term
+        return hash((id(self.ring), self.coeffs[0]))
 
     def to_text(self) -> str:
         parts = []

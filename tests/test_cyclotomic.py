@@ -15,6 +15,7 @@ from reference_series import a_series, p_power_factor
 from zpgenus.cyclotomic import (
     TRACE_CACHE_BYTES,
     TRACE_MAX_P,
+    _route_table,
     _todd_preimage,
     _trace_preimage,
     _trace_table,
@@ -345,7 +346,7 @@ def test_packed_route_totals_equal_per_point_references(case):
     pf = p_power_factor(g, p, n)
     prods = [pf * a_series(g, pt, n) for pt in w.points]
     want = [sum((prod[m] for prod in prods), F(0)) for m in range(n + 1)]
-    assert _point_sums(g, w, "pseries", range(n + 1)) == want, case
+    assert _point_sums(g, p, n, "pseries", range(n + 1), w.distinct_points.items()) == want, case
     if kind == "euler":
         ab = F(-(p - 1) * w.q)
     else:
@@ -539,14 +540,14 @@ def test_trace_table_factor_bytes_stay_bounded():
     rng = random.Random(45)
     p, n, y = 2039, 2, F(2)
     g = make_genus("chi_y", n + 1, y)
-    g._tables.pop((p, n, "trace"), None)
+    _route_table.cache_clear()
     den, slots, total, width, _ = _trace_table(*_trace_preimage("chi_y", p, y), n)
     most = 0
     for _ in range(10):
         w = WeightSet(p, n, tuple(tuple(rng.randrange(1, p) for _ in range(n)) for _ in range(8)))
         want = F(*_trace_total(p, (den, slots, total, width, {}), w.distinct_points.items()))
         assert _route_total(g, w, "trace") == want
-        packed = g._tables[p, n, "trace"][4]
+        packed = _route_table("chi_y", y, p, n)[4]
         call = {x for pt in w.points for x in pt}
         assert call <= packed.keys()
         assert len(packed) * p * width <= TRACE_CACHE_BYTES + len(call) * p * width

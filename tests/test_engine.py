@@ -14,8 +14,10 @@ from reference_series import a_series, arcsinh_u_over_2, cosh_series, p_power_fa
 
 from zpgenus import checks as checks_module
 from zpgenus import cli
+from zpgenus import cyclotomic as cyclotomic_module
 from zpgenus import engine as engine_module
 from zpgenus import genus as genus_module
+from zpgenus import rings as rings_module
 from zpgenus.cpn import ResidueTuple, canonical_residues, cpn_weight_set
 from zpgenus.cyclotomic import ab_trace, trace_theta_power
 from zpgenus.engine import (
@@ -65,6 +67,18 @@ def _random_weight_set(rng, p, n, q):
     return WeightSet(
         p=p, n=n, points=tuple(tuple(rng.randint(1, p - 1) for _ in range(n)) for _ in range(q))
     )
+
+
+# The lru memos of genera and of what the routes derive from them.
+_ROUTE_MEMOS = (genus_module._catalog_genus, engine_module._q, engine_module._leads,
+                engine_module._residue_table, cyclotomic_module._route_table,
+                checks_module._h_inverse)
+
+
+def _clear_memos():
+    """Empty the genus and route memos, so that the next genus starts with no tables."""
+    for memo in _ROUTE_MEMOS:
+        memo.cache_clear()
 
 
 def test_canonical_weight():
@@ -354,7 +368,7 @@ def test_routes_read_exact_values_of_wide_truncations():
                 order = w.n + p + 2
                 pf = p_power_factor(wide, p, order)
                 for pt in w.distinct_points:
-                    prod = _point_sums(lean, WeightSet(p, w.n, (pt,)), "pseries", range(w.n + 1))
+                    prod = _point_sums(lean, p, w.n, "pseries", range(w.n + 1), [(pt, 1)])
                     ref = pf * a_series(wide, pt, order)
                     assert prod == list(ref.coeffs[: w.n + 1]), (kind, y, p, pt)
                     if has_b:
@@ -508,7 +522,7 @@ def test_factor_cache_is_independent_of_fill_order(monkeypatch):
     # A genus keeps its route tables per (p, n) and is memoized per order: the
     # exact route totals must not depend on which query built or filled them.
     def fresh(kind, order, y):
-        genus_module._catalog_genus.cache_clear()
+        _clear_memos()
         return make_genus(kind, order, y)
 
     rng = random.Random(28)
@@ -562,7 +576,7 @@ def test_packed_tables_grow_with_new_weights():
     # for set B (new weights, same p and n) must give a fresh genus's residues
     # and errors on every route and in cf_residuals.
     def fresh(kind, y):
-        genus_module._catalog_genus.cache_clear()
+        _clear_memos()
         return make_genus(kind, 2, y)
 
     kinds = [("todd", None), ("euler", None), ("l_genus", None), ("chi_y", F(-1, 2)),
@@ -582,23 +596,27 @@ def test_packed_tables_grow_with_new_weights():
                 assert _outcome(genus_mod_p, g, high, r) == want[r], (kind, p, n, r)
             assert [repr(r) for r in cf_residuals(g, high)] == want_cf, (kind, p, n)
             if kind != "elliptic":
-                # one series table per (p, n), holding the lead of each series route asked
-                lean = make_genus(kind, n + 1, y)
+                # one residue table per (p, n), holding the lead of each series
+                # route asked, and one trace table; each lookup below is a hit
                 used = {x for w in (low, high) for pt in w.points for x in pt}
-                assert set(lean._tables) == {(p, n)}
-                assert set(lean._tables[p, n].packed) == used
-                assert set(lean._tables[p, n].leads) == {"pseries", "ab"}
-                assert set(g._tables[p, n, "trace"][4]) == used
+                tables = engine_module._residue_table, cyclotomic_module._route_table
+                assert [memo.cache_info().currsize for memo in tables] == [1, 1]
+                t, trace = tables[0](g, p, n), tables[1](kind, g.y, p, n)
+                assert [memo.cache_info().currsize for memo in tables] == [1, 1]
+                assert set(t.packed) == used and set(t.leads) == {"pseries", "ab"}
+                assert set(trace[4]) == used
 
 
 def test_a_warm_call_packs_nothing_and_a_miss_packs_once(monkeypatch):
     # A call whose weights and lead the table holds reads it as it is; a lead it
-    # lacks is added once, and a weight it lacks packs the call's weights once
-    # and takes the products again, for both series routes at once.  The width
-    # is fixed by (p, n), so the residues equal a fresh genus's.
-    calls = []
-    pack = engine_module._residue_table
-    monkeypatch.setattr(engine_module, "_residue_table", lambda *a: calls.append(a[3]) or pack(*a))
+    # lacks is packed once, and so is a weight it lacks, on first use, for both
+    # series routes at once.  The width is fixed by (p, n), so the residues
+    # equal a fresh genus's.
+    calls = []  # "lead" for each packed lead, x for a packed weight x
+    pack = engine_module._packed
+    monkeypatch.setattr(engine_module, "_packed",
+                        lambda *a: calls.append(a[2] if len(a) == 3 else "lead") or pack(*a))
+    table = engine_module._residue_table
     p, n = 13, 3
     low = WeightSet(p, n, ((1, 2, 4), (2, 1, 2), (4, 4, 1)))
     high = WeightSet(p, n, ((12, 2, 5), (1, 2, 3), (11, 1, 12)))
@@ -607,24 +625,27 @@ def test_a_warm_call_packs_nothing_and_a_miss_packs_once(monkeypatch):
         return [repr(genus_mod_p(g, w, r)) for r in ("pseries", "ab")] + [repr(r) for r in cf_residuals(g, w)]
 
     for kind, y in [("todd", None), ("chi_y", F(-1, 2)), ("a_hat", None)]:
-        genus_module._catalog_genus.cache_clear()
+        _clear_memos()
         g = make_genus(kind, n + 1, y)
         calls.clear()
         for route in ("pseries", "ab"):
             genus_mod_p(g, low, route)
             genus_mod_p(g, WeightSet(p, n, low.points[::-1]), route)
         cf_residuals(g, low)
-        assert calls == ["pseries", "ab"], kind  # the table, then the ab lead
+        leads = ["lead"] * (n + 1)
+        assert calls == leads + [1, 2, 4] + leads, kind  # pseries leads, low's weights, ab leads
         got = queries(g, high)
-        assert calls == ["pseries", "ab", "pseries"], kind  # high's weights, once
+        assert calls == leads + [1, 2, 4] + leads + [12, 5, 3, 11], kind  # high's new weights
         assert queries(g, high) == got
         queries(g, low)
-        assert calls == ["pseries", "ab", "pseries"], kind  # warm: nothing packed
-        table = g._tables[p, n]
-        assert set(table.packed) == {1, 2, 3, 4, 5, 11, 12}
-        assert set(table.leads) == {"pseries", "ab"}
-        assert table.width == (4**3 * 12**4).bit_length()  # (n + 1)^n (p - 1)^(n + 1), e = 1
-        genus_module._catalog_genus.cache_clear()
+        assert len(calls) == 2 * (n + 1) + 7, kind  # warm: nothing packed
+        assert table.cache_info().currsize == 1  # one table for every query
+        t = table(g, p, n)
+        assert table.cache_info().currsize == 1
+        assert set(t.packed) == {1, 2, 3, 4, 5, 11, 12}
+        assert set(t.leads) == {"pseries", "ab"}
+        assert t.width == (4**3 * 12**4).bit_length()  # (n + 1)^n (p - 1)^(n + 1)
+        _clear_memos()
         assert got == queries(make_genus(kind, n + 1, y), high), kind
 
 
@@ -667,7 +688,8 @@ def test_residues_reduce_the_exact_totals(case):
         want = _outcome(lambda: reduce_value(_route_total(g, w, route), w.p))
         assert _outcome(genus_mod_p, g, w, route) == want, (case, route)
     if w.n:
-        want = [_outcome(reduce_value, s, w.p) for s in _point_sums(g, w, "pseries", range(w.n))]
+        sums = _point_sums(g, w.p, w.n, "pseries", range(w.n), w.distinct_points.items())
+        want = [_outcome(reduce_value, s, w.p) for s in sums]
         assert [repr(r) for r in cf_residuals(g, w)] == want, case
 
 
@@ -700,7 +722,7 @@ def test_residues_fall_back_to_the_exact_sums(case):
     want = [_outcome(reduce_value, s, p) for s in sums]
     assert _outcome(genus_mod_p, g, w, "pseries") == want[n], case
     assert [repr(r) for r in cf_residuals(g, w)] == want[:n], case
-    t = g._tables[p, n]
+    t = engine_module._residue_table(g, p, n)
     assert any(c.denominator % p == 0 for c in t.q.coeffs)  # q(z) = z/f(z)
     assert all(f is None for f in t.packed.values())
 
@@ -718,12 +740,12 @@ def test_packed_width_is_bounded_by_the_largest_factor():
         w = _random_weight_set(rng, p, n, 4)
         for route in ("pseries", "ab"):
             genus_mod_p(g, w, route)
-        widths.append(g._tables[p, n].width)
-    assert len(g._tables[p, n].packed) > 400
+        widths.append(engine_module._residue_table(g, p, n).width)
+    assert len(engine_module._residue_table(g, p, n).packed) > 400
     assert widths == [(4**3 * (p - 1) ** 4).bit_length()] * 40
     other = make_genus("chi_y", n + 1, F(2))
     genus_mod_p(other, w, "pseries")
-    assert other._tables[p, n].width == widths[0]
+    assert engine_module._residue_table(other, p, n).width == widths[0]
     # at n >= p - 1, q(z) = z/tanh(z) holds B_(p-1) and p divides its
     # denominator: no factor is p-integral, and both routes and cf_residuals
     # reduce the exact sums, with the same NonIntegralAtP messages
@@ -735,7 +757,7 @@ def test_packed_width_is_bounded_by_the_largest_factor():
             assert _outcome(genus_mod_p, g, w, route) == want, (p, n, route)
         want = [_outcome(reduce_value, s, p) for s in _per_point_sums(g, w, "pseries", range(n))]
         assert [repr(r) for r in cf_residuals(g, w)] == want, (p, n)
-        t = g._tables[p, n]
+        t = engine_module._residue_table(g, p, n)
         assert t.width == ((n + 1) ** n * (p - 1) ** (n + 1)).bit_length()
         assert t.q[p - 1].denominator % p == 0 and set(t.packed.values()) == {None}
 
@@ -746,19 +768,17 @@ def test_large_p_ab_query_builds_factors_for_its_weights_only(capsys):
     # either, so its one series table holds the ab leads only, as ints.  From
     # an empty memo the query builds two genera: the CLI's at order 2, and
     # the route's at n + 1.
-    genus_module._catalog_genus.cache_clear()
+    _clear_memos()
     argv = ["compute", "--genus", "chi_y:2", "--p", "100003", "--residues", "0,1,2",
             "--route", "ab", "--format", "json"]
     start = time.perf_counter()
     assert cli.main(argv) == 0
     assert time.perf_counter() - start < 0.5
     assert json.loads(capsys.readouterr().out)["result"] == "3"  # chi_y(CP^2) = 1 - y + y^2
-    tables = []
     assert genus_module._catalog_genus.cache_info().currsize == 2
-    for g in (make_genus("chi_y", 2, F(2)), make_genus("chi_y", 3, F(2))):
-        tables += g._tables.items()
-    assert [key for key, _ in tables] == [(100003, 2)]
-    t = tables[0][1]
+    assert engine_module._residue_table.cache_info().currsize == 1
+    t = engine_module._residue_table(make_genus("chi_y", 2, F(2)), 100003, 2)
+    assert engine_module._residue_table.cache_info().currsize == 1  # that table
     assert set(t.packed) == {1, 2, 100001, 100002} and set(t.leads) == {"ab"}
     assert all(type(f) is int for f in t.packed.values())
     assert len(t.leads["ab"]) == 3 and all(type(f) is int for f in t.leads["ab"])
@@ -772,7 +792,7 @@ def test_large_p_stream_reads_ints_and_keeps_no_series():
     rng = random.Random(45)
     p, n = 100003, 3
     sets = [_random_weight_set(rng, p, n, 4) for _ in range(300)]
-    genus_module._catalog_genus.cache_clear()
+    _clear_memos()
     g = make_genus("todd", n + 1)
     start = time.perf_counter()
     got = [[genus_mod_p(g, w, r) for r in ("pseries", "ab")] for w in sets]
@@ -780,8 +800,10 @@ def test_large_p_stream_reads_ints_and_keeps_no_series():
     for i in range(0, 300, 50):
         want = [reduce_value(_per_point_sums(g, sets[i], r, [n])[0], p) for r in ("pseries", "ab")]
         assert got[i] == want, i
-    assert "_factors" not in GenusSpec.__slots__ and list(g._tables) == [(p, n)]
-    t = g._tables[p, n]
+    assert "_factors" not in GenusSpec.__slots__ and "_tables" not in GenusSpec.__slots__
+    assert engine_module._residue_table.cache_info().currsize == 1
+    t = engine_module._residue_table(g, p, n)
+    assert engine_module._residue_table.cache_info().currsize == 1
     assert len(t.packed) > 3000 and all(type(f) is int for f in t.packed.values())
     assert all(type(f) is int for r in ("pseries", "ab") for f in t.leads[r])
     assert elapsed < 0.5, elapsed
@@ -794,7 +816,7 @@ def test_series_routes_share_one_product_pass_per_weight_set(monkeypatch):
     calls = []
     products = engine_module._products
     monkeypatch.setattr(engine_module, "_products", lambda *a: calls.append(1) or products(*a))
-    genus_module._catalog_genus.cache_clear()
+    _clear_memos()
     p, n = 11, 3
     w = WeightSet(p, n, ((1, 2, 4), (3, 5, 9), (2, 1, 4), (10, 10, 6)))
     g = make_genus("l_genus", n + 1)
@@ -814,7 +836,7 @@ def test_packing_between_two_routes_of_one_set_gives_fresh_totals(monkeypatch):
     # multiplies no factor again and gives a fresh genus's residues.  A query
     # on another set in between replaces them, and they are taken again.
     def fresh(kind, y):
-        genus_module._catalog_genus.cache_clear()
+        _clear_memos()
         return make_genus(kind, n + 1, y)
 
     calls = []
@@ -829,20 +851,22 @@ def test_packing_between_two_routes_of_one_set_gives_fresh_totals(monkeypatch):
         for first, then in (("pseries", "ab"), ("ab", "pseries")):
             g = fresh(kind, y)
             assert genus_mod_p(g, w, first) == want[first]
-            t, calls[:] = g._tables[p, n], []
+            t = engine_module._residue_table(g, p, n)
             last = t.last
-            engine_module._residue_table(g, p, n, then, wide.distinct_points.items())
-            assert {12, 11, 6, 7, 5, 9} <= set(t.packed) and then in t.leads
+            products(t, wide.distinct_points.items())  # packs wide's weights only
+            assert {12, 11, 6, 7, 5, 9} <= set(t.packed) and then not in t.leads
+            calls[:] = []
             assert genus_mod_p(g, w, then) == want[then], (kind, first)
             assert cf_residuals(g, w) == want_cf, (kind, first)
-            assert t.last is last and calls == [], (kind, first)
+            assert t.last is last and calls == [] and then in t.leads, (kind, first)
 
             g = fresh(kind, y)
             genus_mod_p(g, w, first)
             genus_mod_p(g, wide, first)
             assert genus_mod_p(g, w, then) == want[then], (kind, first)
-            assert g._tables[p, n].last[0] is w
-            assert _point_sums(g, w, first, [n]) == [_route_total(fresh(kind, y), w, first)]
+            assert engine_module._residue_table(g, p, n).last[0] is w
+            got = _point_sums(g, p, n, first, (n,), w.distinct_points.items())
+            assert got == [_route_total(fresh(kind, y), w, first)]
 
 
 def test_a_degenerate_chi_y_lead_leaves_pseries_working():
@@ -851,7 +875,7 @@ def test_a_degenerate_chi_y_lead_leaves_pseries_working():
     w = WeightSet(3, 2, ((1, 2), (2, 1), (1, 1)))
     want = reduce_value(_route_total(make_genus("chi_y", 5, F(2)), w, "pseries"), 3)
     for routes in (("pseries", "ab", "pseries"), ("ab", "pseries", "ab")):
-        genus_module._catalog_genus.cache_clear()
+        _clear_memos()
         g = make_genus("chi_y", 3, F(2))
         for route in routes:
             if route == "ab":
@@ -859,7 +883,7 @@ def test_a_degenerate_chi_y_lead_leaves_pseries_working():
                     genus_mod_p(g, w, route)
             else:
                 assert genus_mod_p(g, w, route) == want, routes
-        assert set(g._tables[3, 2].leads) == {"pseries"}
+        assert set(engine_module._residue_table(g, 3, 2).leads) == {"pseries"}
 
 
 _SERIES_OPS = ("pseries", "ab", "cf", "thm71", "sums")
@@ -888,7 +912,8 @@ def _series_query(g, w, query):
     if query in ("pseries", "ab"):
         return _outcome(_route_total, g, w, query)
     if query == "sums":
-        return _outcome(_point_sums, g, w, "pseries", range(w.n + 1))
+        return _outcome(_point_sums, g, w.p, w.n, "pseries", range(w.n + 1),
+                        w.distinct_points.items())
     if w.n == 0:
         return None
     if query == "cf":
@@ -901,12 +926,12 @@ def _series_query(g, w, query):
 def test_series_queries_in_any_order_give_fresh_totals(case):
     # Over interleaved weight sets, series queries asked in a drawn order (so
     # kept products, lead additions, packing and repacking fall between them)
-    # each give the exact values of a genus whose tables are empty.
+    # each give the exact values of a genus that no table memo holds yet.
     kind, y, sets, queries = case
     g = make_genus(kind, 9, y)
-    ref = make_genus(kind, 10, y)
+    log = make_genus(kind, 10, y).logarithm
     for i, query in queries:
-        ref._tables.clear()
+        ref = GenusSpec(kind, y, log)
         assert _series_query(g, sets[i], query) == _series_query(ref, sets[i], query), (i, query)
 
 
@@ -981,7 +1006,8 @@ def test_one_pass_sums_equal_the_per_point_sums(case):
     g = _CUSTOM if kind == "custom" else make_genus(kind, 2, y)
     for route in ("pseries", "ab"):
         want = _outcome(_per_point_sums, g, w, route, range(n + 1))
-        assert _outcome(_point_sums, g, w, route, range(n + 1)) == want, (case, route)
+        got = _outcome(_point_sums, g, p, n, route, range(n + 1), w.distinct_points.items())
+        assert got == want, (case, route)
         want = _outcome(lambda: _per_point_sums(g, w, route, [n])[0])
         assert _outcome(_route_total, g, w, route) == want, (case, route)
     for pt in points:
@@ -1030,7 +1056,8 @@ def test_z_form_equals_the_u_form_reference(case):
     g = make_genus(kind, 2, y)
     for route in ("pseries", "ab"):
         want = _outcome(_per_point_sums, g, w, route, range(n + 1))
-        assert _outcome(_point_sums, g, w, route, range(n + 1)) == want, (case, route)
+        got = _outcome(_point_sums, g, p, n, route, range(n + 1), w.distinct_points.items())
+        assert got == want, (case, route)
         want = _outcome(lambda: reduce_value(_per_point_sums(g, w, route, [n])[0], p))
         assert _outcome(genus_mod_p, g, w, route) == want, (case, route)
     if n:
@@ -1240,3 +1267,116 @@ def test_distinct_points_are_counted_once_per_weight_set(monkeypatch):
     assert w.distinct_points == {(2, 1): 2, (1, 2): 1, (3, 4): 1}  # keyed as given
     assert w.distinct_points is w.distinct_points
     assert w == v and (hash(w), repr(w)) == before and hash(v) == before[0]
+
+
+def test_every_memo_stays_at_its_bound():
+    # Each lru memo filled with MEMO_SIZE + 8 distinct cheap keys keeps
+    # MEMO_SIZE entries: the genus, B-series, prime, q, lead, residue table,
+    # trace table and 1/h memos.
+    primes = [q for q in range(3, 4000, 2) if is_odd_prime(q)][: MEMO_SIZE + 8]
+    todd = make_genus("todd", 2)
+    fills = {
+        genus_module._catalog_genus: [lambda y=y: make_genus("chi_y", 2, y)
+                                      for y in range(MEMO_SIZE + 8)],
+        engine_module._b_series: [lambda q=q: b_series("todd", q, 1) for q in primes],
+        rings_module._is_odd_prime: [lambda k=k: is_odd_prime(k) for k in range(MEMO_SIZE + 8)],
+        engine_module._q: [lambda y=y: engine_module._q(make_genus("chi_y", 2, y), 1)
+                           for y in range(MEMO_SIZE + 8)],
+        engine_module._leads: [lambda q=q: engine_module._leads(todd, q, 1, "pseries", (1,))
+                               for q in primes],
+        engine_module._residue_table: [lambda q=q: engine_module._residue_table(todd, q, 1)
+                                       for q in primes],
+        cyclotomic_module._route_table: [lambda q=q: cyclotomic_module._route_table(
+            "todd", None, q, 1) for q in primes],
+        checks_module._h_inverse: [lambda q=q: checks_module._h_inverse("todd", None, q, 1)
+                                   for q in primes],
+    }
+    for memo, calls in fills.items():
+        assert len(calls) == MEMO_SIZE + 8
+        memo.cache_clear()
+        for call in calls:
+            call()
+        info = memo.cache_info()
+        assert info.maxsize == info.currsize == MEMO_SIZE, memo
+
+
+def test_warm_exact_readers_compose_and_invert_nothing(monkeypatch):
+    # After a first thm71_check, ab_coefficient and _route_total at one (kind,
+    # p, n), the same calls on other sets of that shape read q, the leads, B
+    # and 1/h from their memos: no series is composed or inverted again.
+    p, n = 11, 3
+    g = make_genus("chi_y", 2, F(2))
+    rng = random.Random(48)
+    first, second = (_random_weight_set(rng, p, n, 4) for _ in range(2))
+
+    def calls(w):
+        return [thm71_check(g, w), ab_coefficient(g, p, w.points[0]),
+                _route_total(g, w, "pseries"), _route_total(g, w, "ab")]
+
+    calls(first)
+    counted = []
+    for name in ("compose", "invert"):
+        method = getattr(Series, name)
+        monkeypatch.setattr(Series, name,
+                            lambda *a, name=name, method=method: counted.append(name) or method(*a))
+    got = calls(second)
+    assert counted == []
+    monkeypatch.undo()
+    _clear_memos()
+    assert calls(second) == got  # as a fresh genus gives them
+
+
+def test_submanifold_genus_sums_the_ab_coefficients():
+    # One ab sum per count of normal weights, with the genus values as
+    # multiplicities, equals sum_F ab_coefficient(normal weights of F) phi(F)
+    # reduced mod p, or raises the same error.
+    rng = random.Random(49)
+    kinds = [("todd", None), ("euler", None), ("l_genus", None), ("chi_y", F(2)),
+             ("chi_y", F(-1, 2)), ("a_hat", None)]
+    for _ in range(60):
+        kind, y = rng.choice(kinds)
+        p = rng.choice((3, 5, 7, 11))
+        g = make_genus(kind, 2, y)
+        comps = []
+        for _ in range(rng.randint(1, 6)):
+            weights = tuple(rng.randint(-p, 2 * p) or 1 for _ in range(rng.randint(0, 4)))
+            weights = tuple(x if x % p else x + 1 for x in weights)
+            value = F(rng.randint(-9, 9), rng.choice((1, 2, 3, p)))
+            comps.append(SubmanifoldComponent(weights, value))
+        data = SubmanifoldData(p, tuple(comps))
+
+        def by_component():
+            total = sum((ab_coefficient(g, p, c.normal_weights) * c.genus_value
+                         for c in data.components), F(0))
+            return rational_reduce_mod_p(total, p)
+
+        assert _outcome(submanifold_genus, g, data) == _outcome(by_component), (kind, y, data)
+
+
+def test_bad_p_or_y_raise_the_same_bad_params():
+    # p and y are checked before a memo hashes them, so a bad one raises
+    # BadParams with its message, on every call, never a TypeError.
+    todd = make_genus("todd", 4)
+    for p in ([7], 4, 9, "7", 7.0, True, None):
+        message = f"p must be an odd prime >= 3, got {p!r}"
+        for call in (lambda: ab_trace("todd", p, (1, 2)), lambda: h_series("todd", p, 3),
+                     lambda: ab_coefficient(todd, p, (1, 2)),
+                     lambda: p_series_term(todd, p, (1, 2), 2)):
+            for _ in range(2):
+                with pytest.raises(BadParams) as exc:
+                    call()
+                assert str(exc.value) == message
+    for kind, p, y, message in (
+            ("chi_y", 3, F(7, 3), "chi_y parameter 7/3 is not p-integral at p = 3"),
+            ("chi_y", 5, F(4), "chi_y parameter 4 has 1 + y ≡ 0 mod 5; theta degenerates"),
+            ("todd", 5, 2, "kind 'todd' does not take a parameter y")):
+        calls = [lambda: ab_trace(kind, p, (1, 2), y), lambda: h_series(kind, p, 3, y)]
+        if kind == "chi_y":
+            calls.append(lambda: ab_coefficient(make_genus(kind, 4, y), p, (1, 2)))
+        for call in calls:
+            for _ in range(2):
+                with pytest.raises(BadParams) as exc:
+                    call()
+                assert str(exc.value) == message
+    with pytest.raises(UnsupportedKind, match=r"no trace route for genus kind \['todd'\]"):
+        ab_trace(["todd"], 5, (1, 2))  # a kind no memo can hash is refused first

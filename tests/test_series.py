@@ -244,3 +244,21 @@ def test_truncate_refuses_extension():
 def test_equality_through_common_order():
     assert S(1, 2, 3) == S(1, 2, 3, 4, 5)
     assert S(1, 2, 3) != S(1, 2, 4, 4)
+
+
+def test_equal_series_hash_equal():
+    # Equality compares through the common order, so a hash may read only what
+    # that fixes, the ring and the constant term: equal series of different
+    # orders must land in one set entry.
+    a, b = Series(QQ, [1, 2]), Series(QQ, [1, 2, 3])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    rng = random.Random(7)
+    for _ in range(200):
+        s = Series(QQ, [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))])
+        t = s.truncate(rng.randint(0, s.order))
+        longer = Series(QQ, list(s.coeffs) + [F(rng.randint(-5, 5))], s.order + 1)
+        for other in (t, longer):
+            assert s == other and hash(s) == hash(other), (s, other)
+    c = Series(QQ, [2, 2])
+    assert a != c and len({a, b, c}) == 2
+    assert Series(DE, [GradedPoly.one()]) != Series(QQ, [1])
