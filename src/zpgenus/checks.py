@@ -75,6 +75,8 @@ def h_series(
     cosh(((p+1)/2)t) cosh(t)/cosh(((p-1)/2)t), t = arcsinh(u/2).
     """
     require_odd_prime(p)
+    if order < 0:
+        raise BadParams(f"order must be >= 0, got {order}")
     if kind not in TRACE_KINDS:
         raise UnsupportedKind(f"no h-series for genus kind {kind!r}")
     yk = Fraction(y) if y is not None else None

@@ -19,10 +19,11 @@ The theta elements attached to the genus catalog are
 
 with y read from ``genus.CHI_Y_AT`` for todd, l_genus and euler, and the
 trace-route factor of a weight x is theta^{-1} (-theta^{-1} for
-a_hat) under zeta -> zeta^x.  Tr(theta^k) and the fixed-point contribution
-ab_trace = -Tr(prod_k factor(x_k)) share one kernel: each preimage is packed
-into one Python int, a weight costs one bigint product, and a sum over points
-is one integer over one denominator.
+a_hat) under zeta -> zeta^x.  The fixed-point contribution
+ab_trace = -Tr(prod_k factor(x_k)) and Tr(theta^k), a product of |k| equal
+factors, both run on the product loop of :func:`_trace_total`: each preimage
+is packed into one Python int, a factor costs one bigint product, and a sum
+over points is one integer over one denominator.
 """
 from __future__ import annotations
 
@@ -43,14 +44,13 @@ from .rings import MEMO_SIZE, Rational, require_odd_prime
 # The largest p of the trace route, which packs vectors of length p into one int
 # per weight: 3 weights took 0.016 s at p = 2003, 0.05 s at 4001 (3.11, Xeon).
 TRACE_MAX_P = 2048
-# The largest p |k| bitlen(L1 of the shifted preimage), about the packed bits of
-# theta^k, for trace_theta_power: 1.4 Mbit took 1.4 s, 3.2 Mbit 4.0 s (3.11, Xeon).
-TRACE_MAX_BITS = 2**21
-# The same bound on p n bitlen(L1) for a product of n weights, which costs n
-# products instead of about 2 log2 |k|: at p = 2039, chi_y:2 took 22 s at
-# 2.1 Mbit (n = 44), and 2.9 s at this bound (n = 22; todd n = 24, 4.1 s)
+# The largest work, n times p n bitlen(L1), of a product of n factors whose slots
+# sum to L1: the product loop takes n bigint products of about p n bitlen(L1)
+# bits.  At p = 2039 it accepts todd and a_hat at 24 weights, l_genus at 23 and
+# chi_y:2 at 22 (3.0-4.8 s), and refuses chi_y:2 at 23; the largest products it
+# accepts at p = 5, 11, 101 and 503 took 0.1-0.2, 0.3-0.4, 0.9-1.3 and 2.1-2.6 s
 # (3.11, Xeon).
-TRACE_ROUTE_MAX_BITS = 2**20
+TRACE_MAX_WORK = 24_700_000
 # The largest count * p * width bytes of packed factors a route table keeps
 # between calls; a call that starts above it drops them.  All p - 1 factors of
 # todd at p = 2039, n = 3 would take about 33 MB.
@@ -81,30 +81,22 @@ def _kind_param(kind: str, p: int, y: Rational | int | None):
 def trace_theta_power(
     kind: str, p: int, k: int, y: Rational | int | None = None
 ) -> Fraction:
-    """Tr(theta^k) for any integer k, on the packed slots of :func:`_trace_table`.
+    """Tr(theta^k) for any integer k, as minus the :func:`_trace_total` of one
+    point of |k| weights 1.
 
-    The |k|-th power, by squaring, is of theta's preimage for k > 0 and of the
-    trace-route factor of weight 1, theta^{-1}, for k < 0.  a_hat's factor is
-    -theta^{-1}, but zeta -> zeta^{-1} maps its theta to -theta, so its odd
-    traces vanish and the sign never shows.  A power that would pack more than
-    TRACE_MAX_BITS bits is refused with BadParams before it is taken.
+    Its factor is theta's preimage for k > 0 and the trace-route factor of
+    weight 1, theta^{-1}, for k < 0.  a_hat's factor is -theta^{-1}, but
+    zeta -> zeta^{-1} maps its theta to -theta, so its odd traces vanish and
+    the sign never shows.  A power above TRACE_MAX_WORK is refused with
+    BadParams by :func:`_trace_table` before anything is packed.
     """
-    if not isinstance(k, int):
+    if not isinstance(k, int) or isinstance(k, bool):
         raise BadParams(f"theta power wants an int, got {k!r}")
     vec, den = _trace_preimage(kind, p, y, theta=k > 0)
     if k == 0:
         return Fraction(p - 1)
-    den, slots, total, width, _ = _trace_table(vec, den, abs(k), power=True)
-    shift = 8 * width * p
-    mask = (1 << shift) - 1
-    factor, power = int.from_bytes(b"".join(slots), "little"), 1
-    for bit in bin(abs(k))[2:]:  # each product folds t^{p+i} onto t^i, as in _trace_total
-        power *= power
-        power = (power & mask) + (power >> shift)
-        if bit == "1":
-            power *= factor
-            power = (power & mask) + (power >> shift)
-    return Fraction(p * (power & (1 << 8 * width) - 1) - total, den)
+    num, den = _trace_total(p, _trace_table(vec, den, abs(k)), [((1,) * abs(k), 1)])
+    return Fraction(-num, den)
 
 
 def _todd_preimage(p: int, x: int) -> list:
@@ -131,7 +123,11 @@ def ab_trace(
     A one-point call of :func:`_trace_total` on the table of :func:`_route_table`.
     """
     weights = tuple(weights)
-    table = _route_table(kind, _trace_params(kind, p, y), p, len(weights))
+    y = _trace_params(kind, p, y)
+    for x in weights:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise BadParams(f"weights must be ints, got {x!r}")
+    table = _route_table(kind, y, p, len(weights))
     weights = [x % p for x in weights]
     if not all(weights):
         raise ZeroWeight(f"weight divisible by p = {p}")
@@ -179,24 +175,22 @@ def _trace_preimage(kind: str, p: int, y: Rational | int | None, theta: bool = F
     return [b * c + a * d for c, d in zip(vec, vec[-1:] + vec[:-1])], p * b
 
 
-def _trace_table(vec: list, den: int, n: int, power: bool = False):
+def _trace_table(vec: list, den: int, n: int):
     """(den^n, slots, total, width, packed) for products of n factors sum_j vec[j] t^j / den.
 
     ``slots`` holds vec minus its minimum, a multiple of sum_k t^k (0 in the
     field) that makes it nonnegative, at ``width`` bytes per coefficient; no
     product coefficient exceeds ``total``.  ``packed`` maps a weight to its
-    packed factor and is filled by :func:`_trace_total`.  A product whose
-    packed size, about p n bitlen(sum_j slots[j]) bits, exceeds
-    TRACE_ROUTE_MAX_BITS (TRACE_MAX_BITS for a theta power) is refused with
-    BadParams before anything is packed.
+    packed factor and is filled by :func:`_trace_total`.  A product's work, n
+    times its packed size of about p n bitlen(sum_j slots[j]) bits, above
+    TRACE_MAX_WORK is refused with BadParams before anything is packed.
     """
     low = min(vec)
     one = sum(vec) - len(vec) * low  # sum_j slots[j], as t -> 1 is a ring map
     bits = len(vec) * n * one.bit_length()
-    limit = TRACE_MAX_BITS if power else TRACE_ROUTE_MAX_BITS
-    if bits > limit:
-        name = "TRACE_MAX_BITS" if power else "TRACE_ROUTE_MAX_BITS"
-        raise BadParams(f"{n} factors at p = {len(vec)} pack about {bits} bits; {name} = {limit}")
+    if n * bits > TRACE_MAX_WORK:
+        raise BadParams(f"{n} products of about {bits} bits at p = {len(vec)} exceed "
+                        f"TRACE_MAX_WORK = {TRACE_MAX_WORK} products times bits")
     width = (max(one, one**n).bit_length() + 8) // 8  # a factor's or product's sum, plus a bit
     return den**n, [(c - low).to_bytes(width, "little") for c in vec], one**n, width, {}
 

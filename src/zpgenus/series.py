@@ -94,6 +94,8 @@ class Series:
         return self.coeffs[m]
 
     def truncate(self, order: int) -> "Series":
+        if order < 0:
+            raise BadParams(f"order must be >= 0, got {order}")
         if order > self.order:
             raise IndexBeyondTruncation(
                 f"cannot extend a truncated series from order {self.order} to {order}"

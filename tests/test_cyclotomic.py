@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from reference_cyclotomic import CycloElem, evaluate_at_theta, theta_of
 from reference_series import a_series, p_power_factor
+from zpgenus.checks import ab_coefficient
 from zpgenus.cyclotomic import (
     TRACE_CACHE_BYTES,
     TRACE_MAX_P,
@@ -502,15 +503,15 @@ def test_theta_functions_refuse_p_above_bound():
 
 
 def test_trace_theta_power_refuses_long_exponents_at_once():
-    # p |k| bitlen(L1) above TRACE_MAX_BITS is refused before any power is
-    # taken; chi_y:2 at p = 2039, k = 3 would pack 12.5 Mbit.
+    # |k| products of p |k| bitlen(L1) bits above TRACE_MAX_WORK are refused
+    # before anything is packed; chi_y:2 at p = 2039, k = 3 would pack 12.5 Mbit.
     below = next(q for q in range(TRACE_MAX_P, 2, -1) if is_odd_prime(q))
     calls = [(kind, p, k, y) for kind, y in _THETA_KINDS for p in (7, below)
              for k in (10**9, -(10**9))]
     calls += [("chi_y", below, 3, 2)]
     for kind, p, k, y in calls:
         start = time.perf_counter()
-        with pytest.raises(BadParams, match="TRACE_MAX_BITS"):
+        with pytest.raises(BadParams, match="TRACE_MAX_WORK"):
             trace_theta_power(kind, p, k, y)
         assert time.perf_counter() - start < 0.1, (kind, p, k, y)
 
@@ -556,8 +557,8 @@ def test_trace_table_factor_bytes_stay_bounded():
 
 
 def test_trace_route_refuses_many_weights_at_once():
-    # p n bitlen(L1) above TRACE_ROUTE_MAX_BITS is refused before anything is
-    # packed: 44 weights of chi_y:2 at p = 2039 took about 22 s unbounded.
+    # n products of p n bitlen(L1) bits above TRACE_MAX_WORK are refused before
+    # anything is packed: 44 weights of chi_y:2 at p = 2039 took about 22 s unbounded.
     below = next(q for q in range(TRACE_MAX_P, 2, -1) if is_odd_prime(q))
     for kind, y in _THETA_KINDS:
         for n in (3000, 44):
@@ -568,8 +569,40 @@ def test_trace_route_refuses_many_weights_at_once():
                 assert ab_trace(kind, below, weights, y) == -(below - 1)
                 continue
             start = time.perf_counter()
-            with pytest.raises(BadParams, match="TRACE_ROUTE_MAX_BITS"):
+            with pytest.raises(BadParams, match="TRACE_MAX_WORK"):
                 ab_trace(kind, below, weights, y)
-            with pytest.raises(BadParams, match="TRACE_ROUTE_MAX_BITS"):
+            with pytest.raises(BadParams, match="TRACE_MAX_WORK"):
                 genus_mod_p(g, w, "trace")
             assert time.perf_counter() - start < 0.1, (kind, y, n)
+
+
+def test_trace_route_refuses_long_points_at_small_p_at_once():
+    # Small packed factors do not make a long product cheap: each of these
+    # one-point todd sets took 18-35 s under a bound on packed bits alone.
+    g = make_genus("todd", 2)
+    for p, n in ((11, 4000), (5, 12000), (101, 600)):
+        weights = [x % (p - 1) + 1 for x in range(n)]
+        w = WeightSet(p, n, (tuple(weights),))
+        start = time.perf_counter()
+        with pytest.raises(BadParams, match="TRACE_MAX_WORK"):
+            ab_trace("todd", p, weights)
+        with pytest.raises(BadParams, match="TRACE_MAX_WORK"):
+            genus_mod_p(g, w, "trace")
+        assert time.perf_counter() - start < 0.1, (p, n)
+
+
+def test_trace_inputs_that_are_not_ints_are_refused():
+    # ab_trace refuses what ab_coefficient refuses, with its class and message,
+    # before any table is built; a bool is not a weight nor a theta power.
+    g = make_genus("todd", 3)
+    for weights in ([1.0], [2.5], ["1"], [1, 2.0], [True]):
+        with pytest.raises(BadParams) as want:
+            ab_coefficient(g, 5, weights)
+        with pytest.raises(BadParams) as got:
+            ab_trace("todd", 5, weights)
+        assert str(got.value) == str(want.value), weights
+    with pytest.raises(ZeroWeight, match="weight divisible by p = 5"):
+        ab_trace("todd", 5, [1, 10])
+    for k in (True, False, 1.0):
+        with pytest.raises(BadParams, match="theta power wants an int"):
+            trace_theta_power("todd", 5, k)

@@ -1112,6 +1112,16 @@ def test_h_series_closed_forms():
         h_series("elliptic", 5, 6)
 
 
+def test_negative_orders_are_refused_with_one_message():
+    # h_series at -1, -3 and -5 failed three different ways, and a power system
+    # at order -3 came back at order 3.
+    for order in (-1, -3, -5):
+        with pytest.raises(BadParams, match=f"order must be >= 0, got {order}$"):
+            h_series("todd", 5, order)
+    with pytest.raises(BadParams, match="order must be >= 0, got -3$"):
+        power_system(make_genus("todd", 5), 3, -3)
+
+
 def test_h_series_p_integral():
     for p in (3, 5, 7):
         for kind, y in [("todd", None), ("euler", None), ("l_genus", None), ("a_hat", None),

@@ -239,6 +239,9 @@ def test_truncate_refuses_extension():
     assert a.truncate(1) == S(1, 2)
     with pytest.raises(IndexBeyondTruncation):
         a.truncate(9)
+    for order in (-1, -3, -5):  # a negative order would slice from the end
+        with pytest.raises(BadParams, match=f"order must be >= 0, got {order}"):
+            a.truncate(order)
 
 
 def test_equality_through_common_order():
