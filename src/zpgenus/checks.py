@@ -18,9 +18,10 @@ from functools import lru_cache
 
 from .engine import (WeightSet, _a_sum, _json_loads, _point_sums, _Record, b_series,
                      canonical_weights)
-from .errors import BadParams, GuardViolation, UnsupportedKind
-from .genus import TRACE_KINDS, GenusSpec, make_genus, power_system
-from .rings import MEMO_SIZE, QQ, ModP, Rational, rational_reduce_mod_p, require_odd_prime
+from .errors import BadParams, GuardViolation
+from .genus import GenusSpec, make_genus, power_system, require_theta
+from .rings import (MEMO_SIZE, QQ, ModP, Rational, rational_reduce_mod_p, require_int,
+                    require_odd_prime)
 from .series import Series
 
 
@@ -37,8 +38,7 @@ def ab_coefficient(g: GenusSpec, p: int, weights: Sequence[int]) -> Fraction:
     For euler A has degree d and A(1) = 1, so the value is -(p-1) for any weights.
     """
     require_odd_prime(p)
-    if g.kind not in TRACE_KINDS:
-        raise UnsupportedKind(f"no coefficient route for genus kind {g.kind!r}")
+    require_theta(g.kind)
     weights = canonical_weights(weights, p)
     return _point_sums(g, p, len(weights), "ab", (len(weights),), [(weights, 1)])[0]
 
@@ -50,11 +50,9 @@ def p_series_term(g: GenusSpec, p: int, weights: Sequence[int], m: int):
     factor is 1 in u and q(z) in z.
     """
     require_odd_prime(p)
-    if not isinstance(m, int) or m < 0:
-        raise BadParams(f"coefficient index must be an int >= 0, got {m!r}")
-    if not all(isinstance(x, int) and x >= 1 for x in weights):
-        raise BadParams(f"p_series_term weights must be ints >= 1, got {tuple(weights)!r}")
-    weights = tuple(weights) + (1,) * (m - len(weights))
+    require_int(m, "coefficient index", 0)
+    weights = tuple(require_int(x, "p_series_term weight", 1) for x in weights)
+    weights += (1,) * (m - len(weights))
     return _point_sums(g, p, len(weights), "pseries", (m,), [(weights, 1)])[0]
 
 
@@ -69,16 +67,15 @@ def h_series(
     """h(u) = p([u]_p - u)/(B(u)[u]_p) = p(1 - u/[u]_p)/B(u); h(0) = 1 and h is p-integral.
 
     u/[u]_p is built on every call from the power system [u]_p (one compose and
-    one inversion), and h costs one division by B more; thm71_check memoizes 1/h.  Known
+    one inversion), and h costs one division by B more; thm71_check memoizes 1/h.
+    The order must be an int >= 0, checked before the kind (``require_theta``).  Known
     closed forms: (1-u)(1+yu) for chi_y, so 1-u (todd),
     1-u^2 (l_genus) and (1-u)^2 (euler), and for a_hat
     cosh(((p+1)/2)t) cosh(t)/cosh(((p-1)/2)t), t = arcsinh(u/2).
     """
     require_odd_prime(p)
-    if order < 0:
-        raise BadParams(f"order must be >= 0, got {order}")
-    if kind not in TRACE_KINDS:
-        raise UnsupportedKind(f"no h-series for genus kind {kind!r}")
+    require_int(order, "order", 0)
+    require_theta(kind)
     yk = Fraction(y) if y is not None else None
     g = make_genus(kind, max(order + 1, 2), yk)
     factor = power_system(g, p, order + 1).shift_down(1).invert()
@@ -127,8 +124,7 @@ def thm71_check(g: GenusSpec, w: WeightSet, force: bool = False) -> Thm71Report:
     beyond that a GuardViolation is raised unless force=True, in which case the
     reduction itself may legitimately fail NonIntegralAtP.
     """
-    if g.kind not in TRACE_KINDS:
-        raise UnsupportedKind(f"thm71_check needs a B-series kind, got {g.kind!r}")
+    require_theta(g.kind)
     n, p, q = w.n, w.p, w.q
     if n < 1:
         raise BadParams("thm71_check needs n >= 1")
@@ -235,10 +231,7 @@ def submanifold_genus(g: GenusSpec, data: SubmanifoldData) -> ModP:
     wrong: the components CP^1 and a point of the linear action on CP^2 with
     residues (0, 0, 1) give 3 for todd at p = 5, not Todd(CP^2) = 1.
     """
-    if g.kind not in TRACE_KINDS:
-        raise UnsupportedKind(
-            f"submanifold reduction needs the coefficient route; kind {g.kind!r} has none"
-        )
+    require_theta(g.kind)
     by_count = {}  # one ab sum per count of normal weights, the genus values as multiplicities
     for c in data.components:
         by_count.setdefault(len(c.normal_weights), []).append((c.normal_weights, c.genus_value))

@@ -65,7 +65,7 @@ def _genus_for(args):
 
 
 def _emit(args, payload: dict) -> None:
-    if args.format == "json":
+    if getattr(args, "format", "json") == "json":  # cpn has no --format and prints JSON
         print(json.dumps(payload, indent=2))
         return
     for key, val in _flatten(payload):
@@ -84,11 +84,11 @@ def _flatten(payload: dict, prefix: str = ""):
 
 
 # ---------------------------------------------------------------------------
-# Verb handlers; each returns the exit code and prints one report.
+# Verb handlers; each returns its report and whether every check in it passed.
 # ---------------------------------------------------------------------------
 
 
-def _run_compute(args) -> int:
+def _run_compute(args) -> tuple[dict, bool]:
     w = _load_weight_set(args)
     g = _genus_for(args)
     base = {
@@ -102,8 +102,7 @@ def _run_compute(args) -> int:
         value = genus_mod_p(g, w, route=args.route)
         base["route"] = args.route
         base["result"] = str(value)
-        _emit(args, base)
-        return 0
+        return base, True
     results = {}
     values = []
     for route in ROUTES:
@@ -120,11 +119,10 @@ def _run_compute(args) -> int:
     base["agree"] = agree
     if agree:
         base["result"] = values[0]
-    _emit(args, base)
-    return 0 if agree else 1
+    return base, agree
 
 
-def _run_cf_check(args) -> int:
+def _run_cf_check(args) -> tuple[dict, bool]:
     w = _load_weight_set(args)
     residuals = cf_residuals(_genus_for(args), w)
     slots = []
@@ -136,22 +134,18 @@ def _run_cf_check(args) -> int:
         else:
             slots.append({"m": m, "residual": str(r)})
             all_zero = all_zero and r.is_zero()
-    _emit(
-        args,
-        {
-            "verb": "cf-check",
-            "genus": args.genus,
-            "p": w.p,
-            "n": w.n,
-            "q": w.q,
-            "residuals": slots,
-            "all_zero": all_zero,
-        },
-    )
-    return 0 if all_zero else 1
+    return {
+        "verb": "cf-check",
+        "genus": args.genus,
+        "p": w.p,
+        "n": w.n,
+        "q": w.q,
+        "residuals": slots,
+        "all_zero": all_zero,
+    }, all_zero
 
 
-def _run_ab(args) -> int:
+def _run_ab(args) -> tuple[dict, bool]:
     from .checks import ab_coefficient
 
     if args.p is None:
@@ -172,11 +166,10 @@ def _run_ab(args) -> int:
     payload["coefficient_route"] = {"exact": str(coeff), "mod_p": str(mods[0])}
     payload["trace_route"] = {"exact": str(trace), "mod_p": str(mods[1])}
     agree = payload["agree"] = mods[0] == mods[1]
-    _emit(args, payload)
-    return 0 if agree else 1
+    return payload, agree
 
 
-def _run_cpn(args) -> int:
+def _run_cpn(args) -> tuple[dict, bool]:
     if args.p is None:
         raise BadParams("cpn needs --p")
     if args.residues is None:
@@ -187,19 +180,17 @@ def _run_cpn(args) -> int:
         rt = ResidueTuple(args.p, _parse_int_list(args.residues))
         if args.n is not None and args.n != rt.n:
             raise BadParams(f"--n {args.n} contradicts n = {rt.n} of the residues")
-    w = cpn_weight_set(rt)
-    text = json.dumps(w.to_json_dict(), indent=2)
+    payload = cpn_weight_set(rt).to_json_dict()
     if args.emit:
         try:
             with open(args.emit, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                fh.write(json.dumps(payload, indent=2) + "\n")
         except OSError as exc:
             raise BadParams(f"cannot write emit file: {exc}") from exc
-    print(text)
-    return 0
+    return payload, True
 
 
-def _run_legendre(args) -> int:
+def _run_legendre(args) -> tuple[dict, bool]:
     from .cpn import check_eq45, check_eq46
 
     if args.p is None:
@@ -212,46 +203,40 @@ def _run_legendre(args) -> int:
             and report46.low_coeffs_vanish
             and report46.eps_one_equal
         )
-        _emit(args, {"verb": "legendre", "check": "power-system", **report46.to_json_dict()})
-        return 0 if ok else 1
+        return {"verb": "legendre", "check": "power-system", **report46.to_json_dict()}, ok
     if args.n is not None and args.n % 2:
         raise BadParams("the projective check needs even n")
     residues = None if args.residues is None else _parse_int_list(args.residues)
     report = check_eq45(args.p, residues, None if args.n is None else args.n // 2)
-    _emit(args, {"verb": "legendre", "check": "projective", **report.to_json_dict()})
-    return 0 if report.equal and report.cpn_matches else 1
+    return ({"verb": "legendre", "check": "projective", **report.to_json_dict()},
+            report.equal and report.cpn_matches)
 
 
-def _run_thm71(args) -> int:
+def _run_thm71(args) -> tuple[dict, bool]:
     from .checks import thm71_check
 
     w = _load_weight_set(args)
     report = thm71_check(_genus_for(args), w, force=args.force)
-    _emit(args, {"verb": "thm71", "genus": args.genus, **report.to_json_dict()})
-    return 0 if report.equal else 1
+    return {"verb": "thm71", "genus": args.genus, **report.to_json_dict()}, report.equal
 
 
-def _run_submanifold(args) -> int:
+def _run_submanifold(args) -> tuple[dict, bool]:
     from .checks import SubmanifoldData, submanifold_genus
 
     if not args.weights:
         raise BadParams("submanifold needs --weights FILE with submanifold data")
     data = _read_weights_file(args.weights, SubmanifoldData)
     value = submanifold_genus(_genus_for(args), data)
-    _emit(
-        args,
-        {
-            "verb": "submanifold",
-            "genus": args.genus,
-            "p": data.p,
-            "components": len(data.components),
-            "result": str(value),
-        },
-    )
-    return 0
+    return {
+        "verb": "submanifold",
+        "genus": args.genus,
+        "p": data.p,
+        "components": len(data.components),
+        "result": str(value),
+    }, True
 
 
-def _run_selftest(args) -> int:
+def _run_selftest(args) -> tuple[dict, bool]:
     from .selftest import battery
 
     results = []
@@ -261,8 +246,7 @@ def _run_selftest(args) -> int:
         except EngineError as exc:
             results.append({"check": name, "ok": False, "error": str(exc)})
     all_ok = all(r["ok"] for r in results)
-    _emit(args, {"verb": "selftest", "checks": results, "all_ok": all_ok})
-    return 0 if all_ok else 1
+    return {"verb": "selftest", "checks": results, "all_ok": all_ok}, all_ok
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +309,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
     try:
-        return args.handler(args)
+        payload, ok = args.handler(args)
     except EngineError as exc:
         diagnostic = {"error": type(exc).__name__, "detail": str(exc)}
         if getattr(args, "format", "text") == "json":  # cpn has no --format
@@ -334,6 +318,8 @@ def main(argv=None) -> int:
             print(f"error: {diagnostic['error']}", file=sys.stderr)
             print(f"detail: {diagnostic['detail']}", file=sys.stderr)
         return 2
+    _emit(args, payload)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

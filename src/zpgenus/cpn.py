@@ -31,7 +31,7 @@ from .engine import (ResidueTuple, _Record, canonical_residues, cpn_weight_set, 
 from .errors import BadParams
 from .genus import KIND_ELLIPTIC, cpn_genus, make_genus, power_system
 from .graded import GradedPoly, GradedPolyModP, poly_reduce_mod_p
-from .rings import require_odd_prime
+from .rings import require_int, require_odd_prime
 
 
 # ---------------------------------------------------------------------------
@@ -42,8 +42,7 @@ from .rings import require_odd_prime
 
 def legendre_coeffs(m: int) -> tuple[Fraction, ...]:
     """Coefficients of P_m(t), low degree first, exact over Q."""
-    if not isinstance(m, int) or m < 0:
-        raise BadParams(f"Legendre index must be an int >= 0, got {m!r}")
+    require_int(m, "Legendre index", 0)
     coeffs = [Fraction(0)] * (m + 1)
     for k in range(m // 2 + 1):
         coeffs[m - 2 * k] = Fraction((-1) ** k * comb(m, k) * comb(2 * m - 2 * k, m), 2**m)
@@ -109,6 +108,8 @@ def check_eq45(
     genus is built to order n+1.
     """
     require_odd_prime(p)
+    if m is not None:
+        require_int(m, "m", 0)
     if residues is None:
         if m is None:
             raise BadParams("check_eq45 needs residues or m")

@@ -30,27 +30,23 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, log2
 
-from .errors import BadParams, UnsupportedKind, ZeroWeight
-from .genus import (
-    CHI_Y_AT,
-    KIND_A_HAT,
-    TRACE_KINDS,
-    _kind_y,
-)
-from .rings import MEMO_SIZE, Rational, require_odd_prime
+from .errors import BadParams
+from .genus import CHI_Y_AT, KIND_A_HAT, _kind_y, require_theta
+from .rings import MEMO_SIZE, Rational, canonical_weights, require_int, require_odd_prime
 
 # The largest p of the trace route, which packs vectors of length p into one int
 # per weight: 3 weights took 0.016 s at p = 2003, 0.05 s at 4001 (3.11, Xeon).
 TRACE_MAX_P = 2048
-# The largest work, n times p n bitlen(L1), of a product of n factors whose slots
-# sum to L1: the product loop takes n bigint products of about p n bitlen(L1)
-# bits.  At p = 2039 it accepts todd and a_hat at 24 weights, l_genus at 23 and
-# chi_y:2 at 22 (3.0-4.8 s), and refuses chi_y:2 at 23; the largest products it
-# accepts at p = 5, 11, 101 and 503 took 0.1-0.2, 0.3-0.4, 0.9-1.3 and 2.1-2.6 s
-# (3.11, Xeon).
-TRACE_MAX_WORK = 24_700_000
+# The largest work n M(b) of a product of n factors of b packed bits, about
+# p n bitlen(L1) for slots summing to L1, M(b) as in _trace_table.  Largest n
+# accepted (todd and a_hat / l_genus / chi_y:2): p = 2039 23/22/22, 503 62/60/58,
+# 101 197/188/188, 11 1234/1123/1034, 5 2567/2567/2238; one ab_trace there took
+# 1.8-4.0 s at p >= 101 and at most 1.6 s below, and chi_y at p = 2039 with the
+# widest y accepted on 2-8 weights 1.1-3.9 s, against 2.4-4.6 s for the slowest
+# product that n b <= 24.7 million accepted, todd on 24 weights (3.11, shared Xeon).
+TRACE_MAX_WORK = 855_000_000
 # The largest count * p * width bytes of packed factors a route table keeps
 # between calls; a call that starts above it drops them.  All p - 1 factors of
 # todd at p = 2039, n = 3 would take about 33 MB.
@@ -87,11 +83,11 @@ def trace_theta_power(
     Its factor is theta's preimage for k > 0 and the trace-route factor of
     weight 1, theta^{-1}, for k < 0.  a_hat's factor is -theta^{-1}, but
     zeta -> zeta^{-1} maps its theta to -theta, so its odd traces vanish and
-    the sign never shows.  A power above TRACE_MAX_WORK is refused with
-    BadParams by :func:`_trace_table` before anything is packed.
+    the sign never shows.  k must be an int (``require_int``), checked before
+    p, y and kind; a power above TRACE_MAX_WORK is refused with BadParams by
+    :func:`_trace_table` before anything is packed.
     """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise BadParams(f"theta power wants an int, got {k!r}")
+    require_int(k, "theta power")
     vec, den = _trace_preimage(kind, p, y, theta=k > 0)
     if k == 0:
         return Fraction(p - 1)
@@ -120,26 +116,19 @@ def ab_trace(
     The factor for a weight x is the theta-machinery analogue of u/[u]_x:
     todd 1/(1-zeta^x), l_genus (1+zeta^x)/(1-zeta^x), chi_y
     (1+y zeta^x)/(1-zeta^x), a_hat zeta^{x(p+1)/2}/(1-zeta^x), euler 1.
-    A one-point call of :func:`_trace_total` on the table of :func:`_route_table`.
+    A one-point call of :func:`_trace_total` on the table of :func:`_route_table`,
+    after p, y, the kind and then the weights (``canonical_weights``) are checked.
     """
-    weights = tuple(weights)
     y = _trace_params(kind, p, y)
-    for x in weights:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise BadParams(f"weights must be ints, got {x!r}")
-    table = _route_table(kind, y, p, len(weights))
-    weights = [x % p for x in weights]
-    if not all(weights):
-        raise ZeroWeight(f"weight divisible by p = {p}")
-    return Fraction(*_trace_total(p, table, [(weights, 1)]))
+    weights = canonical_weights(weights, p)
+    return Fraction(*_trace_total(p, _route_table(kind, y, p, len(weights)), [(weights, 1)]))
 
 
 def _trace_params(kind: str, p: int, y: Rational | int | None) -> Fraction | None:
     """y as :func:`_kind_param` gives it, after checking p, y and kind, so a memo may hash them."""
     _require_trace_prime(p, "the trace route")
     y = _kind_param(kind, p, y)
-    if kind not in TRACE_KINDS:
-        raise UnsupportedKind(f"no trace route for genus kind {kind!r}")
+    require_theta(kind)
     return y
 
 
@@ -182,15 +171,19 @@ def _trace_table(vec: list, den: int, n: int):
     field) that makes it nonnegative, at ``width`` bytes per coefficient; no
     product coefficient exceeds ``total``.  ``packed`` maps a weight to its
     packed factor and is filled by :func:`_trace_total`.  A product's work, n
-    times its packed size of about p n bitlen(sum_j slots[j]) bits, above
-    TRACE_MAX_WORK is refused with BadParams before anything is packed.
+    times the cost M(b) of one product of its packed size b, about
+    p n bitlen(sum_j slots[j]) bits, above TRACE_MAX_WORK is refused with
+    BadParams before anything is packed.
     """
     low = min(vec)
     one = sum(vec) - len(vec) * low  # sum_j slots[j], as t -> 1 is a ring map
     bits = len(vec) * n * one.bit_length()
-    if n * bits > TRACE_MAX_WORK:
-        raise BadParams(f"{n} products of about {bits} bits at p = {len(vec)} exceed "
-                        f"TRACE_MAX_WORK = {TRACE_MAX_WORK} products times bits")
+    # a b-bit product costs about b up to CPython's Karatsuba cutoff of 70 digits
+    # (2100 bits) and grows as b^log2(3) above it
+    work = n * max(bits, 2100 * (bits / 2100) ** log2(3))
+    if work > TRACE_MAX_WORK:
+        raise BadParams(f"{n} products of about {bits} bits at p = {len(vec)} cost about "
+                        f"{work:.3g}, above TRACE_MAX_WORK = {TRACE_MAX_WORK}")
     width = (max(one, one**n).bit_length() + 8) // 8  # a factor's or product's sum, plus a bit
     return den**n, [(c - low).to_bytes(width, "little") for c in vec], one**n, width, {}
 
@@ -239,6 +232,7 @@ def _theta_polynomial(
     """
     top = min(top, p - 1)
     y = _kind_param(kind, p, y)
+    require_theta(kind)
     if kind == KIND_A_HAT:
         out = []
         for i in range(top + 1):
@@ -246,8 +240,6 @@ def _theta_polynomial(
             out.append(Fraction(0) if i % 2 else Fraction(p * comb(p - j, j), p - j))
         return out
     y = CHI_Y_AT.get(kind, y)
-    if y is None:
-        raise UnsupportedKind(f"no minimal polynomial for genus kind {kind!r}")
     if y == -1:
         return [Fraction((-1) ** k * comb(p - 1, k)) for k in range(top + 1)]
     return [comb(p, k) * (y**k - (-1) ** k) / (1 + y) for k in range(1, top + 2)]

@@ -30,15 +30,16 @@ first use of one of its names, here too.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
 from functools import lru_cache
 from fractions import Fraction
 from types import SimpleNamespace
 
 from .cyclotomic import _kind_param, _route_table, _theta_polynomial, _trace_total
-from .errors import BadParams, DuplicateResidues, NonIntegralAtP, UnsupportedKind, ZeroWeight
-from .genus import TRACE_KINDS, GenusSpec, ensure_order
-from .rings import MEMO_SIZE, QQ, ModP, Rational, rational_reduce_mod_p, require_odd_prime
+from .errors import BadParams, DuplicateResidues, NonIntegralAtP
+from .genus import TRACE_KINDS, GenusSpec, ensure_order, require_theta
+from .rings import (MEMO_SIZE, QQ, ModP, Rational, rational_reduce_mod_p, require_int,
+                    require_odd_prime)
+from .rings import canonical_weight, canonical_weights  # the weight rule, served here too
 from .series import Series, integer_numerators
 
 
@@ -61,20 +62,6 @@ def reduce_value(x, p: int) -> ModP | GradedPolyModP:
             return rational_reduce_mod_p(Fraction(num, den), p)
         num, den = num // p, den // p
     return ModP._of(num * pow(den, -1, p), p)
-
-
-def canonical_weight(x: int, p: int) -> int:
-    """Reduce a weight into [1, p-1]; weights divisible by p are rejected."""
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise BadParams(f"weights must be ints, got {x!r}")
-    x %= p
-    if x == 0:
-        raise ZeroWeight(f"weight ≡ 0 mod p = {p} is not allowed")
-    return x
-
-
-def canonical_weights(weights: Iterable[int], p: int) -> tuple[int, ...]:
-    return tuple(canonical_weight(x, p) for x in weights)
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +126,7 @@ class WeightSet(_Record):
 
     def __init__(self, p: int, n: int, points: tuple[tuple[int, ...], ...]):
         require_odd_prime(p)
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise BadParams(f"n must be an int >= 0, got {n!r}")
+        require_int(n, "n", 0)
         pts, shared = [], {}
         for pt in points:
             if not (type(pt) is tuple and len(pt) == n
@@ -212,9 +198,7 @@ class ResidueTuple(_Record):
             raise BadParams("need at least one residue")
         seen = set()
         for y in res:
-            if not isinstance(y, int) or isinstance(y, bool):
-                raise BadParams(f"residues must be ints, got {y!r}")
-            if y % p in seen:
+            if require_int(y, "residue") % p in seen:
                 raise DuplicateResidues(f"residues must be distinct mod {p}; {y} repeats")
             seen.add(y % p)
         self.__dict__.update(p=p, residues=res)
@@ -239,9 +223,7 @@ def cpn_weight_set(rt: ResidueTuple) -> WeightSet:
 def canonical_residues(p: int, n: int) -> ResidueTuple:
     """The standard action with residues (0, 1, ..., n); needs n < p."""
     require_odd_prime(p)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise BadParams(f"n must be an int >= 0, got {n!r}")
-    if n >= p:
+    if require_int(n, "n", 0) >= p:
         raise BadParams(f"CP^{n} admits no effective linear Z/{p} action: n >= p")
     return ResidueTuple(p, tuple(range(n + 1)))
 
@@ -260,12 +242,12 @@ def b_series(
     ((p-1)P - uP')/P for the minimal polynomial P of theta; the coefficient
     of u^k in the numerator is (p-1-k) P_k, so P is read only through u^order.
     Euler's theta is 1, so its B is (p-1)/(1-u); elliptic and custom have no
-    theta in Q(zeta_p) at all.  Memoized in an lru_cache of MEMO_SIZE entries.
+    theta in Q(zeta_p) at all (``require_theta``).  The order must be an int >= 0.
+    Memoized in an lru_cache of MEMO_SIZE entries.
     """
     require_odd_prime(p)
-    if kind not in TRACE_KINDS:
-        raise UnsupportedKind(f"no B-series for genus kind {kind!r}")
-    return _b_series(kind, _kind_param(kind, p, y), p, order)
+    require_theta(kind)
+    return _b_series(kind, _kind_param(kind, p, y), p, require_int(order, "order", 0))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -298,8 +280,8 @@ def _leads(g: GenusSpec, p: int, n: int, route: str, ms: tuple | range) -> tuple
     route is [z^m] L_m S, S of :func:`_a_sum`, with L_m = base f'(z) (f(z)/z)^(n-m)
     and base q(pz) for pseries, -B(f(z)) q(z) for ab (one compose).
     UnsupportedKind for ab of a kind without theta, before any order is checked."""
-    if route != "pseries" and g.kind not in TRACE_KINDS:
-        raise UnsupportedKind(f"no coefficient route for genus kind {g.kind!r}")
+    if route != "pseries":
+        require_theta(g.kind)
     order = max(ms, default=0)
     f = ensure_order(g, order + 1).f_series.truncate(order + 1)
     f_z = f.shift_down(1)

@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedClosedForm,
     UnsupportedKind,
 )
-from .rings import MEMO_SIZE, QQ, Rational
+from .rings import MEMO_SIZE, QQ, Rational, require_int
 from .series import Series, binomial_power
 
 KIND_TODD = "todd"
@@ -52,6 +52,14 @@ CATALOG_KINDS = (KIND_TODD, KIND_EULER, KIND_L, KIND_CHI_Y, KIND_A_HAT, KIND_ELL
 TRACE_KINDS = (KIND_TODD, KIND_EULER, KIND_L, KIND_CHI_Y, KIND_A_HAT)
 # the kinds that are chi_y at a fixed y
 CHI_Y_AT = {KIND_TODD: Fraction(0), KIND_L: Fraction(1), KIND_EULER: Fraction(-1)}
+
+
+def require_theta(kind: str) -> str:
+    """The one theta rule: kind if its theta lies in Q(zeta_p), which the B-series,
+    the ab and trace routes and the checks built on them need; UnsupportedKind otherwise."""
+    if kind not in TRACE_KINDS:
+        raise UnsupportedKind(f"genus kind {kind!r} has no theta in Q(zeta_p)")
+    return kind
 
 
 class GenusSpec:
@@ -130,8 +138,7 @@ def make_genus(
     required for (and only allowed with) kind 'custom'; it must satisfy
     g(0) = 0 and g'(0) = 1 and is used at its own truncation order.
     """
-    if not isinstance(order, int) or order < 2:
-        raise BadParams(f"order must be an int >= 2, got {order!r}")
+    require_int(order, "order", 2)
     y = _kind_y(kind, y)
     if kind == KIND_CUSTOM:
         if logarithm is None:
@@ -170,8 +177,7 @@ def power_system(g: GenusSpec, m: int, order: int | None = None) -> Series:
     The order defaults to the genus's own.  Not cached: the routes read the
     factors u/[u]_m in the coordinate u = f(z) instead (see zpgenus.engine).
     """
-    if not isinstance(m, int) or m < 1:
-        raise BadParams(f"power system index must be an int >= 1, got {m!r}")
+    require_int(m, "power system index", 1)
     order = g.order if order is None else order
     if m == 1:
         return Series.identity(g.ring, order)
@@ -182,8 +188,7 @@ def power_system_closed(
     kind: str, m: int, order: int, y: Rational | int | None = None
 ) -> Series:
     """Closed-form [u]_m for the kinds that admit one (all but elliptic/custom)."""
-    if not isinstance(m, int) or m < 1:
-        raise BadParams(f"power system index must be an int >= 1, got {m!r}")
+    require_int(m, "power system index", 1)
     y = CHI_Y_AT.get(kind, _kind_y(kind, y))
     one = Series.one(QQ, order)
     u = Series.identity(QQ, order)
@@ -207,8 +212,7 @@ def cpn_genus(g: GenusSpec, n: int):
 
     Returns a ring element (Fraction, or GradedPoly for elliptic).
     """
-    if not isinstance(n, int) or n < 0:
-        raise BadParams(f"projective dimension must be an int >= 0, got {n!r}")
+    require_int(n, "projective dimension", 0)
     deriv = g.logarithm.differentiate()
     if n > deriv.order:
         raise IndexBeyondTruncation(

@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .errors import BadParams, NonIntegralAtP, ZeroDivision
-from .rings import Rational, require_odd_prime
+from .errors import NonIntegralAtP, ZeroDivision
+from .rings import Rational, require_int, require_odd_prime
 
 
 # ---------------------------------------------------------------------------
@@ -45,12 +45,18 @@ class GradedPoly:
     def __init__(self, terms: Mapping[Monomial, Rational | int] = ()):
         canon = {}
         for (a, b), c in dict(terms).items():
-            if not isinstance(a, int) or not isinstance(b, int) or a < 0 or b < 0:
-                raise BadParams(f"bad monomial exponents ({a!r}, {b!r})")
+            require_int(a, "monomial exponent", 0), require_int(b, "monomial exponent", 0)
             c = Fraction(c)
             if c:
                 canon[(a, b)] = c
         object.__setattr__(self, "terms", canon)
+
+    @classmethod
+    def _of(cls, terms: dict) -> "GradedPoly":
+        """The arithmetic's results: exponents already checked, Fraction coefficients."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c})
+        return self
 
     def __setattr__(self, name, val):
         raise AttributeError("GradedPoly is immutable")
@@ -96,7 +102,7 @@ class GradedPoly:
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, Fraction(0)) + c
-        return GradedPoly(out)
+        return GradedPoly._of(out)
 
     def __sub__(self, other):
         if not isinstance(other, GradedPoly):
@@ -104,15 +110,15 @@ class GradedPoly:
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, Fraction(0)) - c
-        return GradedPoly(out)
+        return GradedPoly._of(out)
 
     def __neg__(self):
-        return GradedPoly({m: -c for m, c in self.terms.items()})
+        return GradedPoly._of({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return GradedPoly({m: c * q for m, c in self.terms.items()})
+            return GradedPoly._of({m: c * q for m, c in self.terms.items()})
         if not isinstance(other, GradedPoly):
             return NotImplemented
         out = {}
@@ -120,7 +126,7 @@ class GradedPoly:
             for (a2, b2), c2 in other.terms.items():
                 m = (a1 + a2, b1 + b2)
                 out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return GradedPoly(out)
+        return GradedPoly._of(out)
 
     __rmul__ = __mul__
 
@@ -139,7 +145,7 @@ class GradedPoly:
         for (a, b), c in self.terms.items():
             m = (a, 0)
             out[m] = out.get(m, Fraction(0)) + c * ev**b
-        return GradedPoly(out)
+        return GradedPoly._of(out)
 
     # -- structure ----------------------------------------------------------
     def __eq__(self, other) -> bool:

@@ -9,14 +9,17 @@ lives in :mod:`zpgenus.graded` and loads on demand (this module still serves
 its names).
 
 The descriptor :data:`QQ` names Q for the series layer; the mod-p types only
-receive final reductions.
+receive final reductions.  Two input rules live here, each the one check of
+its kind: :func:`require_int` for a count, an order, an index or an exponent,
+and :func:`canonical_weight` for a fixed-point weight.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BadParams, NonIntegralAtP, ZeroDivision
+from .errors import BadParams, NonIntegralAtP, ZeroDivision, ZeroWeight
 
 Rational = Fraction
 
@@ -64,13 +67,38 @@ def require_odd_prime(p: int) -> int:
     return p
 
 
+def require_int(x, what: str, low: int | None = None) -> int:
+    """The one rule for a count, an order, an index or an exponent: x if it is an
+    int, not a bool, and at least ``low`` when one is given; BadParams otherwise."""
+    if not isinstance(x, int) or isinstance(x, bool) or (low is not None and x < low):
+        bound = "" if low is None else f" >= {low}"
+        raise BadParams(f"{what} must be an int{bound}, got {x!r}")
+    return x
+
+
+def canonical_weight(x: int, p: int) -> int:
+    """The one weight rule: an int x (not a bool) reduced into [1, p-1];
+    BadParams for any other x, ZeroWeight if p divides it."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise BadParams(f"weights must be ints, got {x!r}")
+    x %= p
+    if x == 0:
+        raise ZeroWeight(f"weight ≡ 0 mod p = {p} is not allowed")
+    return x
+
+
+def canonical_weights(weights: Iterable[int], p: int) -> tuple[int, ...]:
+    return tuple(canonical_weight(x, p) for x in weights)
+
+
 class ModP:
     """A residue mod p, stored in [0, p-1]; reductions build it, callers compare and print it."""
 
     __slots__ = ("value", "p")
 
     def __new__(cls, value: int, p: int):
-        return cls._of(value, require_odd_prime(p))
+        p = require_odd_prime(p)
+        return cls._of(require_int(value, "value"), p)
 
     @classmethod
     def _of(cls, value: int, p: int) -> "ModP":

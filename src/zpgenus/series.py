@@ -34,7 +34,7 @@ from .errors import (
     RingMismatch,
     ZeroDivision,
 )
-from .rings import QQ
+from .rings import QQ, require_int
 
 # Annotations are never evaluated: a "Ring" there is one of the descriptors
 # QQ and DE of :mod:`zpgenus.rings`.
@@ -46,9 +46,7 @@ class Series:
     def __init__(self, ring: Ring, coeffs: Sequence, order: int | None = None):
         coeffs = list(coeffs)
         if order is not None:
-            if order < 0:
-                raise BadParams(f"order must be >= 0, got {order}")
-            if len(coeffs) > order + 1:
+            if len(coeffs) > require_int(order, "order", 0) + 1:
                 coeffs = coeffs[: order + 1]
             else:
                 coeffs.extend(ring.zero for _ in range(order + 1 - len(coeffs)))
@@ -71,9 +69,7 @@ class Series:
 
     @classmethod
     def identity(cls, ring: Ring, order: int) -> "Series":
-        if order < 1:
-            raise BadParams("the identity series u needs order >= 1")
-        return cls(ring, [ring.zero, ring.one], order)
+        return cls(ring, [ring.zero, ring.one], require_int(order, "order", 1))
 
     @classmethod
     def from_fractions(cls, ring: Ring, coeffs: Sequence[int | Fraction], order: int) -> "Series":
@@ -85,18 +81,14 @@ class Series:
         return len(self.coeffs) - 1
 
     def __getitem__(self, m: int):
-        if not isinstance(m, int) or m < 0:
-            raise BadParams(f"coefficient index must be an int >= 0, got {m!r}")
-        if m > self.order:
+        if require_int(m, "coefficient index", 0) > self.order:
             raise IndexBeyondTruncation(
                 f"coefficient of u^{m} requested but the series is truncated at order {self.order}"
             )
         return self.coeffs[m]
 
     def truncate(self, order: int) -> "Series":
-        if order < 0:
-            raise BadParams(f"order must be >= 0, got {order}")
-        if order > self.order:
+        if require_int(order, "order", 0) > self.order:
             raise IndexBeyondTruncation(
                 f"cannot extend a truncated series from order {self.order} to {order}"
             )
@@ -171,8 +163,7 @@ class Series:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Series":
-        if not isinstance(k, int) or k < 0:
-            raise BadParams(f"series power wants k >= 0, got {k!r}")
+        require_int(k, "series power", 0)
         out = Series.one(self.ring, self.order)
         base = self
         while k:
@@ -220,7 +211,7 @@ class Series:
 
     def shift_down(self, k: int) -> "Series":
         """Divide by u^k; errors if a dropped coefficient is nonzero."""
-        if k == 0:
+        if require_int(k, "shift") == 0:
             return self
         if k < 0 or k > self.order:
             raise BadParams(f"shift_down({k}) out of range for order {self.order}")

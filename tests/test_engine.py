@@ -47,7 +47,8 @@ from zpgenus.errors import (
     UnsupportedKind,
     ZeroWeight,
 )
-from zpgenus.genus import TRACE_KINDS, GenusSpec, cpn_genus, ensure_order, make_genus, power_system
+from zpgenus.genus import (TRACE_KINDS, GenusSpec, cpn_genus, ensure_order, make_genus, power_system,
+                          require_theta)
 from zpgenus.rings import (
     MEMO_SIZE,
     QQ,
@@ -186,7 +187,7 @@ def test_p_series_frozen():
     assert p_series_term(ge, 3, (2,), 1) == F(3, 2)
     with pytest.raises(BadParams):
         p_series_term(g, 3, (1,), -1)
-    with pytest.raises(BadParams, match="p_series_term weights must be ints >= 1"):
+    with pytest.raises(BadParams, match="p_series_term weight must be an int >= 1, got 0"):
         p_series_term(g, 3, (2, 0), 1)
     # slot m needs the genus through order m + 1 only, however many weights
     custom = make_genus("custom", 2, logarithm=Series.from_fractions(QQ, [0, 1, F(1, 2)], 2))
@@ -939,8 +940,7 @@ def _u_lead(g, p, n, route):
     """A series route's lead in the coordinate u, through u^n: p u/[u]_p, or -B."""
     if route == "pseries":
         return p_power_factor(g, p, n)
-    if g.kind not in TRACE_KINDS:
-        raise UnsupportedKind(f"no coefficient route for genus kind {g.kind!r}")
+    require_theta(g.kind)
     return b_series(g.kind, p, n, g.y).scale(-1)
 
 
@@ -1116,9 +1116,9 @@ def test_negative_orders_are_refused_with_one_message():
     # h_series at -1, -3 and -5 failed three different ways, and a power system
     # at order -3 came back at order 3.
     for order in (-1, -3, -5):
-        with pytest.raises(BadParams, match=f"order must be >= 0, got {order}$"):
+        with pytest.raises(BadParams, match=f"order must be an int >= 0, got {order}$"):
             h_series("todd", 5, order)
-    with pytest.raises(BadParams, match="order must be >= 0, got -3$"):
+    with pytest.raises(BadParams, match="order must be an int >= 0, got -3$"):
         power_system(make_genus("todd", 5), 3, -3)
 
 
@@ -1388,5 +1388,5 @@ def test_bad_p_or_y_raise_the_same_bad_params():
                 with pytest.raises(BadParams) as exc:
                     call()
                 assert str(exc.value) == message
-    with pytest.raises(UnsupportedKind, match=r"no trace route for genus kind \['todd'\]"):
+    with pytest.raises(UnsupportedKind, match=r"genus kind \['todd'\] has no theta in Q\(zeta_p\)$"):
         ab_trace(["todd"], 5, (1, 2))  # a kind no memo can hash is refused first

@@ -135,7 +135,7 @@ def test_records_of_different_classes_are_unequal():
 
 @pytest.mark.parametrize("residues", [(0, 1.9, 3), ("2", True), (0, False), (F(1), 2)])
 def test_residues_must_be_ints(residues):
-    with pytest.raises(BadParams, match="residues must be ints"):
+    with pytest.raises(BadParams, match="residue must be an int, got"):
         ResidueTuple(7, residues)
 
 

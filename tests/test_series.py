@@ -240,7 +240,7 @@ def test_truncate_refuses_extension():
     with pytest.raises(IndexBeyondTruncation):
         a.truncate(9)
     for order in (-1, -3, -5):  # a negative order would slice from the end
-        with pytest.raises(BadParams, match=f"order must be >= 0, got {order}"):
+        with pytest.raises(BadParams, match=f"order must be an int >= 0, got {order}$"):
             a.truncate(order)
 
 
