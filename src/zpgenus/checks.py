@@ -68,14 +68,14 @@ def h_series(
 
     u/[u]_p is built on every call from the power system [u]_p (one compose and
     one inversion), and h costs one division by B more; thm71_check memoizes 1/h.
-    The order must be an int >= 0, checked before the kind (``require_theta``).  Known
+    The order must be an int >= 0, checked after the kind (``require_theta``).  Known
     closed forms: (1-u)(1+yu) for chi_y, so 1-u (todd),
     1-u^2 (l_genus) and (1-u)^2 (euler), and for a_hat
     cosh(((p+1)/2)t) cosh(t)/cosh(((p-1)/2)t), t = arcsinh(u/2).
     """
     require_odd_prime(p)
-    require_int(order, "order", 0)
     require_theta(kind)
+    require_int(order, "order", 0)
     yk = Fraction(y) if y is not None else None
     g = make_genus(kind, max(order + 1, 2), yk)
     factor = power_system(g, p, order + 1).shift_down(1).invert()

@@ -34,7 +34,8 @@ from math import comb, log2
 
 from .errors import BadParams
 from .genus import CHI_Y_AT, KIND_A_HAT, _kind_y, require_theta
-from .rings import MEMO_SIZE, Rational, canonical_weights, require_int, require_odd_prime
+from .rings import (MEMO_SIZE, PACKED_CACHE_BYTES, Rational, canonical_weights, require_int,
+                    require_odd_prime)
 
 # The largest p of the trace route, which packs vectors of length p into one int
 # per weight: 3 weights took 0.016 s at p = 2003, 0.05 s at 4001 (3.11, Xeon).
@@ -47,10 +48,6 @@ TRACE_MAX_P = 2048
 # widest y accepted on 2-8 weights 1.1-3.9 s, against 2.4-4.6 s for the slowest
 # product that n b <= 24.7 million accepted, todd on 24 weights (3.11, shared Xeon).
 TRACE_MAX_WORK = 855_000_000
-# The largest count * p * width bytes of packed factors a route table keeps
-# between calls; a call that starts above it drops them.  All p - 1 factors of
-# todd at p = 2039, n = 3 would take about 33 MB.
-TRACE_CACHE_BYTES = 2**20
 
 
 def _require_trace_prime(p: int, what: str) -> None:
@@ -195,11 +192,11 @@ def _trace_total(p: int, table, points) -> tuple[int, int]:
     The factor of x, that of 1 under t -> t^x, is read from the table's packed
     factors and packed there on a miss, so a memoized table packs a weight
     once across calls; a call that starts with more than
-    TRACE_CACHE_BYTES of them drops them first.  A weight then costs one
-    bigint product and a fold of t^{p+i} onto t^i.
+    PACKED_CACHE_BYTES of them (count * p * width) drops them first.  A weight
+    then costs one bigint product and a fold of t^{p+i} onto t^i.
     """
     den, slots, total, width, packed = table
-    if len(packed) * p * width > TRACE_CACHE_BYTES:
+    if len(packed) * p * width > PACKED_CACHE_BYTES:
         packed.clear()
     shift = 8 * width * p
     mask, slot = (1 << shift) - 1, (1 << 8 * width) - 1

@@ -37,13 +37,14 @@ from types import SimpleNamespace
 from .cyclotomic import _kind_param, _route_table, _theta_polynomial, _trace_total
 from .errors import BadParams, DuplicateResidues, NonIntegralAtP
 from .genus import TRACE_KINDS, GenusSpec, ensure_order, require_theta
-from .rings import (MEMO_SIZE, QQ, ModP, Rational, rational_reduce_mod_p, require_int,
-                    require_odd_prime)
+from .rings import (MEMO_SIZE, PACKED_CACHE_BYTES, QQ, ModP, Rational, rational_reduce_mod_p,
+                    require_int, require_odd_prime)
 from .rings import canonical_weight, canonical_weights  # the weight rule, served here too
 from .series import Series, integer_numerators
 
 
 ROUTES = ("pseries", "ab", "trace")
+_last_set = None  # (w, w.distinct_points) of the last set asked, by identity: a one-entry memo
 
 
 def reduce_value(x, p: int) -> ModP | GradedPolyModP:
@@ -122,7 +123,7 @@ class WeightSet(_Record):
     given, any other is canonicalized, and equal points share one tuple.
     """
 
-    __slots__ = ("p", "n", "points", "_counts")
+    __slots__ = ("p", "n", "points")
 
     def __init__(self, p: int, n: int, points: tuple[tuple[int, ...], ...]):
         require_odd_prime(p)
@@ -139,7 +140,6 @@ class WeightSet(_Record):
             pts.append(shared.setdefault(pt, pt))
         points = tuple(pts)
         self._fill(locals())
-        object.__setattr__(self, "_counts", None)
 
     def __reduce__(self):  # slots under a frozen __setattr__: rebuild from the fields
         return self.__class__, self._values()
@@ -150,19 +150,19 @@ class WeightSet(_Record):
 
     @property
     def distinct_points(self) -> dict:
-        """Multiplicity per distinct fixed point, keyed by the point as given.
-        Reorderings of one point's weights count apart: every route value is
-        symmetric in them, so a sort per point would buy nothing.  Built on
-        first use, once per set, read-only.  A plain dict counted with get, not
-        a Counter, skips a __missing__ call per point.
-        """
-        counts = self._counts
-        if counts is None:
+        """Multiplicity per distinct fixed point, keyed by the point as given (every
+        route value is symmetric in a point's weights, so a sort would buy nothing).
+        Read-only, kept for the last set asked only (``_last_set``): a set's routes
+        count it once and the set keeps nothing.  A plain dict counted with get, not
+        a Counter, skips a __missing__ call per point."""
+        global _last_set
+        last = _last_set
+        if last is None or last[0] is not self:
             counts = {}
             for pt in self.points:
                 counts[pt] = counts.get(pt, 0) + 1
-            object.__setattr__(self, "_counts", counts)
-        return counts
+            last = _last_set = (self, counts)
+        return last[1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -343,8 +343,11 @@ def _residue_table(g: GenusSpec, p: int, n: int) -> SimpleNamespace:
 
 def _products(t: SimpleNamespace, points) -> list | None:
     """[(A_j mod p, k_j)] over points, A_j a point's packed factor product, with
-    a weight t lacks packed first; None if a factor is not p-integral."""
+    a weight t lacks packed first, after t drops all it has if they take more
+    than PACKED_CACHE_BYTES; None if a factor is not p-integral."""
     packed, mask, prods = t.packed, t.mask, []
+    if len(packed) * mask.bit_length() > 8 * PACKED_CACHE_BYTES:
+        packed.clear()
     for pt, k in points:
         acc = 1
         for x in pt:

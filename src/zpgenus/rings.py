@@ -29,6 +29,10 @@ Rational = Fraction
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 MEMO_SIZE = 256  # entries per lru memo; a stream of distinct keys must not grow one without end
+# The most bytes of packed factors a residue or trace table keeps between calls; a call
+# that starts above it drops them.  All p - 1 factors of todd would take about 33 MB in the
+# trace table at p = 2039, n = 3, and 3.6 MB in the residue table at p = 100003, n = 3.
+PACKED_CACHE_BYTES = 2**20
 
 
 def is_odd_prime(p: int) -> bool:

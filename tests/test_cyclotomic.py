@@ -14,7 +14,6 @@ from reference_cyclotomic import CycloElem, evaluate_at_theta, theta_of
 from reference_series import a_series, p_power_factor
 from zpgenus.checks import ab_coefficient
 from zpgenus.cyclotomic import (
-    TRACE_CACHE_BYTES,
     TRACE_MAX_P,
     _route_table,
     _todd_preimage,
@@ -34,7 +33,7 @@ from zpgenus.engine import (
 )
 from zpgenus.errors import BadParams, UnsupportedKind, ZeroDivision, ZeroWeight
 from zpgenus.genus import make_genus
-from zpgenus.rings import is_odd_prime, rational_reduce_mod_p
+from zpgenus.rings import PACKED_CACHE_BYTES, is_odd_prime, rational_reduce_mod_p
 
 
 def _random_elem(rng, p):
@@ -537,7 +536,7 @@ def test_trace_table_takes_any_integer_vector():
 
 def test_trace_table_factor_bytes_stay_bounded():
     # At p = 2039 all p - 1 packed factors would take tens of MB; a stream of
-    # weight sets keeps at most TRACE_CACHE_BYTES plus one call's factors.
+    # weight sets keeps at most PACKED_CACHE_BYTES plus one call's factors.
     rng = random.Random(45)
     p, n, y = 2039, 2, F(2)
     g = make_genus("chi_y", n + 1, y)
@@ -551,9 +550,9 @@ def test_trace_table_factor_bytes_stay_bounded():
         packed = _route_table("chi_y", y, p, n)[4]
         call = {x for pt in w.points for x in pt}
         assert call <= packed.keys()
-        assert len(packed) * p * width <= TRACE_CACHE_BYTES + len(call) * p * width
+        assert len(packed) * p * width <= PACKED_CACHE_BYTES + len(call) * p * width
         most = max(most, len(packed))
-    assert most * p * width > TRACE_CACHE_BYTES  # the stream did pass the bound
+    assert most * p * width > PACKED_CACHE_BYTES  # the stream did pass the bound
 
 
 def test_trace_route_refuses_many_weights_at_once():

@@ -6,6 +6,7 @@ import random
 import time
 from collections import namedtuple
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,7 @@ from zpgenus.genus import (TRACE_KINDS, GenusSpec, cpn_genus, ensure_order, make
                           require_theta)
 from zpgenus.rings import (
     MEMO_SIZE,
+    PACKED_CACHE_BYTES,
     QQ,
     GradedPoly,
     ModP,
@@ -810,6 +812,30 @@ def test_large_p_stream_reads_ints_and_keeps_no_series():
     assert elapsed < 0.5, elapsed
 
 
+def test_residue_table_factor_bytes_stay_bounded(monkeypatch):
+    # At p = 100003 all p - 1 packed factors would take tens of MB at n = 12; a
+    # stream of weight sets keeps at most PACKED_CACHE_BYTES plus one call's
+    # factors, and its residues equal those of a fresh table.
+    rng = random.Random(47)
+    p, n = 100003, 12
+    g = make_genus("todd", n + 1)
+    engine_module._residue_table.cache_clear()
+    t = engine_module._residue_table(g, p, n)
+    bits, most = t.mask.bit_length(), 0
+    for _ in range(24):
+        w = _random_weight_set(rng, p, n, 12)
+        got = [genus_mod_p(g, w, r) for r in ("pseries", "ab")]
+        call = {x for pt in w.points for x in pt}
+        assert call <= t.packed.keys()
+        assert len(t.packed) * bits <= 8 * PACKED_CACHE_BYTES + len(call) * bits
+        most = max(most, len(t.packed))
+        fresh = SimpleNamespace(**{**vars(t), "packed": {}, "leads": {}, "last": None})
+        with monkeypatch.context() as m:
+            m.setattr(engine_module, "_residue_table", lambda *key: fresh)
+            assert [genus_mod_p(g, w, r) for r in ("pseries", "ab")] == got
+    assert most * bits > 8 * PACKED_CACHE_BYTES  # the stream did pass the bound
+
+
 def test_series_routes_share_one_product_pass_per_weight_set(monkeypatch):
     # pseries, ab and cf_residuals on one weight set multiply each point's packed
     # factors once, and thm71_check (exact series products) none; an equal but
@@ -1254,35 +1280,51 @@ def test_submanifold_json():
 
 
 def test_distinct_points_are_counted_once_per_weight_set(monkeypatch):
-    # The count of points as given is cached in a slot of the frozen WeightSet:
-    # all three routes read one count, and equality, hash and repr ignore it.
-    counted = []
-    slot = WeightSet._counts
-
-    class CountedSlot:  # the slot's descriptor, counting the counts stored
-        def __get__(self, obj, cls):
-            return slot.__get__(obj, cls)
-
-        def __set__(self, obj, value):
-            counted.append(1)
-            slot.__set__(obj, value)
-
+    # A set's (point, multiplicity) pairs live in the engine's one-entry memo,
+    # keyed by the set's identity: its three routes read one dict, built once,
+    # and equality, hash and repr are those of the fields alone.
+    read = []
+    count = WeightSet.distinct_points.fget
+    monkeypatch.setattr(WeightSet, "distinct_points",
+                        property(lambda w: read.append(count(w)) or read[-1]))
     points = ((2, 1), (1, 2), (3, 4), (2, 1))
     w, v = WeightSet(7, 2, points), WeightSet(7, 2, points)
-    monkeypatch.setattr(WeightSet, "_counts", CountedSlot())
     before = (hash(w), repr(w))
     g = make_genus("todd", 4)
     assert len({str(genus_mod_p(g, w, r)) for r in ROUTES}) == 1
-    assert len(counted) == 1
+    # pseries and trace read it (ab reads the products pseries left in its table)
+    assert len(read) >= 2 and len({id(d) for d in read}) == 1  # built once
+    assert engine_module._last_set == (w, read[0])
     assert w.distinct_points == {(2, 1): 2, (1, 2): 1, (3, 4): 1}  # keyed as given
-    assert w.distinct_points is w.distinct_points
+    assert w.distinct_points is read[0]
+    assert v.distinct_points == read[0] and v.distinct_points is not read[0]  # by identity
     assert w == v and (hash(w), repr(w)) == before and hash(v) == before[0]
+    assert repr(w) == "WeightSet(p=7, n=2, points=((2, 1), (1, 2), (3, 4), (2, 1)))"
+
+
+def test_weight_sets_keep_nothing_but_their_fields():
+    # Sets run through all three routes and thm71_check carry no derived state:
+    # no slot beyond the fields, no __dict__, the same field objects; the set
+    # memo then holds the last set asked only.
+    assert WeightSet.__slots__ == ("p", "n", "points")
+    rng = random.Random(29)
+    g = make_genus("todd", 4)
+    sets = [_random_weight_set(rng, 11, 3, 4) for _ in range(6)]
+    fields = [(w.p, w.n, w.points) for w in sets]
+    for w in sets:
+        for route in ROUTES:
+            genus_mod_p(g, w, route)
+        thm71_check(g, w)
+    for w, before in zip(sets, fields):
+        assert not hasattr(w, "__dict__")
+        assert all(a is b for a, b in zip((w.p, w.n, w.points), before))
+    assert engine_module._last_set[0] is sets[-1] and len(engine_module._last_set) == 2
 
 
 def test_every_memo_stays_at_its_bound():
     # Each lru memo filled with MEMO_SIZE + 8 distinct cheap keys keeps
     # MEMO_SIZE entries: the genus, B-series, prime, q, lead, residue table,
-    # trace table and 1/h memos.
+    # trace table and 1/h memos; the set memo keeps one set.
     primes = [q for q in range(3, 4000, 2) if is_odd_prime(q)][: MEMO_SIZE + 8]
     todd = make_genus("todd", 2)
     fills = {
@@ -1308,6 +1350,11 @@ def test_every_memo_stays_at_its_bound():
             call()
         info = memo.cache_info()
         assert info.maxsize == info.currsize == MEMO_SIZE, memo
+    # the set memo of distinct points holds one set, the last one asked
+    sets = [WeightSet(q, 1, ((1,), (1,), (2,))) for q in primes]
+    for w in sets:
+        genus_mod_p(todd, w, "trace")
+    assert engine_module._last_set == (sets[-1], {(1,): 2, (2,): 1})
 
 
 def test_warm_exact_readers_compose_and_invert_nothing(monkeypatch):

@@ -122,8 +122,10 @@ CASES = {
                                      theta("elliptic")),
     "b-series-elliptic-float": (lambda: b_series("elliptic", 5, 1.5), UnsupportedKind,
                                 theta("elliptic")),
-    "h-series-elliptic-negative": (lambda: h_series("elliptic", 5, -1), BadParams,
-                                   "order must be an int >= 0, got -1"),
+    "h-series-elliptic-negative": (lambda: h_series("elliptic", 5, -1), UnsupportedKind,
+                                   theta("elliptic")),
+    "h-series-elliptic-float": (lambda: h_series("elliptic", 5, 1.5), UnsupportedKind,
+                                theta("elliptic")),
     "minimal-polynomial-stray-y": (lambda: theta_minimal_polynomial("elliptic", 5, 2), BadParams,
                                    "kind 'elliptic' does not take a parameter y"),
     "p-series-term-m-before-weights": (lambda: p_series_term(TD, 5, (0,), True), BadParams,

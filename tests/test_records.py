@@ -106,7 +106,7 @@ def test_records_keep_the_dataclass_repr_eq_and_hash(build, text, hashed):
 
 def test_records_are_immutable():
     w = WeightSet(7, 1, ((1,), (2,)))
-    w.distinct_points  # the cached property may still be stored
+    w.distinct_points  # counted in the engine's set memo, not on the set
     for obj in (w, ResidueTuple(7, (0, 1)), SubmanifoldComponent((1,), F(1))):
         with pytest.raises(AttributeError):
             obj.p = 11
