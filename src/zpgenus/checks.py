@@ -184,13 +184,13 @@ class SubmanifoldData(_Record):
 
     def __init__(self, p: int, components: tuple[SubmanifoldComponent, ...]):
         require_odd_prime(p)
-        comps = tuple(
+        components = tuple(
             SubmanifoldComponent(
                 canonical_weights(c.normal_weights, p), _genus_value(c.genus_value)
             )
             for c in components
         )
-        self.__dict__.update(p=p, components=comps)
+        self._fill(locals())
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SubmanifoldData":

@@ -34,7 +34,7 @@ from math import comb, log2
 
 from .errors import BadParams
 from .genus import CHI_Y_AT, KIND_A_HAT, _kind_y, require_theta
-from .rings import (MEMO_SIZE, PACKED_CACHE_BYTES, Rational, canonical_weights, require_int,
+from .rings import (MEMO_SIZE, Rational, canonical_weights, keep_factor, require_int,
                     require_odd_prime)
 
 # The largest p of the trace route, which packs vectors of length p into one int
@@ -190,14 +190,11 @@ def _trace_total(p: int, table, points) -> tuple[int, int]:
     num/den, den the table's.
 
     The factor of x, that of 1 under t -> t^x, is read from the table's packed
-    factors and packed there on a miss, so a memoized table packs a weight
-    once across calls; a call that starts with more than
-    PACKED_CACHE_BYTES of them (count * p * width) drops them first.  A weight
-    then costs one bigint product and a fold of t^{p+i} onto t^i.
+    factors and packed on a miss (:func:`~zpgenus.rings.keep_factor`), so a
+    memoized table packs a weight it keeps once across calls.  A weight then
+    costs one bigint product and a fold of t^{p+i} onto t^i.
     """
     den, slots, total, width, packed = table
-    if len(packed) * p * width > PACKED_CACHE_BYTES:
-        packed.clear()
     shift = 8 * width * p
     mask, slot = (1 << shift) - 1, (1 << 8 * width) - 1
     num = 0
@@ -208,7 +205,7 @@ def _trace_total(p: int, table, points) -> tuple[int, int]:
             if factor is None:
                 v = pow(x, -1, p)
                 factor = b"".join([slots[j * v % p] for j in range(p)])
-                factor = packed[x] = int.from_bytes(factor, "little")
+                factor = keep_factor(packed, x, int.from_bytes(factor, "little"))
             prod *= factor
             prod = (prod & mask) + (prod >> shift)
         num += k * (total - p * (prod & slot))

@@ -37,7 +37,7 @@ from types import SimpleNamespace
 from .cyclotomic import _kind_param, _route_table, _theta_polynomial, _trace_total
 from .errors import BadParams, DuplicateResidues, NonIntegralAtP
 from .genus import TRACE_KINDS, GenusSpec, ensure_order, require_theta
-from .rings import (MEMO_SIZE, PACKED_CACHE_BYTES, QQ, ModP, Rational, rational_reduce_mod_p,
+from .rings import (MEMO_SIZE, QQ, ModP, Rational, _Frozen, keep_factor, rational_reduce_mod_p,
                     require_int, require_odd_prime)
 from .rings import canonical_weight, canonical_weights  # the weight rule, served here too
 from .series import Series, integer_numerators
@@ -78,7 +78,7 @@ def _json_loads(text: str):
         raise BadParams(f"bad JSON: {exc}") from exc
 
 
-class _Record:
+class _Record(_Frozen):
     """A frozen record whose fields are its constructor's parameters, with the
     ==, hash and repr of a frozen dataclass over them, so that a query loads
     no ``dataclasses`` (nor the ``inspect`` and ``ast`` it imports)."""
@@ -88,14 +88,6 @@ class _Record:
     def __init_subclass__(cls):
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
-
-    def _fill(self, values: dict) -> None:
-        """Set every field from the constructor's ``locals()``."""
-        for f in self._fields:
-            object.__setattr__(self, f, values[f])
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -108,12 +100,6 @@ class _Record:
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class WeightSet(_Record):
@@ -140,9 +126,6 @@ class WeightSet(_Record):
             pts.append(shared.setdefault(pt, pt))
         points = tuple(pts)
         self._fill(locals())
-
-    def __reduce__(self):  # slots under a frozen __setattr__: rebuild from the fields
-        return self.__class__, self._values()
 
     @property
     def q(self) -> int:
@@ -193,15 +176,15 @@ class ResidueTuple(_Record):
 
     def __init__(self, p: int, residues: tuple[int, ...]):
         require_odd_prime(p)
-        res = tuple(residues)
-        if not res:
+        residues = tuple(residues)
+        if not residues:
             raise BadParams("need at least one residue")
         seen = set()
-        for y in res:
+        for y in residues:
             if require_int(y, "residue") % p in seen:
                 raise DuplicateResidues(f"residues must be distinct mod {p}; {y} repeats")
             seen.add(y % p)
-        self.__dict__.update(p=p, residues=res)
+        self._fill(locals())
 
     @property
     def n(self) -> int:
@@ -332,7 +315,7 @@ def _packed(series: Series, t: SimpleNamespace, x: int = 1) -> int | None:
 @lru_cache(maxsize=MEMO_SIZE)
 def _residue_table(g: GenusSpec, p: int, n: int) -> SimpleNamespace:
     """The residues mod p through z^n of pseries and ab, memoized: packed[x] = q(xz)/x
-    on first use of x (:func:`_products`) and leads[route] = [L_0, ..., L_n] on first
+    on first use of x that fits (:func:`_products`) and leads[route] = [L_0, ..., L_n] on first
     use of route (:func:`_residues`), None where not p-integral (n >= p - 1, or p in
     y's denominator).  The width holds an n + 1 fold product of slots, so it is
     fixed by (p, n) and last, one set's :func:`_products`, outlives any packing."""
@@ -343,18 +326,16 @@ def _residue_table(g: GenusSpec, p: int, n: int) -> SimpleNamespace:
 
 def _products(t: SimpleNamespace, points) -> list | None:
     """[(A_j mod p, k_j)] over points, A_j a point's packed factor product, with
-    a weight t lacks packed first, after t drops all it has if they take more
-    than PACKED_CACHE_BYTES; None if a factor is not p-integral."""
+    a weight t lacks packed first (:func:`~zpgenus.rings.keep_factor` keeps it); None
+    if a factor is not p-integral."""
     packed, mask, prods = t.packed, t.mask, []
-    if len(packed) * mask.bit_length() > 8 * PACKED_CACHE_BYTES:
-        packed.clear()
     for pt, k in points:
         acc = 1
         for x in pt:
             try:
                 f = packed[x]
             except KeyError:
-                f = packed[x] = _packed(t.q, t, x)
+                f = keep_factor(packed, x, _packed(t.q, t, x))
             if f is None:
                 return None
             acc = acc * f & mask

@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedClosedForm,
     UnsupportedKind,
 )
-from .rings import MEMO_SIZE, QQ, Rational, require_int
+from .rings import MEMO_SIZE, QQ, Rational, _Frozen, require_int
 from .series import Series, binomial_power
 
 KIND_TODD = "todd"
@@ -62,20 +62,19 @@ def require_theta(kind: str) -> str:
     return kind
 
 
-class GenusSpec:
+class GenusSpec(_Frozen):
     """An immutable genus, pinned by its normalized logarithm and f = revert(logarithm)."""
 
-    __slots__ = ("kind", "y", "ring", "logarithm", "f_series")
+    __slots__ = _fields = ("kind", "y", "ring", "logarithm", "f_series")
 
     def __init__(self, kind: str, y: Rational | None, logarithm: Series):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "ring", logarithm.ring)
-        object.__setattr__(self, "logarithm", logarithm)
-        object.__setattr__(self, "f_series", logarithm.revert())
+        ring, f_series = logarithm.ring, logarithm.revert()
+        self._fill(locals())
 
-    def __setattr__(self, name, val):
-        raise AttributeError("GenusSpec is immutable")
+    def __reduce__(self):  # a loaded catalog genus is this process's memoized one
+        if self.kind == KIND_CUSTOM:
+            return GenusSpec, (self.kind, self.y, self.logarithm)
+        return make_genus, (self.kind, self.order, self.y)
 
     @property
     def order(self) -> int:

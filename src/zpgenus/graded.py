@@ -14,7 +14,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import NonIntegralAtP, ZeroDivision
-from .rings import Rational, require_int, require_odd_prime
+from .rings import Rational, _Frozen, require_int, require_odd_prime
 
 
 # ---------------------------------------------------------------------------
@@ -33,14 +33,14 @@ def _term_sort_key(m: Monomial):
     return (-_monomial_degree(m), -m[0])
 
 
-class GradedPoly:
+class GradedPoly(_Frozen):
     """An element of Q[delta, eps], stored sparsely as {(a, b): coefficient}.
 
     Canonical form: no zero coefficients are stored, every coefficient is a
     Fraction.  Instances are immutable; all operations return new objects.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = _fields = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, Rational | int] = ()):
         canon = {}
@@ -57,9 +57,6 @@ class GradedPoly:
         self = object.__new__(cls)
         object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c})
         return self
-
-    def __setattr__(self, name, val):
-        raise AttributeError("GradedPoly is immutable")
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -164,10 +161,10 @@ class GradedPoly:
         return poly_to_text(self)
 
 
-class GradedPolyModP:
+class GradedPolyModP(_Frozen):
     """An element of F_p[delta, eps]: integer coefficients in [1, p-1], sparse."""
 
-    __slots__ = ("terms", "p")
+    __slots__ = _fields = ("terms", "p")
 
     def __init__(self, terms: Mapping[Monomial, int], p: int):
         require_odd_prime(p)
@@ -178,9 +175,6 @@ class GradedPolyModP:
                 canon[m] = c
         object.__setattr__(self, "terms", canon)
         object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("GradedPolyModP is immutable")
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -259,6 +253,9 @@ class _GradedRing:
         if not self.is_unit(x):
             raise ZeroDivision(f"{x!r} is not a unit in {self!r}")
         return GradedPoly.const(1 / x.constant_value())
+
+    def __reduce__(self):  # by name, so that a loaded ring is DE
+        return "DE"
 
     def __repr__(self):
         return "Q[delta,eps]"

@@ -29,10 +29,44 @@ Rational = Fraction
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 MEMO_SIZE = 256  # entries per lru memo; a stream of distinct keys must not grow one without end
-# The most bytes of packed factors a residue or trace table keeps between calls; a call
-# that starts above it drops them.  All p - 1 factors of todd would take about 33 MB in the
-# trace table at p = 2039, n = 3, and 3.6 MB in the residue table at p = 100003, n = 3.
+# The most bytes a residue or trace table of packed factors takes, dict and ints counted.
+# All p - 1 factors of todd would take about 36 MB in the trace table at p = 2039, n = 3,
+# and 13 MB in the residue table at p = 100003, n = 3.
 PACKED_CACHE_BYTES = 2**20
+
+
+def keep_factor(table: dict, x: int, f: int | None):
+    """f, the packed factor of weight x, kept in a residue or trace table while the table (its
+    dict as it is, each key and factor at the size of this one) stays within PACKED_CACHE_BYTES:
+    never cleared, a table keeps the factors packed first, and a stream repacks the others.
+    Sizes are read by ``__sizeof__``, which costs a miss a third of what sys.getsizeof does."""
+    size = table.__sizeof__() + (len(table) + 1) * (x.__sizeof__() + f.__sizeof__())
+    if size <= PACKED_CACHE_BYTES:
+        table[x] = f
+    return f
+
+
+class _Frozen:
+    """The one immutability rule of values and records: no field can be set or deleted, and
+    pickle and copy rebuild an object by calling its class with its ``_fields``."""
+
+    __slots__ = ()
+
+    def _fill(self, values: dict) -> None:
+        """Set every field from the constructor's ``locals()``."""
+        for f in self._fields:
+            object.__setattr__(self, f, values[f])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def is_odd_prime(p: int) -> bool:
@@ -95,10 +129,10 @@ def canonical_weights(weights: Iterable[int], p: int) -> tuple[int, ...]:
     return tuple(canonical_weight(x, p) for x in weights)
 
 
-class ModP:
+class ModP(_Frozen):
     """A residue mod p, stored in [0, p-1]; reductions build it, callers compare and print it."""
 
-    __slots__ = ("value", "p")
+    __slots__ = _fields = ("value", "p")
 
     def __new__(cls, value: int, p: int):
         p = require_odd_prime(p)
@@ -111,9 +145,6 @@ class ModP:
         object.__setattr__(self, "value", value % p)
         object.__setattr__(self, "p", p)
         return self
-
-    def __setattr__(self, name, val):  # immutable
-        raise AttributeError("ModP is immutable")
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -167,6 +198,9 @@ class _RationalField:
         if x == 0:
             raise ZeroDivision("division by zero in Q")
         return 1 / Fraction(x)
+
+    def __reduce__(self):  # by name, so that a loaded ring is QQ
+        return "QQ"
 
     def __repr__(self):
         return "Q"

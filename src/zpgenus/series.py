@@ -34,14 +34,14 @@ from .errors import (
     RingMismatch,
     ZeroDivision,
 )
-from .rings import QQ, require_int
+from .rings import QQ, _Frozen, require_int
 
 # Annotations are never evaluated: a "Ring" there is one of the descriptors
 # QQ and DE of :mod:`zpgenus.rings`.
 
 
-class Series:
-    __slots__ = ("ring", "coeffs")
+class Series(_Frozen):
+    __slots__ = _fields = ("ring", "coeffs")
 
     def __init__(self, ring: Ring, coeffs: Sequence, order: int | None = None):
         coeffs = list(coeffs)
@@ -54,9 +54,6 @@ class Series:
             raise BadParams("a series needs at least the constant coefficient")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, val):
-        raise AttributeError("Series is immutable")
 
     # -- constructors --------------------------------------------------------
     @classmethod

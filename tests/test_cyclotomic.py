@@ -2,6 +2,7 @@
 ``reference_cyclotomic``, and the laws of that reference itself."""
 import cmath
 import random
+import sys
 import time
 from fractions import Fraction as F
 from functools import lru_cache
@@ -536,23 +537,29 @@ def test_trace_table_takes_any_integer_vector():
 
 def test_trace_table_factor_bytes_stay_bounded():
     # At p = 2039 all p - 1 packed factors would take tens of MB; a stream of
-    # weight sets keeps at most PACKED_CACHE_BYTES plus one call's factors.
+    # weight sets keeps factors while the table, dict and ints counted, stays
+    # within PACKED_CACHE_BYTES, and drops none it kept.
     rng = random.Random(45)
     p, n, y = 2039, 2, F(2)
     g = make_genus("chi_y", n + 1, y)
     _route_table.cache_clear()
     den, slots, total, width, _ = _trace_table(*_trace_preimage("chi_y", p, y), n)
-    most = 0
+    kept, refused = {}, 0
     for _ in range(10):
         w = WeightSet(p, n, tuple(tuple(rng.randrange(1, p) for _ in range(n)) for _ in range(8)))
         want = F(*_trace_total(p, (den, slots, total, width, {}), w.distinct_points.items()))
         assert _route_total(g, w, "trace") == want
         packed = _route_table("chi_y", y, p, n)[4]
-        call = {x for pt in w.points for x in pt}
-        assert call <= packed.keys()
-        assert len(packed) * p * width <= PACKED_CACHE_BYTES + len(call) * p * width
-        most = max(most, len(packed))
-    assert most * p * width > PACKED_CACHE_BYTES  # the stream did pass the bound
+        assert kept.items() <= packed.items()
+        assert _table_bytes(packed) <= PACKED_CACHE_BYTES
+        kept = dict(packed)
+        refused += len({x for pt in w.points for x in pt} - kept.keys())
+    assert refused and _table_bytes(kept) > PACKED_CACHE_BYTES * 0.9  # the stream did fill it
+
+
+def _table_bytes(packed: dict) -> int:
+    """What a table of packed factors occupies: its dict, keys and factors."""
+    return sys.getsizeof(packed) + sum(map(sys.getsizeof, [*packed, *packed.values()]))
 
 
 def test_trace_route_refuses_many_weights_at_once():

@@ -3,6 +3,7 @@ import copy
 import json
 import pickle
 import random
+import sys
 import time
 from collections import namedtuple
 from fractions import Fraction as F
@@ -812,28 +813,34 @@ def test_large_p_stream_reads_ints_and_keeps_no_series():
     assert elapsed < 0.5, elapsed
 
 
+def _table_bytes(packed: dict) -> int:
+    """What a table of packed factors occupies: its dict, keys and factors."""
+    return sys.getsizeof(packed) + sum(map(sys.getsizeof, [*packed, *packed.values()]))
+
+
 def test_residue_table_factor_bytes_stay_bounded(monkeypatch):
     # At p = 100003 all p - 1 packed factors would take tens of MB at n = 12; a
-    # stream of weight sets keeps at most PACKED_CACHE_BYTES plus one call's
-    # factors, and its residues equal those of a fresh table.
+    # stream of weight sets keeps factors while the table, dict and ints counted,
+    # stays within PACKED_CACHE_BYTES, drops none it kept, and its residues equal
+    # those of a fresh table.
     rng = random.Random(47)
     p, n = 100003, 12
     g = make_genus("todd", n + 1)
     engine_module._residue_table.cache_clear()
     t = engine_module._residue_table(g, p, n)
-    bits, most = t.mask.bit_length(), 0
+    kept, refused = {}, 0
     for _ in range(24):
         w = _random_weight_set(rng, p, n, 12)
         got = [genus_mod_p(g, w, r) for r in ("pseries", "ab")]
-        call = {x for pt in w.points for x in pt}
-        assert call <= t.packed.keys()
-        assert len(t.packed) * bits <= 8 * PACKED_CACHE_BYTES + len(call) * bits
-        most = max(most, len(t.packed))
+        assert kept.items() <= t.packed.items()
+        assert _table_bytes(t.packed) <= PACKED_CACHE_BYTES
+        kept = dict(t.packed)
+        refused += len({x for pt in w.points for x in pt} - kept.keys())
         fresh = SimpleNamespace(**{**vars(t), "packed": {}, "leads": {}, "last": None})
         with monkeypatch.context() as m:
             m.setattr(engine_module, "_residue_table", lambda *key: fresh)
             assert [genus_mod_p(g, w, r) for r in ("pseries", "ab")] == got
-    assert most * bits > 8 * PACKED_CACHE_BYTES  # the stream did pass the bound
+    assert refused and _table_bytes(kept) > PACKED_CACHE_BYTES * 0.9  # the stream did fill it
 
 
 def test_series_routes_share_one_product_pass_per_weight_set(monkeypatch):

@@ -1,5 +1,9 @@
-"""The package's record classes: the ==, hash and repr that the frozen dataclasses
-they replaced gave, immutability, and validation of their fields."""
+"""The package's values and record classes: the ==, hash and repr that the frozen
+dataclasses they replaced gave, immutability, pickle and copy, and validation of
+their fields."""
+import copy
+import multiprocessing
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -13,12 +17,15 @@ from zpgenus.engine import (
     WeightSet,
     canonical_residues,
     cpn_weight_set,
+    genus_mod_p,
     submanifold_genus,
     thm71_check,
 )
 from zpgenus.errors import BadParams
-from zpgenus.genus import make_genus
-from zpgenus.rings import ModP
+from zpgenus.genus import GenusSpec, make_genus
+from zpgenus.graded import DE, GradedPoly, GradedPolyModP
+from zpgenus.rings import QQ, ModP
+from zpgenus.series import Series
 
 # (object, repr, hash) as the frozen dataclasses gave them (64-bit CPython 3.10-3.13)
 PINNED = [
@@ -104,15 +111,72 @@ def test_records_keep_the_dataclass_repr_eq_and_hash(build, text, hashed):
     assert obj != values and obj != object()
 
 
+def _custom_genus():
+    return make_genus("custom", 6, logarithm=Series(QQ, [0, 1, F(1, 2), F(1, 3)]))
+
+
+# every value and record type, built fresh by each call
+VALUES = [
+    pytest.param(lambda: ModP(3, 7), id="mod_p"),
+    pytest.param(lambda: Series(QQ, [1, F(1, 2), F(-2, 3)]), id="series_qq"),
+    pytest.param(lambda: make_genus("elliptic", 5).f_series, id="series_de"),
+    pytest.param(lambda: make_genus("chi_y", 6, F(2)), id="genus_catalog"),
+    pytest.param(_custom_genus, id="genus_custom"),
+    pytest.param(lambda: GradedPoly({(1, 0): F(-2), (0, 1): 3}), id="graded_poly"),
+    pytest.param(lambda: GradedPolyModP({(1, 0): 5, (0, 1): 3}, 7), id="graded_poly_mod_p"),
+    *(pytest.param(*param.values[:1], id=param.id) for param in PINNED
+      if param.id not in ("cpn_weight_set", "canonical_residues")),
+]
+
+
+def _same(a, b) -> bool:
+    """==, and for a custom genus, which compares by identity, == on each field."""
+    if isinstance(a, GenusSpec) and a.kind == "custom":
+        return type(b) is GenusSpec and all(
+            getattr(a, f) == getattr(b, f) for f in ("kind", "y", "ring", "logarithm", "f_series"))
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("build", VALUES)
+def test_values_and_records_survive_pickle_and_copy(build):
+    obj = build()
+    for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert _same(twin, obj) and repr(twin) == repr(obj)
+        if isinstance(obj, (Series, GenusSpec)):
+            assert twin.ring is obj.ring in (QQ, DE)
+        if isinstance(obj, GenusSpec) and obj.kind != "custom":
+            assert twin is obj  # this process's memoized genus
+    assert pickle.loads(pickle.dumps(QQ)) is QQ and pickle.loads(pickle.dumps(DE)) is DE
+
+
 def test_records_are_immutable():
-    w = WeightSet(7, 1, ((1,), (2,)))
-    w.distinct_points  # counted in the engine's set memo, not on the set
-    for obj in (w, ResidueTuple(7, (0, 1)), SubmanifoldComponent((1,), F(1))):
-        with pytest.raises(AttributeError):
-            obj.p = 11
-        with pytest.raises(AttributeError):
-            del obj.p
-    assert w.p == 7 and w.points == ((1,), (2,))
+    for param in VALUES:
+        obj = param.values[0]()
+        if isinstance(obj, WeightSet):
+            obj.distinct_points  # counted in the engine's set memo, not on the set
+        before = copy.copy(obj)
+        for field in (*obj._fields, "extra"):
+            message = f"^{type(obj).__name__} is immutable: cannot set or delete {field!r}$"
+            with pytest.raises(AttributeError, match=message):
+                setattr(obj, field, 11)
+            with pytest.raises(AttributeError, match=message):
+                delattr(obj, field)
+        assert _same(obj, before), param.id
+    # a memoized genus keeps its f_series, so a later query on it still answers
+    g = make_genus("todd", 6)
+    with pytest.raises(AttributeError, match="GenusSpec is immutable: cannot set or delete"):
+        del g.f_series
+    assert make_genus("todd", 6) is g
+    assert genus_mod_p(g, cpn_weight_set(canonical_residues(7, 4))) == ModP(1, 7)
+
+
+def test_a_spawn_worker_takes_a_genus_and_a_weight_set():
+    g, w = make_genus("todd", 6), cpn_weight_set(canonical_residues(7, 3))
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        got = pool.apply_async(genus_mod_p, (g, w)).get(timeout=60)
+        pool.close()
+        pool.join()
+    assert got == genus_mod_p(g, w) == ModP(1, 7)
 
 
 def test_records_of_different_classes_are_unequal():
