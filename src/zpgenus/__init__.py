@@ -8,32 +8,6 @@ style vanishing that realizable weight data must satisfy, and carries a
 laboratory of linear actions on complex projective spaces where every value
 has a closed form.
 """
-# Code that only some queries run loads on first use of one of its names, so
-# that a query which does not run it does not compile it (PEP 562): name ->
-# module.  zpgenus.rings and zpgenus.engine serve the names that lived there,
-# so this comes before the imports: an import asks them for __path__.
-_ON_DEMAND = {
-    **dict.fromkeys(("DE", "GradedPoly", "GradedPolyModP", "poly_reduce_mod_p", "poly_to_text"),
-                    "graded"),
-    **dict.fromkeys(("SubmanifoldComponent", "SubmanifoldData", "Thm71Report", "ab_coefficient",
-                     "h_series", "p_series_term", "submanifold_genus", "thm71_check"), "checks"),
-    **dict.fromkeys(("Eq45Report", "Eq46Report", "check_eq45", "check_eq46",
-                     "homogenized_legendre", "legendre_coeffs", "legendre_value"), "cpn"),
-}
-
-
-def _load_on_demand(namespace: dict, name: str, modules=("graded", "checks", "cpn")):
-    """The body of a module's __getattr__: the on-demand ``name`` if one of
-    ``modules`` holds it, then kept in ``namespace`` as a plain attribute."""
-    module = _ON_DEMAND.get(name)
-    if module not in modules:
-        raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    namespace[name] = value = getattr(import_module(f"{__name__}.{module}"), name)
-    return value
-
-
 from .cyclotomic import ab_trace, theta_minimal_polynomial, trace_theta_power
 from .engine import (ResidueTuple, WeightSet, b_series, canonical_residues, cf_residuals,
                      cpn_weight_set, genus_mod_p, reduce_value)
@@ -67,9 +41,27 @@ from .series import Series, binomial_power
 
 __version__ = "0.1.0"
 
+# Code that only some queries run loads on first use of one of its names, so that
+# a query which does not run it does not compile it (PEP 562): name -> the module
+# that defines it, the one other home of the name.
+_ON_DEMAND = {
+    **dict.fromkeys(("DE", "GradedPoly", "GradedPolyModP", "poly_reduce_mod_p", "poly_to_text"),
+                    "graded"),
+    **dict.fromkeys(("SubmanifoldComponent", "SubmanifoldData", "Thm71Report", "ab_coefficient",
+                     "h_series", "p_series_term", "submanifold_genus", "thm71_check"), "checks"),
+    **dict.fromkeys(("Eq45Report", "Eq46Report", "check_eq45", "check_eq46",
+                     "homogenized_legendre", "legendre_coeffs", "legendre_value"), "cpn"),
+}
+
 
 def __getattr__(name):
-    return _load_on_demand(globals(), name)
+    """An on-demand name, read from its module and then kept as a plain attribute."""
+    if name not in _ON_DEMAND:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    globals()[name] = value = getattr(import_module(f"{__name__}.{_ON_DEMAND[name]}"), name)
+    return value
 
 
 def __dir__():

@@ -7,8 +7,8 @@
 * :func:`submanifold_genus`: the genus mod p from fixed-submanifold data.
 
 They are read, in the coordinate u = f(z), off the same series products as
-the routes of :mod:`zpgenus.engine`, which loads this module on first use of
-one of its names and still serves them.
+the routes of :mod:`zpgenus.engine`.  Only some verbs run them, so the package
+loads this module on first use of one of its names.
 """
 from __future__ import annotations
 

@@ -2,8 +2,8 @@
 Legendre-polynomial congruences of the elliptic genus.
 
 The weight-set builder (``ResidueTuple``, ``canonical_residues``,
-``cpn_weight_set``) lives in :mod:`zpgenus.engine` and is re-exported here, so
-that only the ``legendre`` and ``selftest`` verbs import this module.
+``cpn_weight_set``) lives in :mod:`zpgenus.engine`, so that only the
+``legendre`` and ``selftest`` verbs import this module.
 
 A linear Z/p action on CP^n is given by n+1 residues y_0..y_n, distinct
 mod p; its fixed points are the n+1 coordinate lines, and the fixed point

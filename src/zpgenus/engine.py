@@ -24,8 +24,7 @@ times S, all through :func:`_point_sums`) serve the rest.
 Realizable weight sets also satisfy the vanishing of the lower p-series
 coefficients (m = 0..n-1), exposed by :func:`cf_residuals`, and the exact
 congruence of :func:`~zpgenus.checks.thm71_check` ties all of it together.
-That and the other exact checks live in :mod:`zpgenus.checks`, which loads on
-first use of one of its names, here too.
+That and the other exact checks live in :mod:`zpgenus.checks`.
 """
 from __future__ import annotations
 
@@ -37,9 +36,8 @@ from types import SimpleNamespace
 from .cyclotomic import _kind_param, _route_table, _theta_polynomial, _trace_total
 from .errors import BadParams, DuplicateResidues, NonIntegralAtP
 from .genus import TRACE_KINDS, GenusSpec, ensure_order, require_theta
-from .rings import (MEMO_SIZE, QQ, ModP, Rational, _Frozen, keep_factor, rational_reduce_mod_p,
-                    require_int, require_odd_prime)
-from .rings import canonical_weight, canonical_weights  # the weight rule, served here too
+from .rings import (MEMO_SIZE, QQ, ModP, Rational, _Frozen, canonical_weights, keep_factor,
+                    rational_reduce_mod_p, require_int, require_odd_prime)
 from .series import Series, integer_numerators
 
 
@@ -418,8 +416,3 @@ def cf_residuals(g: GenusSpec, w: WeightSet) -> list:
         raise BadParams("cf_residuals needs n >= 1")
     return _residues(g, w, "pseries", range(w.n))
 
-
-def __getattr__(name):  # the exact checks, from zpgenus.checks; Q[delta, eps] names (PEP 562)
-    from . import _load_on_demand
-
-    return _load_on_demand(globals(), name, ("checks", "graded"))

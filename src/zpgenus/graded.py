@@ -5,8 +5,7 @@ deg(eps) = 4, where the elliptic genus takes its values; it reduces to
 :class:`GradedPolyModP`, i.e. F_p[delta, eps], by :func:`poly_reduce_mod_p`,
 which raises :class:`~zpgenus.errors.NonIntegralAtP` on a coefficient with p
 in its denominator.  :data:`DE` names the ring for the series layer.  Only the
-elliptic genus and the Legendre checks use this module, so it loads on demand;
-``zpgenus.rings`` still serves its names.
+elliptic genus and the Legendre checks use this module, so it loads on demand.
 """
 from __future__ import annotations
 

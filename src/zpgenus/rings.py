@@ -5,8 +5,7 @@ gcd-reduced, positive denominator), reduced to :class:`ModP`.  Reduction mod p
 is only defined for p-integral inputs: a rational with p dividing its
 denominator raises :class:`~zpgenus.errors.NonIntegralAtP`; so does a
 coefficient of the graded ring Q[delta, eps] of the elliptic genus, which
-lives in :mod:`zpgenus.graded` and loads on demand (this module still serves
-its names).
+lives in :mod:`zpgenus.graded`.
 
 The descriptor :data:`QQ` names Q for the series layer; the mod-p types only
 receive final reductions.  Two input rules live here, each the one check of
@@ -208,8 +207,3 @@ class _RationalField:
 
 QQ = _RationalField()
 
-
-def __getattr__(name):  # the Q[delta, eps] names, from zpgenus.graded (PEP 562)
-    from . import _load_on_demand
-
-    return _load_on_demand(globals(), name, ("graded",))

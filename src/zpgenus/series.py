@@ -37,7 +37,7 @@ from .errors import (
 from .rings import QQ, _Frozen, require_int
 
 # Annotations are never evaluated: a "Ring" there is one of the descriptors
-# QQ and DE of :mod:`zpgenus.rings`.
+# QQ of :mod:`zpgenus.rings` and DE of :mod:`zpgenus.graded`.
 
 
 class Series(_Frozen):

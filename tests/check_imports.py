@@ -3,8 +3,10 @@
 ``import zpgenus.cli`` must load no ``dataclasses``, ``inspect`` or ``typing``,
 and a ``compute`` query neither the graded ring ``zpgenus.graded``, the exact
 checks ``zpgenus.checks``, the ``zpgenus.selftest`` battery nor the Legendre
-checks of ``zpgenus.cpn``: those load on first use of their names, which
-resolve to the same objects from every module that used to hold them.  Run it
+checks of ``zpgenus.cpn``: those load on first use of their names from
+``zpgenus``, and each name is one object from ``zpgenus`` and from the module
+that defines it, while ``zpgenus.rings`` and ``zpgenus.engine`` serve none of
+them and load nothing when asked.  Run it
 with ``python -S``, since a site hook may import ``typing`` before any user
 code, and with the package on PYTHONPATH: the ``src`` directory of a checkout,
 or the site-packages of an installed copy::
@@ -35,34 +37,28 @@ if loaded:
 import zpgenus  # noqa: E402
 from zpgenus import engine, rings  # noqa: E402
 
+before = set(sys.modules)
+for module, name in ((rings, "DE"), (engine, "thm71_check")):
+    try:
+        getattr(module, name)
+    except AttributeError:
+        continue
+    sys.exit(f"{module.__name__}.{name} is served outside its home")
+if set(sys.modules) != before:
+    sys.exit(f"an absent name loaded {sorted(set(sys.modules) - before)}")
+if hasattr(zpgenus, "no_such_name"):
+    sys.exit("zpgenus answered a name that is not on demand")
+
 if not {"check_eq45", "Eq46Report", "legendre_value"} <= set(dir(zpgenus)):
     sys.exit("dir(zpgenus) misses the Legendre names")
 check = zpgenus.check_eq45
 if "zpgenus.cpn" not in sys.modules or vars(zpgenus).get("check_eq45") is not check:
     sys.exit("zpgenus.check_eq45 did not load zpgenus.cpn into a plain package attribute")
 
-from zpgenus.cpn import ResidueTuple, canonical_residues, cpn_weight_set  # noqa: E402
+# every on-demand name, from the package and from the module that defines it
+from importlib import import_module  # noqa: E402
 
-if (ResidueTuple, canonical_residues, cpn_weight_set) != (
-    engine.ResidueTuple, engine.canonical_residues, engine.cpn_weight_set
-):
-    sys.exit("zpgenus.cpn does not re-export the engine's CP^n builder")
-
-# every moved name, from the module that holds it now and from each old path
-from zpgenus import checks, graded  # noqa: E402
-
-MOVED = {
-    graded: (("DE", "GradedPoly", "GradedPolyModP", "poly_reduce_mod_p", "poly_to_text"),
-             (zpgenus, rings)),
-    checks: (("SubmanifoldComponent", "SubmanifoldData", "Thm71Report", "ab_coefficient",
-              "h_series", "p_series_term", "submanifold_genus", "thm71_check"),
-             (zpgenus, engine)),
-}
-for home, (names, old_paths) in MOVED.items():
-    for name in names:
-        for old in old_paths:
-            if getattr(old, name) is not getattr(home, name):
-                sys.exit(f"{old.__name__}.{name} is not {home.__name__}.{name}")
-if any(hasattr(m, "no_such_name") for m in (zpgenus, rings, engine)) or hasattr(rings, "__path__"):
-    sys.exit("an on-demand lookup answered a name that is not on demand")
+for name, home in zpgenus._ON_DEMAND.items():
+    if getattr(zpgenus, name) is not getattr(import_module(f"zpgenus.{home}"), name):
+        sys.exit(f"zpgenus.{name} is not zpgenus.{home}.{name}")
 print(f"ok {zpgenus.__file__}")

@@ -14,7 +14,8 @@ from typing import Sequence, Tuple
 
 from zpgenus.errors import BadParams
 from zpgenus.genus import GenusSpec, ensure_order, power_system
-from zpgenus.rings import DE, QQ, GradedPoly, require_odd_prime
+from zpgenus.graded import DE, GradedPoly
+from zpgenus.rings import QQ, require_odd_prime
 from zpgenus.series import Series, binomial_power
 
 

@@ -14,24 +14,16 @@ from conftest import record_acceptance
 from reference_cyclotomic import evaluate_at_theta, reference_trace_theta_power, theta_of
 from reference_series import arcsinh_u_over_2, cosh_series, sinh_series
 
-from zpgenus.cpn import canonical_residues, check_eq45, check_eq46, cpn_weight_set
+from zpgenus.checks import (SubmanifoldComponent, SubmanifoldData, ab_coefficient, h_series,
+                            submanifold_genus, thm71_check)
+from zpgenus.cpn import check_eq45, check_eq46
 from zpgenus.cyclotomic import ab_trace, theta_minimal_polynomial, trace_theta_power
-from zpgenus.engine import (
-    SubmanifoldComponent,
-    SubmanifoldData,
-    WeightSet,
-    ab_coefficient,
-    b_series,
-    cf_residuals,
-    genus_mod_p,
-    h_series,
-    reduce_value,
-    submanifold_genus,
-    thm71_check,
-)
+from zpgenus.engine import (WeightSet, b_series, canonical_residues, cf_residuals, cpn_weight_set,
+                            genus_mod_p, reduce_value)
 from zpgenus.errors import BadParams
 from zpgenus.genus import cpn_genus, make_genus, power_system, power_system_closed
-from zpgenus.rings import DE, QQ, GradedPoly, ModP, poly_reduce_mod_p, rational_reduce_mod_p
+from zpgenus.graded import DE, GradedPoly, poly_reduce_mod_p
+from zpgenus.rings import QQ, ModP, rational_reduce_mod_p
 from zpgenus.series import Series
 
 ROUTES = ("pseries", "ab", "trace")

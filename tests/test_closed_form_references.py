@@ -18,11 +18,13 @@ import pytest
 from reference_series import arcsinh_u_over_2, sinh_series
 
 import zpgenus
+from zpgenus.checks import h_series
 from zpgenus.cyclotomic import theta_minimal_polynomial
-from zpgenus.engine import b_series, h_series
+from zpgenus.engine import b_series
 from zpgenus.errors import BadParams
 from zpgenus.genus import make_genus, power_system
-from zpgenus.rings import QQ, GradedPoly
+from zpgenus.graded import GradedPoly
+from zpgenus.rings import QQ
 from zpgenus.series import Series, binomial_power
 
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)

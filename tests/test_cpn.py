@@ -11,19 +11,18 @@ from zpgenus.cpn import (
     EQ46_MAX_P,
     Eq45Report,
     Eq46Report,
-    ResidueTuple,
-    canonical_residues,
     check_eq45,
     check_eq46,
-    cpn_weight_set,
     homogenized_legendre,
     legendre_coeffs,
     legendre_value,
 )
-from zpgenus.engine import WeightSet, genus_mod_p, reduce_value
+from zpgenus.engine import (ResidueTuple, WeightSet, canonical_residues, cpn_weight_set, genus_mod_p,
+                            reduce_value)
 from zpgenus.errors import BadParams, DuplicateResidues
 from zpgenus.genus import cpn_genus, make_genus
-from zpgenus.rings import GradedPoly, is_odd_prime, poly_reduce_mod_p
+from zpgenus.graded import GradedPoly, poly_reduce_mod_p
+from zpgenus.rings import is_odd_prime
 
 D = GradedPoly.delta()
 E = GradedPoly.eps()

@@ -20,26 +20,21 @@ from zpgenus import cyclotomic as cyclotomic_module
 from zpgenus import engine as engine_module
 from zpgenus import genus as genus_module
 from zpgenus import rings as rings_module
-from zpgenus.cpn import ResidueTuple, canonical_residues, cpn_weight_set
+from zpgenus.checks import (SubmanifoldComponent, SubmanifoldData, Thm71Report, ab_coefficient,
+                            h_series, p_series_term, submanifold_genus, thm71_check)
 from zpgenus.cyclotomic import ab_trace, trace_theta_power
 from zpgenus.engine import (
     ROUTES,
-    SubmanifoldComponent,
-    SubmanifoldData,
-    Thm71Report,
+    ResidueTuple,
     WeightSet,
     _point_sums,
     _route_total,
-    ab_coefficient,
     b_series,
-    canonical_weight,
+    canonical_residues,
     cf_residuals,
+    cpn_weight_set,
     genus_mod_p,
-    h_series,
-    p_series_term,
     reduce_value,
-    submanifold_genus,
-    thm71_check,
 )
 from zpgenus.errors import (
     BadParams,
@@ -51,14 +46,14 @@ from zpgenus.errors import (
 )
 from zpgenus.genus import (TRACE_KINDS, GenusSpec, cpn_genus, ensure_order, make_genus, power_system,
                           require_theta)
+from zpgenus.graded import GradedPoly, poly_reduce_mod_p
 from zpgenus.rings import (
     MEMO_SIZE,
     PACKED_CACHE_BYTES,
     QQ,
-    GradedPoly,
     ModP,
+    canonical_weight,
     is_odd_prime,
-    poly_reduce_mod_p,
     rational_reduce_mod_p,
 )
 from zpgenus.series import Series

@@ -20,7 +20,8 @@ from zpgenus.genus import (
     power_system,
     power_system_closed,
 )
-from zpgenus.rings import DE, MEMO_SIZE, QQ, GradedPoly
+from zpgenus.graded import DE, GradedPoly
+from zpgenus.rings import MEMO_SIZE, QQ
 from zpgenus.series import Series, binomial_power
 
 D = GradedPoly.delta()

@@ -9,18 +9,9 @@ from fractions import Fraction as F
 import pytest
 
 from zpgenus.cpn import Eq45Report, Eq46Report, check_eq45, check_eq46
-from zpgenus.engine import (
-    ResidueTuple,
-    SubmanifoldComponent,
-    SubmanifoldData,
-    Thm71Report,
-    WeightSet,
-    canonical_residues,
-    cpn_weight_set,
-    genus_mod_p,
-    submanifold_genus,
-    thm71_check,
-)
+from zpgenus.checks import (SubmanifoldComponent, SubmanifoldData, Thm71Report,
+                            submanifold_genus, thm71_check)
+from zpgenus.engine import ResidueTuple, WeightSet, canonical_residues, cpn_weight_set, genus_mod_p
 from zpgenus.errors import BadParams
 from zpgenus.genus import GenusSpec, make_genus
 from zpgenus.graded import DE, GradedPoly, GradedPolyModP

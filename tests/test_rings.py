@@ -7,17 +7,8 @@ import pytest
 
 from zpgenus import rings
 from zpgenus.errors import BadParams, NonIntegralAtP
-from zpgenus.rings import (
-    MEMO_SIZE,
-    GradedPoly,
-    GradedPolyModP,
-    ModP,
-    is_odd_prime,
-    poly_reduce_mod_p,
-    poly_to_text,
-    rational_reduce_mod_p,
-    require_odd_prime,
-)
+from zpgenus.graded import GradedPoly, GradedPolyModP, poly_reduce_mod_p, poly_to_text
+from zpgenus.rings import MEMO_SIZE, ModP, is_odd_prime, rational_reduce_mod_p, require_odd_prime
 
 D = GradedPoly.delta()
 E = GradedPoly.eps()

@@ -13,7 +13,8 @@ from zpgenus.errors import (
     RingMismatch,
     ZeroDivision,
 )
-from zpgenus.rings import DE, QQ, GradedPoly
+from zpgenus.graded import DE, GradedPoly
+from zpgenus.rings import QQ
 from zpgenus.series import Series, binomial_power
 
 
