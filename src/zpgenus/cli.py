@@ -113,10 +113,11 @@ def _run_compute(args) -> tuple[dict, bool]:
         else:
             results[route] = str(value)
             values.append(str(value))
-    agree = len(values) > 0 and all(v == values[0] for v in values)
+    agree = len(set(values)) == 1  # one answer, or several that agree
     base["route"] = "all"
     base["results"] = results
-    base["agree"] = agree
+    if len(values) > 1:
+        base["agree"] = agree
     if agree:
         base["result"] = values[0]
     return base, agree

@@ -56,7 +56,7 @@ def test_compute_marks_unavailable_routes(capsys):
     assert report["results"]["pseries"] == "2"
     assert report["results"]["ab"].startswith("unavailable")
     assert report["results"]["trace"].startswith("unavailable")
-    assert report["agree"] is True and report["result"] == "2"
+    assert "agree" not in report and report["result"] == "2"
 
 
 def test_compute_output_deterministic(capsys):
@@ -188,7 +188,24 @@ def test_compute_checks_an_empty_set_on_every_route(tmp_path, capsys):
     report = _json_out(capsys)
     assert report["results"] == {"pseries": "0", "ab": "unavailable (UnsupportedKind)",
                                  "trace": "unavailable (UnsupportedKind)"}
-    assert report["agree"] is True and report["result"] == "0"
+    assert "agree" not in report and report["result"] == "0"
+
+
+def test_compute_agree_needs_two_answers(tmp_path, capsys):
+    # agree is printed only when two or more routes answer: one answer is the
+    # result (exit 0), no answer or disagreeing answers give no result (exit 1)
+    path = tmp_path / "w.json"
+    path.write_text('{"p": 5, "n": 2, "fixed_points": [[1, 1], [1, 2]]}')  # not realizable
+    runs = (
+        (["--genus", "elliptic", "--p", "5", "--residues", "0,1,2"], 0, {"result": "1*delta"}),
+        (["--genus", "chi_y:1/5", "--p", "5", "--residues", "0,1,2"], 1, {}),
+        (["--genus", "td", "--weights", str(path)], 1, {"agree": False}),
+        (["--genus", "td", "--p", "5", "--residues", "0,1,2"], 0, {"agree": True, "result": "1"}),
+    )
+    for argv, code, tail in runs:
+        assert main(["compute", *argv, "--format", "json"]) == code, argv
+        report = _json_out(capsys)
+        assert {k: report[k] for k in ("agree", "result") if k in report} == tail, argv
 
 
 def test_submanifold_verb(tmp_path, capsys):
