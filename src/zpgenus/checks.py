@@ -16,11 +16,10 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .engine import (WeightSet, _a_sum, _json_loads, _point_sums, _Record, b_series,
-                     canonical_weights)
+from .engine import WeightSet, _a_sum, _json_loads, _point_sums, b_series, canonical_weights
 from .errors import BadParams, GuardViolation
 from .genus import GenusSpec, make_genus, power_system, require_theta
-from .rings import (MEMO_SIZE, QQ, ModP, Rational, rational_reduce_mod_p, require_int,
+from .rings import (MEMO_SIZE, QQ, ModP, Rational, _Frozen, rational_reduce_mod_p, require_int,
                     require_odd_prime)
 from .series import Series
 
@@ -89,7 +88,7 @@ def _h_inverse(kind: str, y: Fraction | None, p: int, order: int) -> Series:
     return h_series(kind, p, order, y).invert()
 
 
-class Thm71Report(_Record):
+class Thm71Report(_Frozen):
     """Exact data behind the congruence: sum_j ab ≡ pseries_n + sum H*cf (mod p)."""
 
     def __init__(self, p: int, n: int, q: int, ab_sum: Fraction, pseries_n: Fraction,
@@ -174,12 +173,12 @@ def _genus_value(gv) -> Fraction:
     raise BadParams(f"genus_value must be an int or a rational string, got {gv!r}")
 
 
-class SubmanifoldComponent(_Record):
+class SubmanifoldComponent(_Frozen):
     def __init__(self, normal_weights: tuple[int, ...], genus_value: Fraction):
         self._fill(locals())
 
 
-class SubmanifoldData(_Record):
+class SubmanifoldData(_Frozen):
     """Fixed submanifold data: per component, normal weights and the genus value."""
 
     def __init__(self, p: int, components: tuple[SubmanifoldComponent, ...]):

@@ -281,8 +281,8 @@ _VERBS = (
      ("p", "residues", "n", "format")),
     ("thm71", _run_thm71, "ab vs pseries + weighted residuals",
      ("genus", "weights", "p", "residues", "force", "format")),
-    ("submanifold", _run_submanifold, "genus from fixed-submanifold data",
-     ("genus", "weights", "format")),
+    ("submanifold", _run_submanifold, "genus from fixed-submanifold data; assumes "
+     "equivariantly trivial normal bundles", ("genus", "weights", "format")),
     ("selftest", _run_selftest, "internal cross-validation battery", ("format",)),
 )
 
@@ -299,7 +299,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     metavar = "{" + ",".join(v[0] for v in _VERBS) + "}" if len(verbs) == 1 else None
     subs = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
     for verb, handler, help_text, flags in verbs:
-        sub = subs.add_parser(verb, help=help_text)
+        sub = subs.add_parser(verb, help=help_text, description=help_text)
         for flag in flags:
             sub.add_argument(f"--{flag}", **_FLAGS[flag])
         sub.set_defaults(handler=handler)

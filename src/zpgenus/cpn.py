@@ -26,12 +26,12 @@ from fractions import Fraction
 from math import comb
 
 from .checks import p_series_term
-from .engine import (ResidueTuple, _Record, canonical_residues, cpn_weight_set, genus_mod_p,
+from .engine import (ResidueTuple, canonical_residues, cpn_weight_set, genus_mod_p,
                      reduce_value)
 from .errors import BadParams
 from .genus import KIND_ELLIPTIC, cpn_genus, make_genus, power_system
 from .graded import GradedPoly, GradedPolyModP, poly_reduce_mod_p
-from .rings import require_int, require_odd_prime
+from .rings import _Frozen, require_int, require_odd_prime
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +67,7 @@ def homogenized_legendre(m: int) -> GradedPoly:
 # ---------------------------------------------------------------------------
 
 
-class Eq45Report(_Record):
+class Eq45Report(_Frozen):
     """Elliptic genus of CP^{2m} mod p vs the homogenized Legendre polynomial."""
 
     def __init__(self, p: int, m: int, residues: tuple[int, ...], pseries_value: GradedPolyModP,
@@ -137,7 +137,7 @@ def check_eq45(
     )
 
 
-class Eq46Report(_Record):
+class Eq46Report(_Frozen):
     """The u^p coefficient of the elliptic [u]_p mod p vs homogenized P_{(p-1)/2}."""
 
     def __init__(self, p: int, m: int, scaled_term: GradedPolyModP, legendre_value: GradedPolyModP,

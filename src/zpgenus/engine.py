@@ -45,8 +45,9 @@ ROUTES = ("pseries", "ab", "trace")
 _last_set = None  # (w, w.distinct_points) of the last set asked, by identity: a one-entry memo
 
 
-def reduce_value(x, p: int) -> ModP | GradedPolyModP:
-    """Reduce an exact route value (Fraction or GradedPoly) mod p, or a sum given
+def reduce_value(x, p: int) -> _Frozen:
+    """Reduce an exact route value mod p, a Fraction to a ModP and a GradedPoly to a
+    GradedPolyModP (annotated by their base, as this module does not load graded), or a sum given
     as ints (num, den): p is cancelled from both as far as it goes, and only if
     it still divides den is a Fraction built, to raise NonIntegralAtP on it."""
     if isinstance(x, (int, Fraction)):
@@ -76,31 +77,7 @@ def _json_loads(text: str):
         raise BadParams(f"bad JSON: {exc}") from exc
 
 
-class _Record(_Frozen):
-    """A frozen record whose fields are its constructor's parameters, with the
-    ==, hash and repr of a frozen dataclass over them, so that a query loads
-    no ``dataclasses`` (nor the ``inspect`` and ``ast`` it imports)."""
-
-    __slots__ = ()  # a subclass keeps its __dict__ unless it names its own slots
-
-    def __init_subclass__(cls):
-        code = cls.__init__.__code__
-        cls._fields = code.co_varnames[1 : code.co_argcount]
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{self.__class__.__qualname__}({fields})"
-
-
-class WeightSet(_Record):
+class WeightSet(_Frozen):
     """Fixed-point data: q points, each carrying n weights in [1, p-1].
 
     A point that is a plain tuple of n plain ints in [1, p-1] is kept as
@@ -169,7 +146,7 @@ class WeightSet(_Record):
         return cls.from_json_dict(_json_loads(text))
 
 
-class ResidueTuple(_Record):
+class ResidueTuple(_Frozen):
     """Residues y_0..y_n, ints distinct mod p, defining a linear Z/p action on CP^n."""
 
     def __init__(self, p: int, residues: tuple[int, ...]):
@@ -385,8 +362,9 @@ def _route_total(g: GenusSpec, w: WeightSet, route: str):
     return _point_sums(g, w.p, w.n, route, (w.n,), w.distinct_points.items())[0]
 
 
-def genus_mod_p(g: GenusSpec, w: WeightSet, route: str = "pseries") -> ModP | GradedPolyModP:
-    """The genus of the ambient manifold mod p, by the chosen route.
+def genus_mod_p(g: GenusSpec, w: WeightSet, route: str = "pseries") -> _Frozen:
+    """The genus of the ambient manifold mod p, by the chosen route: a ModP, a
+    GradedPolyModP over Q[delta, eps].
 
     The per-point values are summed, each distinct point once times its
     multiplicity, and only the total is reduced: from residues mod p on the

@@ -80,6 +80,9 @@ class GenusSpec(_Frozen):
     def order(self) -> int:
         return self.logarithm.order
 
+    # by identity: the route memos key on the genus object, and a catalog genus is memoized
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
     def __repr__(self):
         y = f", y={self.y}" if self.y is not None else ""
         return f"GenusSpec({self.kind}{y}; order {self.order})"

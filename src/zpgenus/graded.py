@@ -13,7 +13,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import NonIntegralAtP, ZeroDivision
-from .rings import Rational, _Frozen, require_int, require_odd_prime
+from .rings import Rational, Ring, _Frozen, require_int, require_odd_prime
 
 
 # ---------------------------------------------------------------------------
@@ -23,16 +23,29 @@ from .rings import Rational, _Frozen, require_int, require_odd_prime
 Monomial = tuple  # (a, b) meaning delta^a * eps^b
 
 
-def _monomial_degree(m: Monomial) -> int:
-    return 2 * m[0] + 4 * m[1]
+class _Graded(_Frozen):
+    """What Q[delta, eps] and F_p[delta, eps] share: terms {(a, b): c} with no c zero,
+    in descending weighted degree 2a + 4b, then descending a, hashed as a frozenset."""
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __hash__(self):
+        return hash((frozenset(self.terms.items()), *self._values()[1:]))
+
+    def sorted_terms(self) -> list:
+        return sorted(self.terms.items(), key=lambda t: (-2 * t[0][0] - 4 * t[0][1], -t[0][0]))
+
+    def __str__(self):
+        return poly_to_text(self)
 
 
-def _term_sort_key(m: Monomial):
-    # descending weighted degree, then descending delta exponent
-    return (-_monomial_degree(m), -m[0])
-
-
-class GradedPoly(_Frozen):
+class GradedPoly(_Graded):
     """An element of Q[delta, eps], stored sparsely as {(a, b): coefficient}.
 
     Canonical form: no zero coefficients are stored, every coefficient is a
@@ -79,12 +92,6 @@ class GradedPoly(_Frozen):
         return cls({(0, 1): 1})
 
     # -- predicates ---------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def is_constant(self) -> bool:
         return not self.terms or set(self.terms) == {(0, 0)}
 
@@ -143,24 +150,11 @@ class GradedPoly(_Frozen):
             out[m] = out.get(m, Fraction(0)) + c * ev**b
         return GradedPoly._of(out)
 
-    # -- structure ----------------------------------------------------------
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GradedPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0]))
-
     def __repr__(self):
         return f"GradedPoly({poly_to_text(self)!r})"
 
-    def __str__(self):
-        return poly_to_text(self)
 
-
-class GradedPolyModP(_Frozen):
+class GradedPolyModP(_Graded):
     """An element of F_p[delta, eps]: integer coefficients in [1, p-1], sparse."""
 
     __slots__ = _fields = ("terms", "p")
@@ -175,30 +169,8 @@ class GradedPolyModP(_Frozen):
         object.__setattr__(self, "terms", canon)
         object.__setattr__(self, "p", p)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedPolyModP)
-            and self.p == other.p
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.p))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0]))
-
     def __repr__(self):
         return f"GradedPolyModP({poly_to_text(self)!r}, p={self.p})"
-
-    def __str__(self):
-        return poly_to_text(self)
 
 
 def poly_reduce_mod_p(q: GradedPoly, p: int) -> GradedPolyModP:
@@ -237,7 +209,7 @@ def poly_to_text(q: GradedPoly | GradedPolyModP) -> str:
     return " + ".join(_term_to_text(m, c) for m, c in q.sorted_terms())
 
 
-class _GradedRing:
+class _GradedRing(Ring):
     """The ring descriptor of Q[delta, eps] for the series layer (see rings.QQ)."""
 
     zero, one = GradedPoly.zero(), GradedPoly.one()

@@ -7,10 +7,11 @@ denominator raises :class:`~zpgenus.errors.NonIntegralAtP`; so does a
 coefficient of the graded ring Q[delta, eps] of the elliptic genus, which
 lives in :mod:`zpgenus.graded`.
 
-The descriptor :data:`QQ` names Q for the series layer; the mod-p types only
-receive final reductions.  Two input rules live here, each the one check of
-its kind: :func:`require_int` for a count, an order, an index or an exponent,
-and :func:`canonical_weight` for a fixed-point weight.
+The descriptor :data:`QQ`, a :class:`Ring`, names Q for the series layer; the
+mod-p types only receive final reductions.  Two input rules live here, each the
+one check of its kind: :func:`require_int` for a count, an order, an index or an
+exponent, and :func:`canonical_weight` for a fixed-point weight; so does the one
+value rule, :class:`_Frozen`, of every value and record of the package.
 """
 from __future__ import annotations
 
@@ -46,10 +47,19 @@ def keep_factor(table: dict, x: int, f: int | None):
 
 
 class _Frozen:
-    """The one immutability rule of values and records: no field can be set or deleted, and
-    pickle and copy rebuild an object by calling its class with its ``_fields``."""
+    """The one value rule of values and records, in place of a frozen dataclass, so that a
+    query loads no ``dataclasses`` (nor the ``inspect`` and ``ast`` it imports): no field can
+    be set or deleted; objects of one class with equal fields are ==, hash as the tuple of
+    their fields and repr as ``Class(field=value, ...)``; pickle and copy call the class with
+    the fields.  The fields are ``_fields``, or the ``__init__`` parameters of a subclass
+    that names none."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        if "__init__" in vars(cls) and "_fields" not in vars(cls):
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1 : code.co_argcount]
 
     def _fill(self, values: dict) -> None:
         """Set every field from the constructor's ``locals()``."""
@@ -61,6 +71,18 @@ class _Frozen:
 
     def __reduce__(self):
         return self.__class__, self._values()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
@@ -151,14 +173,6 @@ class ModP(_Frozen):
     def __bool__(self) -> bool:
         return self.value != 0
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ModP) and self.p == other.p and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
     def __repr__(self):
         return f"ModP({self.value}, p={self.p})"
 
@@ -178,13 +192,15 @@ def rational_reduce_mod_p(r: Rational | int, p: int) -> ModP:
     return ModP._of(r.numerator * pow(r.denominator, -1, p), p)
 
 
-# ---------------------------------------------------------------------------
-# Ring descriptors: the distinguished elements, conversions and unit tests a
-# series needs from its coefficient domain.
-# ---------------------------------------------------------------------------
+class Ring:
+    """A ring descriptor: the distinguished elements, conversions and unit tests a
+    series needs from its coefficient domain, :data:`QQ` here and ``DE`` of
+    :mod:`zpgenus.graded`."""
+
+    __slots__ = ()
 
 
-class _RationalField:
+class _RationalField(Ring):
     zero, one = Fraction(0), Fraction(1)
 
     def from_fraction(self, q: Rational):

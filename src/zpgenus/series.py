@@ -34,10 +34,7 @@ from .errors import (
     RingMismatch,
     ZeroDivision,
 )
-from .rings import QQ, _Frozen, require_int
-
-# Annotations are never evaluated: a "Ring" there is one of the descriptors
-# QQ of :mod:`zpgenus.rings` and DE of :mod:`zpgenus.graded`.
+from .rings import QQ, Ring, _Frozen, require_int
 
 
 class Series(_Frozen):

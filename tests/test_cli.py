@@ -391,6 +391,14 @@ def test_a_one_verb_parser_keeps_the_usage_line(capsys):
     assert capsys.readouterr().err.startswith(usage)
 
 
+def test_submanifold_help_states_its_assumption(capsys):
+    for argv in (["--help"], ["submanifold", "--help"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert "assumes equivariantly trivial normal bundles" in " ".join(
+            capsys.readouterr().out.split()), argv
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

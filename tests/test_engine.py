@@ -1412,6 +1412,15 @@ def test_submanifold_genus_sums_the_ab_coefficients():
         assert _outcome(submanifold_genus, g, data) == _outcome(by_component), (kind, y, data)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: the reduction assumes equivariantly "
+                   "trivial normal bundles")
+def test_submanifold_genus_of_cp2_with_a_fixed_line():
+    # CP^2 with residues (0, 0, 1) at p = 5 fixes the line CP^1 (normal weight 1,
+    # Todd(CP^1) = 1) and a point (weights 4, 4); it gives 3 today, not Todd(CP^2) = 1.
+    data = SubmanifoldData(5, (SubmanifoldComponent((1,), 1), SubmanifoldComponent((4, 4), 1)))
+    assert submanifold_genus(make_genus("todd", 4), data) == ModP(1, 5)
+
+
 def test_bad_p_or_y_raise_the_same_bad_params():
     # p and y are checked before a memo hashes them, so a bad one raises
     # BadParams with its message, on every call, never a TypeError.

@@ -120,6 +120,26 @@ VALUES = [
 ]
 
 
+@pytest.mark.parametrize("build", VALUES[:7])
+def test_values_equal_a_fresh_twin_and_not_their_fields(build):
+    obj, twin = build(), build()
+    fields = tuple(getattr(obj, f) for f in type(obj)._fields)
+    assert obj == obj and obj != fields and not obj == fields
+    if isinstance(obj, GenusSpec) and obj.kind == "custom":
+        # two custom genera with equal fields are two genera: the memos key on the object
+        assert _same(obj, twin) and obj != twin and not obj == twin
+        assert hash(obj) == object.__hash__(obj) and hash(twin) == object.__hash__(twin)
+    else:
+        assert obj == twin and not obj != twin and hash(obj) == hash(twin)
+
+
+def test_values_differ_across_p():
+    assert ModP(3, 7) != ModP(3, 11) and not ModP(3, 7) == ModP(3, 11)
+    terms = {(1, 0): 5, (0, 1): 3}
+    at7, at11 = GradedPolyModP(terms, 7), GradedPolyModP(terms, 11)
+    assert at7.terms == at11.terms and at7 != at11 and not at7 == at11
+
+
 def _same(a, b) -> bool:
     """==, and for a custom genus, which compares by identity, == on each field."""
     if isinstance(a, GenusSpec) and a.kind == "custom":
