@@ -80,17 +80,19 @@ def _json_loads(text: str):
 class WeightSet(_Frozen):
     """Fixed-point data: q points, each carrying n weights in [1, p-1].
 
-    A point that is a plain tuple of n plain ints in [1, p-1] is kept as
-    given, any other is canonicalized, and equal points share one tuple.
+    The set keeps ``weights``, one flat tuple of the q*n canonical weights in
+    point order, and no tuple per point: a point that is a plain tuple of n plain
+    ints in [1, p-1] is taken as given, any other is canonicalized.  Its fields
+    (==, hash, repr, pickle) are p, n and ``points``, which is rebuilt on each read.
     """
 
-    __slots__ = ("p", "n", "points")
+    __slots__ = ("p", "n", "q", "weights")
 
     def __init__(self, p: int, n: int, points: tuple[tuple[int, ...], ...]):
         require_odd_prime(p)
         require_int(n, "n", 0)
-        pts, shared = [], {}
-        for pt in points:
+        weights, q = [], 0
+        for q, pt in enumerate(points, 1):
             if not (type(pt) is tuple and len(pt) == n
                     and all(type(x) is int and 0 < x < p for x in pt)):
                 pt = canonical_weights(pt, p)
@@ -98,26 +100,28 @@ class WeightSet(_Frozen):
                     raise BadParams(
                         f"each fixed point needs exactly n = {n} weights, got {len(pt)}"
                     )
-            pts.append(shared.setdefault(pt, pt))
-        points = tuple(pts)
-        self._fill(locals())
+            weights += pt
+        weights = tuple(weights)
+        self._fill(locals(), self.__slots__)
 
     @property
-    def q(self) -> int:
-        return len(self.points)
+    def points(self) -> tuple:
+        """The q points, each the next n of ``weights``."""
+        n = self.n
+        return tuple(zip(*[iter(self.weights)] * n)) if n else ((),) * self.q
 
     @property
     def distinct_points(self) -> dict:
-        """Multiplicity per distinct fixed point, keyed by the point as given (every
-        route value is symmetric in a point's weights, so a sort would buy nothing).
-        Read-only, kept for the last set asked only (``_last_set``): a set's routes
-        count it once and the set keeps nothing.  A plain dict counted with get, not
-        a Counter, skips a __missing__ call per point."""
+        """Multiplicity per distinct fixed point, keyed by its n-slice of ``weights``,
+        in the order given (every route value is symmetric in a point's weights, so a
+        sort would buy nothing).  Read-only, kept for the last set asked only
+        (``_last_set``): a set's routes count its points once and the set keeps nothing.
+        A plain dict counted with get, not a Counter, skips a __missing__ call per point."""
         global _last_set
         last = _last_set
         if last is None or last[0] is not self:
-            counts = {}
-            for pt in self.points:
+            counts, n = {}, self.n
+            for pt in zip(*[iter(self.weights)] * n) if n else self.points:
                 counts[pt] = counts.get(pt, 0) + 1
             last = _last_set = (self, counts)
         return last[1]

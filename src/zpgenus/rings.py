@@ -61,9 +61,9 @@ class _Frozen:
             code = cls.__init__.__code__
             cls._fields = code.co_varnames[1 : code.co_argcount]
 
-    def _fill(self, values: dict) -> None:
-        """Set every field from the constructor's ``locals()``."""
-        for f in self._fields:
+    def _fill(self, values: dict, slots: tuple = ()) -> None:
+        """Set every field, or every one of ``slots``, from the constructor's ``locals()``."""
+        for f in slots or self._fields:
             object.__setattr__(self, f, values[f])
 
     def _values(self) -> tuple:

@@ -1,11 +1,12 @@
 """The fixed-point engine: weight data, the three routes, and the congruences."""
 import copy
+import gc
 import json
 import pickle
 import random
 import sys
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -56,7 +57,7 @@ from zpgenus.rings import (
     is_odd_prime,
     rational_reduce_mod_p,
 )
-from zpgenus.series import Series
+from zpgenus.series import Series, binomial_power
 
 CP1_P3 = WeightSet(p=3, n=1, points=((1,), (2,)))
 CP2_P5 = WeightSet(p=5, n=2, points=((1, 2), (4, 1), (3, 4)))
@@ -103,23 +104,32 @@ def test_weight_set_construction():
         WeightSet([7], 1, ((1,),))
 
 
-def test_weight_sets_keep_canonical_points_and_share_equal_ones():
+def test_weight_sets_keep_canonical_weights_in_one_flat_tuple():
     a, b = (1, 2), (3, 4)
     again = tuple([1, 2])
     assert again == a and again is not a
     w = WeightSet(5, 2, (a, b, again, a))
     assert w.points == ((1, 2), (3, 4), (1, 2), (1, 2))
-    assert w.points[0] is a and w.points[1] is b
-    assert all(pt is a for pt in w.points[2:])  # equal points share one tuple
+    # the set keeps one flat tuple of its q*n canonical weights, in point order
+    assert WeightSet.__slots__ == ("p", "n", "q", "weights")
+    assert w.weights == (1, 2, 3, 4, 1, 2, 1, 2) and w.q == 4
+    tuples = [r for r in gc.get_referents(w) if type(r) is tuple]
+    assert tuples == [w.weights] and all(type(x) is int for x in w.weights)
     # a point that is not a plain tuple of ints in [1, p-1] is canonicalized
     Pt = namedtuple("Pt", "x y")
     for point in (Pt(1, 2), [1, 2], (6, 2), (-4, 7), (11, 12), iter((1, 2))):
         v = WeightSet(5, 2, (point, (1, 2)))
-        assert type(v.points[0]) is tuple and v.points[0] is v.points[1]
+        assert v.points == ((1, 2), (1, 2)) and type(v.points[0]) is tuple
+        assert v.weights == (1, 2, 1, 2)
     named = WeightSet(5, 2, (Pt(1, 2), Pt(3, 4), [1, 2], (6, 7)))
     assert named == w and hash(named) == hash(w) and repr(named) == repr(w)
     assert repr(w) == "WeightSet(p=5, n=2, points=((1, 2), (3, 4), (1, 2), (1, 2)))"
     assert not hasattr(w, "__dict__")  # a slotted record
+    # at n = 0 the weights are empty, and q keeps the count of empty points
+    e = WeightSet(5, 0, ((), [], iter(())))
+    assert (e.q, e.weights, e.points) == (3, (), ((), (), ()))
+    assert e.distinct_points == {(): 3}
+    assert repr(e) == "WeightSet(p=5, n=0, points=((), (), ()))"
 
 
 @pytest.mark.parametrize("points, error, message", [
@@ -158,6 +168,49 @@ def test_weight_set_json_roundtrip():
         WeightSet.from_json('{"p": 3, "n": 1}')
     with pytest.raises(BadParams):
         WeightSet.from_json_dict({"p": 3, "n": 1, "fixed_points": [1, 2]})
+
+
+@st.composite
+def _weight_set_inputs(draw):
+    """(p, n, the points as given, their canonical tuples): q <= 20 points of n
+    ints, some out of [1, p-1], each given as a tuple, a list, a namedtuple, an
+    iterator or again as an earlier point's object."""
+    p = draw(st.sampled_from((5, 7, 11, 13, 23)))
+    n = draw(st.integers(0, 6))
+    Pt = namedtuple("Pt", [f"x{i}" for i in range(n)])
+    unit = st.integers(-2 * p, 3 * p).filter(lambda x: x % p)
+    given_points, canonical, reusable = [], [], []
+    for _ in range(draw(st.integers(0, 20))):
+        form = draw(st.sampled_from(("tuple", "list", "named", "iter", "again")))
+        if form == "again" and reusable:
+            pt, want = draw(st.sampled_from(reusable))
+        else:
+            xs = draw(st.lists(unit, min_size=n, max_size=n))
+            pt = {"list": list, "named": lambda xs: Pt(*xs), "iter": iter}.get(form, tuple)(xs)
+            want = tuple(x % p for x in xs)
+            if form != "iter":  # an iterator is spent by its one use
+                reusable.append((pt, want))
+        given_points.append(pt)
+        canonical.append(want)
+    return p, n, tuple(given_points), tuple(canonical)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_weight_set_inputs())
+def test_weight_sets_round_trip(case):
+    # Whatever form the points take, the set's points are their canonical tuples,
+    # and rebuilding it from them, from its JSON form, by pickle or by copy gives
+    # an equal set, whose distinct points are a Counter of the canonical points.
+    p, n, points, canonical = case
+    w = WeightSet(p, n, points)
+    assert (w.p, w.n, w.q, w.points) == (p, n, len(canonical), canonical)
+    twins = (WeightSet(p, n, w.points), WeightSet.from_json(json.dumps(w.to_json_dict())),
+             pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w))
+    for twin in twins:
+        assert type(twin) is WeightSet and twin == w and hash(twin) == hash(w)
+        assert repr(twin) == repr(w) and twin.points == canonical
+    assert w.distinct_points == Counter(canonical)
+    assert twins[-1].distinct_points == Counter(canonical)
 
 
 def test_a_series_frozen():
@@ -1096,6 +1149,24 @@ def test_z_form_equals_the_u_form_reference(case):
     assert p_series_term(g, p, literal, m) == want, case
 
 
+@pytest.mark.parametrize("p", (5, 7, 11, 13))
+def test_elliptic_sums_specialize_to_custom_genera(p):
+    # Every pseries slot of the elliptic genus over Q[delta, eps], at delta = 1
+    # and eps = e, equals that slot of the genus over Q whose logarithm is the
+    # integral of (1 - 2u^2 + e u^4)^(-1/2): the graded ring carries delta and
+    # eps through the same series arithmetic as Q.
+    rng = random.Random(p)
+    elliptic = make_genus("elliptic", 2)
+    for n in (1, 2, 3, 4, 6):
+        points = _random_weight_set(rng, p, n, 3).distinct_points.items()
+        graded = _point_sums(elliptic, p, n, "pseries", range(n + 1), points)
+        for e in (0, 1, 2, -1, F(1, 3)):
+            w = Series.from_fractions(QQ, [0, 0, -2, 0, e], n)
+            g = make_genus("custom", 2, logarithm=binomial_power(w, F(-1, 2)).integrate())
+            want = _point_sums(g, p, n, "pseries", range(n + 1), points)
+            assert [s.substitute(1, e) for s in graded] == want, (p, n, e)
+
+
 def test_b_series_memo_is_bounded():
     # A stream of distinct p keeps the last MEMO_SIZE B-series, no more, and
     # one still held is returned again.
@@ -1306,20 +1377,20 @@ def test_distinct_points_are_counted_once_per_weight_set(monkeypatch):
 
 def test_weight_sets_keep_nothing_but_their_fields():
     # Sets run through all three routes and thm71_check carry no derived state:
-    # no slot beyond the fields, no __dict__, the same field objects; the set
-    # memo then holds the last set asked only.
-    assert WeightSet.__slots__ == ("p", "n", "points")
+    # no slot beyond p, n, q and the flat weights, no __dict__, the same slot
+    # objects; the set memo then holds the last set asked only.
+    assert WeightSet.__slots__ == ("p", "n", "q", "weights")
     rng = random.Random(29)
     g = make_genus("todd", 4)
     sets = [_random_weight_set(rng, 11, 3, 4) for _ in range(6)]
-    fields = [(w.p, w.n, w.points) for w in sets]
+    slots = [(w.p, w.n, w.q, w.weights) for w in sets]
     for w in sets:
         for route in ROUTES:
             genus_mod_p(g, w, route)
         thm71_check(g, w)
-    for w, before in zip(sets, fields):
+    for w, before in zip(sets, slots):
         assert not hasattr(w, "__dict__")
-        assert all(a is b for a, b in zip((w.p, w.n, w.points), before))
+        assert all(a is b for a, b in zip((w.p, w.n, w.q, w.weights), before))
     assert engine_module._last_set[0] is sets[-1] and len(engine_module._last_set) == 2
 
 
