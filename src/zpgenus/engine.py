@@ -28,14 +28,13 @@ That and the other exact checks live in :mod:`zpgenus.checks`.
 """
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from fractions import Fraction
 from types import SimpleNamespace
 
 from .cyclotomic import _kind_param, _route_table, _theta_polynomial, _trace_total
 from .errors import BadParams, DuplicateResidues, NonIntegralAtP
-from .genus import TRACE_KINDS, GenusSpec, ensure_order, require_theta
+from .genus import GenusSpec, ensure_order, require_theta
 from .rings import (MEMO_SIZE, QQ, ModP, Rational, _Frozen, canonical_weights, keep_factor,
                     rational_reduce_mod_p, require_int, require_odd_prime)
 from .series import Series, integer_numerators
@@ -71,6 +70,8 @@ def reduce_value(x, p: int) -> _Frozen:
 
 def _json_loads(text: str):
     """json.loads, with BadParams for text that is not JSON."""
+    import json
+
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -281,10 +282,9 @@ def _point_sums(g: GenusSpec, p: int, n: int, route: str, ms: tuple | range, poi
     return [(lead * total)[m] for lead, m in zip(leads, ms)]
 
 
-def _packed(series: Series, t: SimpleNamespace, x: int = 1) -> int | None:
-    """series(xz)/x over QQ mod p as one int, by the ring map z -> 2^width with
-    each slot in [0, p); None if a coefficient is not p-integral."""
-    nums, d = integer_numerators(series.coeffs)
+def _packed(t: SimpleNamespace, nums: list, d: int, x: int = 1) -> int | None:
+    """The series sum_j nums[j] z^j / d at xz, over x, mod p as one int, by the ring map
+    z -> 2^width with each slot in [0, p); None if p divides d."""
     if not d % t.p:
         return None
     inv = pow(d * x, -1, t.p)
@@ -292,21 +292,23 @@ def _packed(series: Series, t: SimpleNamespace, x: int = 1) -> int | None:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _residue_table(g: GenusSpec, p: int, n: int) -> SimpleNamespace:
-    """The residues mod p through z^n of pseries and ab, memoized: packed[x] = q(xz)/x
-    on first use of x that fits (:func:`_products`) and leads[route] = [L_0, ..., L_n] on first
-    use of route (:func:`_residues`), None where not p-integral (n >= p - 1, or p in
-    y's denominator).  The width holds an n + 1 fold product of slots, so it is
-    fixed by (p, n) and last, one set's :func:`_products`, outlives any packing."""
+def _residue_table(g: GenusSpec, p: int, n: int) -> SimpleNamespace | None:
+    """The residues mod p through z^n of pseries and ab over QQ, memoized; None if q(z) =
+    z/f(z) is not p-integral (n >= p - 1, or p in y's denominator).  It keeps q's integer
+    numerators over d, packed[x] = q(xz)/x on first use of x that fits (:func:`_products`),
+    leads[route] = [L_0..L_n] on first use of route (None where not p-integral) and last,
+    one set's :func:`_products`, which packing keeps valid: the width is fixed by (p, n)."""
+    nums, d = integer_numerators(_q(g, n).coeffs)
+    if not d % p:
+        return None
     width = ((n + 1) ** n * (p - 1) ** (n + 1)).bit_length()
     return SimpleNamespace(p=p, width=width, slot=(1 << width) - 1, mask=(1 << width * (n + 1)) - 1,
-                           q=_q(g, n), packed={}, leads={}, last=None)
+                           nums=nums, d=d, packed={}, leads={}, last=None)
 
 
-def _products(t: SimpleNamespace, points) -> list | None:
-    """[(A_j mod p, k_j)] over points, A_j a point's packed factor product, with
-    a weight t lacks packed first (:func:`~zpgenus.rings.keep_factor` keeps it); None
-    if a factor is not p-integral."""
+def _products(t: SimpleNamespace, points) -> list:
+    """[(A_j mod p, k_j)] over points, A_j a point's masked product of packed factors,
+    with a weight t lacks packed first (:func:`~zpgenus.rings.keep_factor` keeps it)."""
     packed, mask, prods = t.packed, t.mask, []
     for pt, k in points:
         acc = 1
@@ -314,35 +316,33 @@ def _products(t: SimpleNamespace, points) -> list | None:
             try:
                 f = packed[x]
             except KeyError:
-                f = keep_factor(packed, x, _packed(t.q, t, x))
-            if f is None:
-                return None
+                f = keep_factor(packed, x, _packed(t, t.nums, t.d, x))
             acc = acc * f & mask
         prods.append((acc, k))
     return prods
 
 
 def _residues(g: GenusSpec, w: WeightSet, route: str, ms: tuple | range) -> list:
-    """Each sum of :func:`_point_sums` mod p, or the NonIntegralAtP it raises:
-    over QQ read off the table where its entries are p-integral; elsewhere,
-    over other rings, and for ab of a kind without theta (for :func:`_leads`
-    to refuse it before any order is checked) the exact sum is reduced."""
+    """Each sum of :func:`_point_sums` mod p, or the NonIntegralAtP it raises: read off
+    the table of a genus over QQ where it and the slot's lead are p-integral, else the
+    exact sum is reduced.  UnsupportedKind for ab of a kind without theta, first."""
     n, p = w.n, w.p
+    if route != "pseries":
+        require_theta(g.kind)
+    t = _residue_table(g, p, n) if g.ring is QQ else None
     out = [None] * len(ms)
-    if g.ring is QQ and (route == "pseries" or g.kind in TRACE_KINDS):
-        t = _residue_table(g, p, n)
+    if t is not None:
         leads = t.leads.get(route)
         if leads is None:
-            leads = t.leads[route] = [_packed(s, t) for s in _leads(g, p, n, route, range(n + 1))]
+            leads = t.leads[route] = [_packed(t, *integer_numerators(s.coeffs))
+                                      for s in _leads(g, p, n, route, range(n + 1))]
         if t.last is None or t.last[0] is not w:
             t.last = (w, _products(t, w.distinct_points.items()))
         prods, slot = t.last[1], t.slot
-        if prods is not None:
-            for i, m in enumerate(ms):  # one m on every genus_mod_p call
-                lead, shift = leads[m], t.width * m
-                if lead is not None:
-                    out[i] = ModP._of(sum(k * (lead * acc >> shift & slot)
-                                          for acc, k in prods), p)
+        for i, m in enumerate(ms):  # one m on every genus_mod_p call
+            lead, shift = leads[m], t.width * m
+            if lead is not None:
+                out[i] = ModP._of(sum(k * (lead * acc >> shift & slot) for acc, k in prods), p)
     if None in out:
         exact = _point_sums(g, p, n, route, ms, w.distinct_points.items())
         for i, r in enumerate(out):

@@ -108,12 +108,7 @@ class GradedPoly(_Graded):
         return GradedPoly._of(out)
 
     def __sub__(self, other):
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) - c
-        return GradedPoly._of(out)
+        return self + -other if isinstance(other, GradedPoly) else NotImplemented
 
     def __neg__(self):
         return GradedPoly._of({m: -c for m, c in self.terms.items()})

@@ -35,10 +35,11 @@ MEMO_SIZE = 256  # entries per lru memo; a stream of distinct keys must not grow
 PACKED_CACHE_BYTES = 2**20
 
 
-def keep_factor(table: dict, x: int, f: int | None):
-    """f, the packed factor of weight x, kept in a residue or trace table while the table (its
-    dict as it is, each key and factor at the size of this one) stays within PACKED_CACHE_BYTES:
-    never cleared, a table keeps the factors packed first, and a stream repacks the others.
+def keep_factor(table: dict, x: int, f: int) -> int:
+    """f, the packed factor of weight x (an int, never None), kept in a residue or trace table
+    while the table (its dict as it is, each key and factor at the size of this one) stays
+    within PACKED_CACHE_BYTES: never cleared, a table keeps the factors packed first, and a
+    stream repacks the others.
     Sizes are read by ``__sizeof__``, which costs a miss a third of what sys.getsizeof does."""
     size = table.__sizeof__() + (len(table) + 1) * (x.__sizeof__() + f.__sizeof__())
     if size <= PACKED_CACHE_BYTES:

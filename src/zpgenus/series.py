@@ -111,11 +111,7 @@ class Series(_Frozen):
         return Series(self.ring, [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
 
     def __sub__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        self._check_ring(other)
-        n = min(self.order, other.order)
-        return Series(self.ring, [self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
+        return self + -other if isinstance(other, Series) else NotImplemented
 
     def __neg__(self):
         return Series(self.ring, [-c for c in self.coeffs])

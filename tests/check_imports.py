@@ -6,7 +6,8 @@ checks ``zpgenus.checks``, the ``zpgenus.selftest`` battery nor the Legendre
 checks of ``zpgenus.cpn``: those load on first use of their names from
 ``zpgenus``, and each name is one object from ``zpgenus`` and from the module
 that defines it, while ``zpgenus.rings`` and ``zpgenus.engine`` serve none of
-them and load nothing when asked.  Run it
+them and load nothing when asked.  A fresh interpreter's ``import zpgenus``
+loads no ``json``, which only the CLI and the JSON readers need.  Run it
 with ``python -S``, since a site hook may import ``typing`` before any user
 code, and with the package on PYTHONPATH: the ``src`` directory of a checkout,
 or the site-packages of an installed copy::
@@ -61,4 +62,15 @@ from importlib import import_module  # noqa: E402
 for name, home in zpgenus._ON_DEMAND.items():
     if getattr(zpgenus, name) is not getattr(import_module(f"zpgenus.{home}"), name):
         sys.exit(f"zpgenus.{name} is not zpgenus.{home}.{name}")
+
+# a fresh interpreter, since the CLI above loaded json, on the same copy of the package
+import os  # noqa: E402
+import subprocess  # noqa: E402
+
+child = subprocess.run(
+    [sys.executable, "-S", "-c", "import sys, zpgenus; print(zpgenus.__file__, 'json' in sys.modules)"],
+    env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(zpgenus.__file__))},
+    capture_output=True, text=True)
+if child.stdout != f"{zpgenus.__file__} False\n":
+    sys.exit(f"import zpgenus in a fresh interpreter printed {child.stdout!r} {child.stderr!r}")
 print(f"ok {zpgenus.__file__}")

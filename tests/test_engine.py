@@ -8,6 +8,7 @@ import sys
 import time
 from collections import Counter, namedtuple
 from fractions import Fraction as F
+from math import lcm
 from types import SimpleNamespace
 
 import pytest
@@ -664,10 +665,11 @@ def test_a_warm_call_packs_nothing_and_a_miss_packs_once(monkeypatch):
     # lacks is packed once, and so is a weight it lacks, on first use, for both
     # series routes at once.  The width is fixed by (p, n), so the residues
     # equal a fresh genus's.
-    calls = []  # "lead" for each packed lead, x for a packed weight x
+    calls = []  # "lead" for each packed lead, x for a weight x, packed from q's kept numerators
     pack = engine_module._packed
     monkeypatch.setattr(engine_module, "_packed",
-                        lambda *a: calls.append(a[2] if len(a) == 3 else "lead") or pack(*a))
+                        lambda t, nums, *a: calls.append(a[1] if nums is t.nums else "lead")
+                        or pack(t, nums, *a))
     table = engine_module._residue_table
     p, n = 13, 3
     low = WeightSet(p, n, ((1, 2, 4), (2, 1, 2), (4, 4, 1)))
@@ -774,9 +776,8 @@ def test_residues_fall_back_to_the_exact_sums(case):
     want = [_outcome(reduce_value, s, p) for s in sums]
     assert _outcome(genus_mod_p, g, w, "pseries") == want[n], case
     assert [repr(r) for r in cf_residuals(g, w)] == want[:n], case
-    t = engine_module._residue_table(g, p, n)
-    assert any(c.denominator % p == 0 for c in t.q.coeffs)  # q(z) = z/f(z)
-    assert all(f is None for f in t.packed.values())
+    assert any(c.denominator % p == 0 for c in engine_module._q(g, n).coeffs)  # q(z) = z/f(z)
+    assert engine_module._residue_table(g, p, n) is None
 
 
 def test_packed_width_is_bounded_by_the_largest_factor():
@@ -799,8 +800,9 @@ def test_packed_width_is_bounded_by_the_largest_factor():
     genus_mod_p(other, w, "pseries")
     assert engine_module._residue_table(other, p, n).width == widths[0]
     # at n >= p - 1, q(z) = z/tanh(z) holds B_(p-1) and p divides its
-    # denominator: no factor is p-integral, and both routes and cf_residuals
-    # reduce the exact sums, with the same NonIntegralAtP messages
+    # denominator: no factor is p-integral, so there is no table, and both
+    # routes and cf_residuals reduce the exact sums, with the same
+    # NonIntegralAtP messages
     for p, n in ((3, 2), (3, 4), (5, 8), (7, 6)):
         g = make_genus("l_genus", n + 1)
         w = _random_weight_set(rng, p, n, 3)
@@ -809,9 +811,51 @@ def test_packed_width_is_bounded_by_the_largest_factor():
             assert _outcome(genus_mod_p, g, w, route) == want, (p, n, route)
         want = [_outcome(reduce_value, s, p) for s in _per_point_sums(g, w, "pseries", range(n))]
         assert [repr(r) for r in cf_residuals(g, w)] == want, (p, n)
-        t = engine_module._residue_table(g, p, n)
-        assert t.width == ((n + 1) ** n * (p - 1) ** (n + 1)).bit_length()
-        assert t.q[p - 1].denominator % p == 0 and set(t.packed.values()) == {None}
+        assert engine_module._q(g, n)[p - 1].denominator % p == 0
+        assert engine_module._residue_table(g, p, n) is None
+
+
+def test_residue_table_is_none_exactly_where_q_is_not_p_integral(monkeypatch):
+    # The table decides once whether it can read a genus at (p, n): it is None
+    # exactly when p divides the lcm of q's denominators (l_genus at n >= p - 1,
+    # chi_y with p in y's denominator), and otherwise it takes q's integer
+    # numerators once, so that packing a new weight reads q no more.
+    for kind, y in _CATALOG[:-1] + [("chi_y", F(7, 3)), ("chi_y", F(1, 5))]:
+        for p, n in ((3, 1), (3, 2), (5, 3), (5, 4), (7, 5), (7, 6), (11, 3)):
+            g = make_genus(kind, n + 1, y)
+            d = lcm(*(c.denominator for c in engine_module._q(g, n).coeffs))
+            assert (engine_module._residue_table(g, p, n) is None) == (d % p == 0), (kind, y, p, n)
+    for p, n in ((3, 2), (5, 4), (7, 6), (7, 8)):
+        assert engine_module._residue_table(make_genus("l_genus", n + 1), p, n) is None, (p, n)
+    for y, p in ((F(7, 3), 3), (F(1, 5), 5)):
+        assert engine_module._residue_table(make_genus("chi_y", 3, y), p, 2) is None, (y, p)
+
+    seen = []
+    numerators = engine_module.integer_numerators
+    monkeypatch.setattr(engine_module, "integer_numerators",
+                        lambda coeffs: seen.append(coeffs) or numerators(coeffs))
+    _clear_memos()
+    p, n = 13, 3
+    g = make_genus("todd", n + 1)
+    q = engine_module._q(g, n)
+    for points in (((1, 2, 4),), ((3, 5, 6), (7, 8, 9)), ((10, 11, 12), (1, 1, 12))):
+        w = WeightSet(p, n, points)
+        for route in ("pseries", "ab"):
+            genus_mod_p(g, w, route)
+        cf_residuals(g, w)
+    assert set(engine_module._residue_table(g, p, n).packed) == set(range(1, p))
+    assert [c is q.coeffs for c in seen] == [True] + [False] * 2 * (n + 1)  # q, then the leads
+
+
+def test_ab_of_a_kind_without_theta_is_refused_before_any_order():
+    # The residues refuse ab of a kind without theta where the route is chosen,
+    # before the table asks the genus for an order it cannot reach; pseries
+    # gets to that order and refuses it.
+    w = WeightSet(5, 20, ())
+    with pytest.raises(UnsupportedKind, match="genus kind 'custom' has no theta in Q"):
+        genus_mod_p(_CUSTOM, w, "ab")
+    with pytest.raises(BadParams, match="custom genus has order"):
+        genus_mod_p(_CUSTOM, w, "pseries")
 
 
 def test_large_p_ab_query_builds_factors_for_its_weights_only(capsys):
